@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import EvalDomainError, Expression, parse
-from .quadrature import integrate, integrate_singular_left
+from .quadrature import integrate, integrate_singular_left, sweep_singular_left
 
 __all__ = [
     "ProblemSpec",
@@ -379,37 +379,39 @@ def check_athanassov(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
 def _osgood_hypothesis(omega: Expression, c: CheckConfig, name="osgood_integral",
                        notes="") -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
+    integrand = _osgood_integrand(omega)
+    rg = c.r_grid()
+    sweep = next(sweep_singular_left(lambda s, _members: integrand(s)[None],
+                                     [integrand], rg, [c.quad_tol]))
+    if sweep.base.diverged:
+        return Hypothesis(name, False, float("-inf"),
+                          {"kind": "divergent", "r": float(rg[0])},
+                          notes="int_0+ omega(s)/s ds diverges")
+    bad = np.flatnonzero(~sweep.converged)
+    if bad.size:
+        j = int(bad[0])
+        witness = {"kind": "divergent", "r": float(rg[j])}
+        if j:
+            witness["r0"] = float(rg[j - 1])
+        return Hypothesis(name, False, float("nan"), witness,
+                          notes="quadrature did not converge near 0+" if j == 0
+                          else "quadrature did not converge on (r0, r]")
+    margins = rg - sweep.values
+    j = int(np.argmin(margins))  # ties: smallest r
+    r = float(rg[j])
+    witness = {"kind": "quad_ineq", "r": r, "integral": float(sweep.values[j]),
+               "bound": r}
+    return Hypothesis(name, float(margins[j]) >= -c.tol, float(margins[j]),
+                      witness, notes=notes)
+
+
+def _osgood_integrand(omega: Expression):
     om = omega.lambdify(("r",))
 
     def integrand(s):
         return om(s) / s
 
-    rg = c.r_grid()
-    base = integrate_singular_left(integrand, float(rg[0]), tol=c.quad_tol)
-    if base.diverged:
-        return Hypothesis(name, False, float("-inf"),
-                          {"kind": "divergent", "r": float(rg[0])},
-                          notes="int_0+ omega(s)/s ds diverges")
-    if not base.converged:
-        return Hypothesis(name, False, float("nan"),
-                          {"kind": "divergent", "r": float(rg[0])},
-                          notes="quadrature did not converge near 0+")
-    total = base.value
-    worst = math.inf
-    witness: dict = {}
-    prev_r = float(rg[0])
-    for r in rg:
-        r = float(r)
-        if r > prev_r:
-            seg = integrate(integrand, prev_r, r, tol=c.quad_tol)
-            total += seg.value
-            prev_r = r
-        margin = r - total
-        if margin < worst:
-            worst = margin
-            witness = {"kind": "quad_ineq", "r": r, "integral": float(total),
-                       "bound": r}
-    return Hypothesis(name, worst >= -c.tol, worst, witness, notes=notes)
+    return integrand
 
 
 def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> CriterionReport:
@@ -555,33 +557,33 @@ def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> Criterio
 
 def _h2_hypothesis(p: ProblemSpec, c: CheckConfig, tg, v_fn, lam_fn, om_fn) -> Hypothesis:
     eg = c.eps_grid()
-    vmax = float(np.max(np.abs(v_fn(tg))))
+    vt = v_fn(tg)
+
+    def family(w, members):
+        # one column of scales: v and lambda are sampled once on the shared
+        # nodes, omega on the (eps x nodes) block
+        scales = eg[members].reshape((-1,) + (1,) * w.ndim)
+        return _h2_integrand(v_fn, lam_fn, om_fn, scales)(w)
+
+    integrands = [_h2_integrand(v_fn, lam_fn, om_fn, float(eps)) for eps in eg]
+    tols = [_h2_tol(float(eps), vt) for eps in eg]
     margins = np.empty((len(tg), len(eg)))
-    quad_issue = None
-    for ie, eps in enumerate(eg):
-        eps = float(eps)
-
-        def integrand(w, _eps=eps):
-            return om_fn(_eps * v_fn(w)) / lam_fn(w)
-
-        qtol = max(1e-12 * eps * max(vmax, 1.0), 1e-300)
-        base = integrate_singular_left(integrand, float(tg[0]), tol=qtol)
-        if base.diverged:
+    for ie, sweep in enumerate(sweep_singular_left(family, integrands, tg, tols)):
+        eps = float(eg[ie])
+        if sweep.base.diverged:
             return Hypothesis(
                 "H2_osgood_scaled", False, float("-inf"),
                 {"kind": "divergent", "eps": eps, "t": float(tg[0])},
                 notes="int_0+ omega(eps*v)/lambda diverges")
-        if not base.converged and quad_issue is None:
-            quad_issue = (eps, float(tg[0]))
-        total = base.value
-        prev_t = float(tg[0])
-        for it, t in enumerate(tg):
-            t = float(t)
-            if t > prev_t:
-                seg = integrate(integrand, prev_t, t, tol=qtol)
-                total += seg.value
-                prev_t = t
-            margins[it, ie] = float(v_fn(np.array([t]))[0]) - total / eps
+        bad = np.flatnonzero(~sweep.converged)
+        if bad.size:
+            j = int(bad[0])
+            t0 = float(tg[j - 1]) if j else 0.0
+            return Hypothesis(
+                "H2_osgood_scaled", False, float("nan"),
+                {"kind": "divergent", "eps": eps, "t0": t0, "t": float(tg[j])},
+                notes="quadrature budget exhausted on (t0, t]")
+        margins[:, ie] = vt - sweep.values / eps
     flat = int(np.argmin(margins.ravel()))  # ties: smallest t, then smallest eps
     it, ie = np.unravel_index(flat, margins.shape)
     worst = float(margins[it, ie])
@@ -590,15 +592,29 @@ def _h2_hypothesis(p: ProblemSpec, c: CheckConfig, tg, v_fn, lam_fn, om_fn) -> H
         "kind": "quad_ineq_eps",
         "eps": eps_w,
         "t": t_w,
-        "scaled_integral": float(v_fn(np.array([t_w]))[0]) - worst,
-        "v_t": float(v_fn(np.array([t_w]))[0]),
+        "scaled_integral": float(vt[it]) - worst,
+        "v_t": float(vt[it]),
         "max_margin": float(np.max(margins)),  # margin spread over the grid
     }
-    notes = "margins scaled by eps"
-    if quad_issue is not None:
-        notes += f"; quadrature budget exhausted near eps={quad_issue[0]!r}"
     return Hypothesis("H2_osgood_scaled", worst >= -c.tol, worst, witness,
-                      notes=notes)
+                      notes="margins scaled by eps")
+
+
+def _h2_integrand(v_fn, lam_fn, om_fn, eps):
+    """w -> omega(eps*v(w))/lambda(w), the H2 integrand at the scale eps (a
+    float, or an array of scales that broadcasts against w)."""
+
+    def integrand(w):
+        return om_fn(eps * v_fn(w)) / lam_fn(w)
+
+    return integrand
+
+
+def _h2_tol(eps: float, v_on_grid) -> float:
+    """Quadrature tolerance of the H2 integrals at scale eps, relative to
+    eps*max(|v|, 1) over the t grid."""
+    vmax = float(np.max(np.abs(v_on_grid)))
+    return max(1e-12 * eps * max(vmax, 1.0), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -750,28 +766,31 @@ def _reverify_one(p: ProblemSpec, c: CheckConfig, criterion: str,
                                           xs[None, :]))))
         return s_now > s_prev
     if kind == "quad_ineq":
-        om = p.omega.lambdify(("r",))
-        res = integrate_singular_left(lambda s: om(s) / s, w["r"], tol=c.quad_tol)
+        res = integrate_singular_left(_osgood_integrand(p.omega), w["r"],
+                                      tol=c.quad_tol)
         return res.diverged or res.value > w["bound"] + c.tol
     if kind == "quad_ineq_eps":
-        v_fn = p.v.lambdify(("t",))
-        lam_fn = p.lam.lambdify(("t",))
-        om = p.omega.lambdify(("r",))
         eps = w["eps"]
-        res = integrate_singular_left(
-            lambda s: om(eps * v_fn(s)) / lam_fn(s), w["t"],
-            tol=max(1e-12 * eps, 1e-300))
+        integrand, qtol = _h2_integral(p, c, eps)
+        res = integrate_singular_left(integrand, w["t"], tol=qtol)
         return res.diverged or res.value / eps > w["v_t"] + c.tol
     if kind == "divergent":
+        # re-run the integral named by the witness at the sweep's tolerance
         if h.name.startswith("H1"):
             v_fn = p.v.lambdify(("t",))
             lam_fn = p.lam.lambdify(("t",))
-            res = integrate_singular_left(lambda s: v_fn(s) / lam_fn(s), 1.0,
-                                          tol=c.quad_tol)
-            return res.diverged or not res.converged
-        om = p.omega.lambdify(("r",))
-        res = integrate_singular_left(lambda s: om(s) / s, w.get("r", 1.0),
-                                      tol=c.quad_tol)
+            integrand, qtol = (lambda s: v_fn(s) / lam_fn(s)), c.quad_tol
+            lo, hi = 0.0, 1.0
+        elif h.name.startswith("H2"):
+            integrand, qtol = _h2_integral(p, c, w["eps"])
+            lo, hi = w.get("t0", 0.0), w["t"]
+        else:
+            integrand, qtol = _osgood_integrand(p.omega), c.quad_tol
+            lo, hi = w.get("r0", 0.0), w.get("r", 1.0)
+        if lo == 0.0:
+            res = integrate_singular_left(integrand, hi, tol=qtol)
+        else:
+            res = integrate(integrand, lo, hi, tol=qtol)
         return res.diverged or not res.converged
     if kind == "domain_error":
         # a non-finite sample was observed during the sweep; accept the
@@ -800,6 +819,14 @@ def _reverify_one(p: ProblemSpec, c: CheckConfig, criterion: str,
         return not (float(om(np.array([w["r2"]]))[0]) >
                     float(om(np.array([w["r1"]]))[0]))
     return False
+
+
+def _h2_integral(p: ProblemSpec, c: CheckConfig, eps: float):
+    """The H2 integrand at scale eps and its sweep tolerance."""
+    v_fn = p.v.lambdify(("t",))
+    integrand = _h2_integrand(v_fn, p.lam.lambdify(("t",)),
+                              p.omega.lambdify(("r",)), eps)
+    return integrand, _h2_tol(eps, v_fn(c.t_grid(p.T)))
 
 
 def _pair_coeff(p: ProblemSpec, criterion: str, t: float) -> float:

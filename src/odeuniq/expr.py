@@ -396,8 +396,15 @@ _NP_ENV = {
     "max": np.maximum,
     "asarray": np.asarray,
     "float64": np.float64,
+    "finite_or_nan": lambda a: np.where(np.isfinite(a), a, np.nan),
     "__builtins__": {},
 }
+
+# Strict evaluation raises on every non-finite intermediate result.  Most
+# operations carry a non-finite operand into a non-finite result anyway;
+# these can turn it finite (c/inf = 0, exp(-inf) = 0, min(inf, c) = c,
+# 1^nan = 1, sign(inf) = 1), so the kernel maps such operands to nan.
+_ABSORBING_CALLS = frozenset({"exp", "sign", "pow", "min", "max"})
 
 
 def _np_source(node: Node) -> str:
@@ -409,10 +416,27 @@ def _np_source(node: Node) -> str:
         return f"(-{_np_source(node.arg)})"
     if isinstance(node, Bin):
         op = "**" if node.op == "^" else node.op
-        return f"({_np_source(node.left)}{op}{_np_source(node.right)})"
+        left, right = _np_source(node.left), _np_source(node.right)
+        if node.op == "^":
+            left, right = _np_guarded(node.left), _np_guarded(node.right)
+        elif node.op == "/":
+            right = _np_guarded(node.right)
+        return f"({left}{op}{right})"
     if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_np_source(a) for a in node.args)})"
+        src = _np_guarded if node.fn in _ABSORBING_CALLS else _np_source
+        return f"{node.fn}({', '.join(src(a) for a in node.args)})"
     raise TypeError(node)
+
+
+def _np_guarded(node: Node) -> str:
+    """Source of an operand of an absorbing operation: an intermediate
+    result is passed through finite_or_nan; a number or variable is not."""
+    inner = node
+    while isinstance(inner, Neg):
+        inner = inner.arg
+    if isinstance(inner, (Bin, Call)):
+        return f"finite_or_nan({_np_source(node)})"
+    return _np_source(node)
 
 
 # ---------------------------------------------------------------------------

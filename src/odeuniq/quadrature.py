@@ -7,6 +7,16 @@ Improper integrals are handled by geometric panel subdivision toward the
 singular endpoint (left) or doubling panels toward infinity (right), with
 geometric tail extrapolation for the convergence decision and an explicit,
 documented divergence heuristic.
+
+Cumulative sweeps (``sweep_singular_left``) integrate a family of
+integrands from 0+ to every point of a grid.  The geometric panels below
+the first grid point and the grid segments are evaluated as GK15 panels in
+batches, one family call per block of panels; a panel is accepted when all
+its samples are finite and its Kronrod-Gauss difference is within the
+member's panel tolerance.  Every other panel is redone by the scalar
+adaptive ``integrate`` on that member's own integrand, so errors,
+divergence and convergence flags are exactly those of a panel-by-panel
+loop.  ``integrate_singular_left`` is the one-member case.
 """
 from __future__ import annotations
 
@@ -22,6 +32,8 @@ __all__ = [
     "integrate",
     "integrate_singular_left",
     "integrate_to_infinity",
+    "Sweep",
+    "sweep_singular_left",
     "DIVERGENCE_SUM_THRESHOLD",
     "DIVERGENCE_PANEL_RUN",
 ]
@@ -217,21 +229,157 @@ def integrate_singular_left(g, b: float, tol: float = 1e-10,
     Uses geometric panels [b*2^-(k+1), b*2^-k]; converges when the
     geometric tail bound drops below tol, diverges when partial sums
     exceed the divergence threshold or contributions stop decreasing.
+    This is the one-member, one-point case of ``sweep_singular_left``.
     """
     if not (b > 0.0):
         raise ValueError(f"integrate_singular_left requires b > 0, got {b!r}")
+    sweeps = sweep_singular_left(_family_of(g), [g], [b], [tol],
+                                 budget=budget, max_panels=max_panels)
+    return next(sweeps).base
 
-    def panels():
-        hi = b
-        for k in range(max_panels):
-            lo = hi * 0.5
+
+@dataclass(frozen=True)
+class Sweep:
+    """One member's integrals from 0+ to every point of a grid.
+
+    ``values[j]`` is the integral over (0, grid[j]].  ``converged[j]`` is
+    the flag of the piece that ends at grid[j]: the singular base
+    (0, grid[0]] for j = 0, the segment (grid[j-1], grid[j]] otherwise.
+    After a divergent base no segment is integrated: ``values[1:]`` is nan
+    and ``converged[1:]`` is False.
+    """
+
+    base: QuadResult
+    values: np.ndarray
+    converged: np.ndarray
+
+
+# Geometric base panels are evaluated in chunks of 64, 128, 256, ...
+# panels, and one family call samples at most _BLOCK_SAMPLES points, so a
+# wide family is split into groups of members.
+_FIRST_CHUNK = 64
+_BLOCK_SAMPLES = 1 << 16
+
+
+def sweep_singular_left(family, integrands, grid, tols,
+                        budget: int = DEFAULT_BUDGET, max_panels: int = 1200):
+    """Integrate every member of a family from 0+ to every grid point.
+
+    ``family(x, members)`` samples the members listed by the index array
+    ``members`` at the points ``x`` and returns an array of shape
+    ``(len(members),) + x.shape``.  ``integrands[i]`` is member i alone;
+    it redoes, through the scalar ``integrate``, every panel the batch
+    does not accept.  ``grid`` is strictly increasing with grid[0] > 0,
+    and ``tols[i]`` is member i's tolerance for the base integral over
+    (0, grid[0]] and for each grid segment.
+
+    Yields one ``Sweep`` per member, in member order.  The base is the
+    geometric-panel integral of ``integrate_singular_left`` and each
+    segment one adaptive integral, with the values, flags and
+    ``IntegrandError`` of that panel-by-panel loop.  The work is done
+    lazily: a caller that stops iterating, e.g. at a divergent base, never
+    sees an error that the loop would have met at a later member.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if not (grid.ndim == 1 and grid.size and grid[0] > 0.0
+            and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("sweep grid must be strictly increasing with grid[0] > 0")
+    n_members = len(integrands)
+    tols = np.broadcast_to(np.asarray(tols, dtype=np.float64), (n_members,))
+    edges = [float(grid[0])]  # base panel k is [edges[k+1], edges[k]]
+    blocks: dict = {}
+
+    def block(key, lo, hi, i):
+        """GK15 (values, errors, all-samples-finite) of panels [lo, hi] for
+        member i, sampled in one family call with the members after it."""
+        hit = blocks.get(key)
+        if hit is None or not hit[0] <= i < hit[1]:
+            group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
+            stop = min(i + group, n_members)
+            hit = blocks[key] = (i, stop) + _gk15_block(
+                family, np.arange(i, stop), lo, hi)
+        first, _, k, err, finite = hit
+        return k[i - first], err[i - first], finite[i - first]
+
+    def base_panels(i):
+        start, size = 0, _FIRST_CHUNK
+        while start < max_panels:
+            stop = min(start + size, max_panels)
+            while len(edges) <= stop:
+                edges.append(edges[-1] * 0.5)
+            hi = np.array(edges[start:stop])
+            k, err, finite = block(("base", start), 0.5 * hi, hi, i)
             # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
-            ptol = 0.5 * tol / ((k + 1) * (k + 2))
-            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=min(budget, 200))
-            yield res.value, res.abs_error_estimate
-            hi = lo
+            ks = np.arange(start, stop)
+            ptol = np.maximum(0.5 * tols[i] / ((ks + 1) * (ks + 2)), 1e-300)
+            ok = _accepted(k, err, finite, ptol)
+            for j, (kj, ej, okj) in enumerate(zip(k.tolist(), err.tolist(),
+                                                  ok.tolist())):
+                if okj:
+                    yield kj, ej
+                else:
+                    res = integrate(integrands[i], edges[start + j + 1],
+                                    edges[start + j], tol=float(ptol[j]),
+                                    budget=min(budget, 200))
+                    yield res.value, res.abs_error_estimate
+            start, size = stop, 2 * size
 
-    return _tail_driver(panels(), tol, max_panels)
+    for i in range(n_members):
+        tol = float(tols[i])
+        base = _tail_driver(base_panels(i), tol, max_panels)
+        values = np.full(grid.size, math.nan)
+        converged = np.zeros(grid.size, dtype=bool)
+        values[0], converged[0] = base.value, base.converged
+        if not base.diverged and grid.size > 1:
+            k, err, finite = block("segments", grid[:-1], grid[1:], i)
+            seg = k.copy()
+            ok = _accepted(k, err, finite, tol)
+            for j in np.flatnonzero(~ok).tolist():
+                res = integrate(integrands[i], float(grid[j]),
+                                float(grid[j + 1]), tol=tol, budget=budget)
+                seg[j], ok[j] = res.value, res.converged
+            values[1:] = seg
+            converged[1:] = ok
+            values = np.cumsum(values)
+        yield Sweep(base, values, converged)
+
+
+def _gk15_block(family, members, lo: np.ndarray, hi: np.ndarray):
+    """GK15 panels [lo[p], hi[p]] for the listed members in one family
+    call: Kronrod values, error estimates and all-samples-finite flags,
+    each of shape (len(members), len(lo)).  Non-finite samples only clear
+    the flag; the scalar path raises on them if the panel is needed."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    with np.errstate(all="ignore"):
+        y = np.asarray(family(x, members), dtype=np.float64)
+        k = half * (y @ _W_KRONROD)
+        err = np.abs(k - half * (y @ _W_GAUSS))
+    return k, err, np.isfinite(y).all(axis=-1)
+
+
+def _accepted(k, err, finite, tol):
+    """Panels on which one GK15 step of ``integrate`` converges: finite
+    samples, error within tol and no divergence flag."""
+    return finite & (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+
+
+def _family_of(g):
+    """g as a one-member family.  A g that does not map an array of points
+    to an array of the same shape samples as nan, so that every panel goes
+    through the scalar path with its own fallback."""
+
+    def family(x, _members):
+        try:
+            y = np.asarray(g(x), dtype=np.float64)
+        except (TypeError, ValueError):
+            y = None
+        if y is None or y.shape != x.shape:
+            y = np.full(x.shape, math.nan)
+        return y[None]
+
+    return family
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10,

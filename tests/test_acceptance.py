@@ -246,11 +246,18 @@ def test_12_determinism_and_witnesses(capsys, tmp_path):
             raw.pop("justification", None)
             raw.pop("generalized_c", None)
             p = ProblemSpec.from_dict(raw)
-            reports = [check_nagumo(p, CFG)]
+            checks = [(p, check_nagumo(p, CFG))]
             if p.u is not None:
-                reports.append(check_athanassov(p, CFG))
+                checks.append((p, check_athanassov(p, CFG)))
                 if p.omega is not None:
-                    reports.append(check_constantin(p, CFG))
-            for rep in reports:
+                    checks.append((p, check_constantin(p, CFG)))
+                    v, lam = reduce_to_constantin(p.u)
+                    reduced = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam,
+                                          omega=p.omega, T=p.T,
+                                          x_bound=p.x_bound)
+                    checks.append((reduced, check_theorem_main(reduced, CFG)))
+            if p.v is not None and p.lam is not None and p.omega is not None:
+                checks.append((p, check_theorem_main(p, CFG)))
+            for problem, rep in checks:
                 if not rep.overall:
-                    assert reverify(p, CFG, rep), (path, rep.criterion)
+                    assert reverify(problem, CFG, rep), (path, rep.criterion)

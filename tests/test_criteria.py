@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
+from odeuniq import criteria, quadrature
 from odeuniq.criteria import (
     CheckConfig,
     ProblemSpec,
@@ -253,16 +255,143 @@ def test_nagumo_transform_square_gauge():
 # ---------------------------------------------------------------------------
 # witness re-verification
 
-@pytest.mark.parametrize("f,u,om", [(f, u, om) for f, u, om, _ in EQ_CORPUS])
-def test_all_failure_witnesses_reverify(f, u, om):
-    p = problem(f, u=u, omega=om)
-    for rep in (check_nagumo(p, CFG), check_athanassov(p, CFG),
-                check_constantin(p, CFG)):
+REVERIFY_CASES = [
+    pytest.param({"f": f, "u": u, "omega": om}, id=f"{f}-{u}-{om}")
+    for f, u, om, _ in EQ_CORPUS
+] + [
+    # v/lambda = 1/t: H1 and H2 both diverge at 0+
+    pytest.param({"f": "0", "v": "t", "lambda": "t^2", "omega": "r"},
+                 id="0-v=t-lambda=t^2-r"),
+]
+
+
+@pytest.mark.parametrize("spec", REVERIFY_CASES)
+def test_all_failure_witnesses_reverify(spec):
+    p = pt = ProblemSpec.from_dict(spec)
+    reports = [check_nagumo(p, CFG)]
+    if p.u is not None:
+        reports += [check_athanassov(p, CFG), check_constantin(p, CFG)]
+        v, lam = reduce_to_constantin(p.u)
+        pt = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
+                         T=p.T, x_bound=p.x_bound)
+    for rep in reports:
         assert reverify(p, CFG, rep)
-    v, lam = reduce_to_constantin(p.u)
-    pr = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
-                     T=p.T, x_bound=p.x_bound)
-    assert reverify(pr, CFG, check_theorem_main(pr, CFG))
+    theorem = check_theorem_main(pt, CFG)
+    assert reverify(pt, CFG, theorem)
+    if p.u is None:
+        h2 = theorem.hypothesis("H2_osgood_scaled")
+        assert not h2.passed and h2.witness["kind"] == "divergent"
+
+
+# ---------------------------------------------------------------------------
+# unconverged integrals fail their hypothesis
+
+def _one_panel_fallback(monkeypatch):
+    """Limit the adaptive integrals that redo rejected panels, and those of
+    reverify, to their first GK15 panel."""
+    real = quadrature.integrate
+
+    def one_panel(g, a, b, tol=1e-10, budget=None):
+        return real(g, a, b, tol=tol, budget=1)
+
+    monkeypatch.setattr(quadrature, "integrate", one_panel)
+    monkeypatch.setattr(criteria, "integrate", one_panel)
+
+
+def test_h2_unconverged_segment_fails(monkeypatch):
+    # omega has a kink at eps*t = 1/2, inside a t segment for eps = 1
+    p = problem("0", v="t", lam="t", omega="min(r, (r + 1/2)/2)")
+    assert check_theorem_main(p, CFG).hypothesis("H2_osgood_scaled").passed
+    _one_panel_fallback(monkeypatch)
+    rep = check_theorem_main(p, CFG)
+    h2 = rep.hypothesis("H2_osgood_scaled")
+    assert not h2.passed and math.isnan(h2.worst_margin)
+    w = h2.witness
+    assert w["kind"] == "divergent" and w["eps"] == 1.0
+    assert 0.0 < w["t0"] < 0.5 < w["t"]
+    assert reverify(p, CFG, rep)
+
+
+def test_osgood_unconverged_segment_fails(monkeypatch):
+    # the kink of omega at r = 0.505 lies inside an r segment
+    p = problem("0", u="t", omega="min(r, (r + 0.505)/2)")
+    assert check_constantin(p, CFG).overall
+    _one_panel_fallback(monkeypatch)
+    h = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
+    assert not h.passed and math.isnan(h.worst_margin)
+    assert h.witness["kind"] == "divergent"
+    assert h.witness["r0"] < 0.505 < h.witness["r"]
+    rep = check_constantin(p, CFG)
+    assert not rep.hypothesis("comparison_function").passed
+    assert reverify(p, CFG, rep)
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps against the panel-by-panel loops
+
+def _scalar_h2(p, c):
+    """Worst H2 margin from one adaptive integral per (eps, segment) on top
+    of the geometric base loop."""
+    tg, eg = c.t_grid(p.T), c.eps_grid()
+    v_fn, lam_fn = p.v.lambdify(("t",)), p.lam.lambdify(("t",))
+    om = p.omega.lambdify(("r",))
+    vt = v_fn(tg)
+    vmax = float(np.max(np.abs(vt)))
+    margins = np.empty((len(tg), len(eg)))
+    for ie, eps in enumerate(eg.tolist()):
+        qtol = max(1e-12 * eps * max(vmax, 1.0), 1e-300)
+        base, values, converged = scalar_reference.sweep(
+            lambda w: om(eps * v_fn(w)) / lam_fn(w), tg, qtol)
+        if base.diverged:
+            return -math.inf
+        if not converged.all():
+            return math.nan
+        margins[:, ie] = vt - values / eps
+    return float(margins.min())
+
+
+def _scalar_osgood(omega, c):
+    om = omega.lambdify(("r",))
+    rg = c.r_grid()
+    base, values, converged = scalar_reference.sweep(lambda s: om(s) / s, rg,
+                                                     c.quad_tol)
+    if base.diverged:
+        return -math.inf
+    if not converged.all():
+        return math.nan
+    return float(np.min(rg - values))
+
+
+@st.composite
+def _sweep_problems(draw):
+    """Problem specs from the corpus families: gauge u = t^q (reduced pair)
+    or a direct pair v = t^m, lambda = t^k; omega = a*r."""
+    f = draw(st.sampled_from(["1.3*t^0.5*x", "-sqrt(abs(x))", "0.7*x/t", "0"]))
+    a = draw(st.floats(min_value=0.5, max_value=1.5))
+    d = {"f": f, "omega": f"{a!r}*r"}
+    if draw(st.booleans()):
+        d["u"] = f"t^{draw(st.floats(min_value=1.0, max_value=2.0))!r}"
+        p = ProblemSpec.from_dict(d)
+        v, lam = reduce_to_constantin(p.u)
+        return ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega)
+    k = draw(st.floats(min_value=0.5, max_value=0.95))
+    d["v"] = f"t^{draw(st.floats(min_value=k, max_value=1.5))!r}"
+    d["lambda"] = f"t^{k!r}"
+    return ProblemSpec.from_dict(d)
+
+
+@given(_sweep_problems())
+@settings(max_examples=6, deadline=None)
+def test_batched_sweeps_match_panel_loops(p):
+    rep = check_theorem_main(p, CFG)
+    h2 = rep.hypothesis("H2_osgood_scaled")
+    ref = _scalar_h2(p, CFG)
+    assert h2.passed == (ref >= -CFG.tol)
+    assert h2.worst_margin == pytest.approx(ref, abs=1e-12, nan_ok=True)
+    osg = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
+    ref = _scalar_osgood(p.omega, CFG)
+    assert osg.passed == (ref >= -CFG.tol)
+    assert osg.worst_margin == pytest.approx(ref, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

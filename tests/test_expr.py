@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odeuniq.expr import (
     EvalDomainError,
@@ -188,6 +188,7 @@ def test_serialize_parse_round_trip(src):
 
 @given(_expr_trees(), st.floats(min_value=0.1, max_value=3.0),
        st.floats(min_value=-2.0, max_value=2.0))
+@example("(0.0 + (0.0 / (1.0 / 0.0)))", 1.0, 0.0)  # 0/inf: strict raises
 @settings(max_examples=100, deadline=None)
 def test_lambdify_agrees_with_scalar_eval(src, t, x):
     e = parse(src, allowed_vars={"t", "x"})

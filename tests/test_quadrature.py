@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from odeuniq.quadrature import (
     IntegrandError,
     integrate,
     integrate_singular_left,
     integrate_to_infinity,
+    sweep_singular_left,
 )
 
 # (integrand, a, b, exact) closed-form proper integrals
@@ -118,3 +120,96 @@ def test_power_singularity_family(p):
     res = integrate_singular_left(lambda w: w**-p, 1.0, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(1.0 / (1.0 - p), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# batched sweep against the panel-by-panel loops
+
+@pytest.mark.parametrize("g,b", [(g, b) for g, b, _ in SINGULAR_CASES]
+                         + [(g, 1.0) for g in DIVERGENT_CASES])
+def test_singular_left_matches_panel_loop(g, b):
+    # integrate_singular_left is the one-member sweep; the loop it replaced
+    # takes the same panels, so flags and panel counts agree exactly
+    res = integrate_singular_left(g, b, tol=1e-12)
+    ref = scalar_reference.singular_left(g, b, tol=1e-12)
+    assert (res.converged, res.diverged, res.subdivisions) == \
+        (ref.converged, ref.diverged, ref.subdivisions)
+    assert res.value == pytest.approx(ref.value, rel=1e-13)
+
+
+def test_singular_left_scalar_only_integrand():
+    def g(w):
+        if isinstance(w, np.ndarray):
+            raise TypeError("scalar only")
+        return w ** -0.5
+    res = integrate_singular_left(g, 1.0, tol=1e-12)
+    assert res.converged
+    assert res.value == pytest.approx(2.0, rel=1e-8)
+
+
+def _power_family(powers):
+    powers = np.asarray(powers, dtype=float)
+
+    def family(x, members):
+        return x[None] ** -powers[members].reshape((-1,) + (1,) * x.ndim)
+
+    return family, [lambda w, p=p: w ** -p for p in powers]
+
+
+def test_sweep_matches_panel_loop():
+    powers = [0.0, 0.3, 0.7, 0.95]
+    family, members = _power_family(powers)
+    grid = np.geomspace(1e-6, 1.0, 40)
+    tols = [1e-12, 1e-10, 1e-12, 1e-11]
+    sweeps = list(sweep_singular_left(family, members, grid, tols))
+    assert len(sweeps) == len(powers)
+    for s, g, tol, p in zip(sweeps, members, tols, powers):
+        base, values, converged = scalar_reference.sweep(g, grid, tol)
+        assert s.base.subdivisions == base.subdivisions
+        np.testing.assert_array_equal(s.converged, converged)
+        np.testing.assert_allclose(s.values, values, rtol=1e-13)
+        np.testing.assert_allclose(s.values, grid ** (1 - p) / (1 - p),
+                                   rtol=1e-9)
+
+
+def _divergent_and_nonfinite():
+    """Member 'div' diverges at 0+; member 'nan' has non-finite samples on
+    the last grid segment only."""
+    fns = {"div": lambda w: 1.0 / w,
+           "nan": lambda w: np.where(w > 0.6, np.nan, 1.0)}
+    return fns
+
+
+@pytest.mark.parametrize("order", [("div", "nan"), ("nan", "div")])
+def test_sweep_reports_in_member_order(order):
+    fns = _divergent_and_nonfinite()
+    members = [fns[name] for name in order]
+
+    def family(x, idx):
+        return np.stack([members[i](x) for i in idx])
+
+    grid = np.array([0.25, 0.5, 1.0])
+    sweeps = sweep_singular_left(family, members, grid, [1e-10, 1e-10])
+    # the panel-by-panel loop meets the members in this order: a divergence
+    # first ends the sweep before the later member's bad sample is reached
+    if order[0] == "div":
+        first = next(sweeps)
+        ref = scalar_reference.singular_left(members[0], 0.25, 1e-10)
+        assert first.base.diverged and ref.diverged
+        assert first.base.subdivisions == ref.subdivisions
+        assert not first.converged.any()
+        assert np.isnan(first.values[1:]).all()
+        with pytest.raises(IntegrandError):
+            next(sweeps)
+    else:
+        with pytest.raises(IntegrandError):
+            scalar_reference.sweep(members[0], grid, 1e-10)
+        with pytest.raises(IntegrandError):
+            next(sweeps)
+
+
+def test_sweep_rejects_bad_grid():
+    family, members = _power_family([0.5])
+    for grid in ([0.0, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5]):
+        with pytest.raises(ValueError):
+            next(sweep_singular_left(family, members, grid, [1e-10]))
