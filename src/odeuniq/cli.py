@@ -400,11 +400,15 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
         names = _suite_criteria_for(problem)
         any_pass = False
         try:
-            for rep in run_checks(problem, names, config):
-                row["checks"][rep.criterion] = "pass" if rep.overall else "fail"
+            reports = {rep.criterion: rep
+                       for rep in run_checks(problem, names, config)}
+            for name, rep in reports.items():
+                row["checks"][name] = "pass" if rep.overall else "fail"
                 any_pass = any_pass or rep.overall
             if problem.u is not None and problem.omega is not None:
-                eq = criteria.equivalence_suite(problem, config)
+                eq = criteria.equivalence_suite(
+                    problem, config, constantin=reports["constantin"],
+                    reduced=reports["theorem1-reduced"])
                 row["checks"]["equivalence"] = (
                     "pass" if eq.overall else "fail")
         except Exception as exc:

@@ -460,12 +460,13 @@ def check_constantin(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
     hyp_a = _grid_bound_hypothesis(
         "bound_f_le_uprime_over_u_omega", lhs, rhs, tg, xg, c.tol)
     sub = check_comparison_fn(p.omega, c)
-    worst_sub = min(h.worst_margin for h in sub.hypotheses)
+    # worst sub-margin; nan (an unconverged integral) outranks every number
+    worst = next((h for h in sub.hypotheses if math.isnan(h.worst_margin)),
+                 None) or min(sub.hypotheses, key=lambda h: h.worst_margin)
     failing = [h for h in sub.hypotheses if not h.passed]
     hyp_b = Hypothesis(
-        "comparison_function", sub.overall, worst_sub,
-        failing[0].witness if failing else min(
-            sub.hypotheses, key=lambda h: h.worst_margin).witness,
+        "comparison_function", sub.overall, worst.worst_margin,
+        failing[0].witness if failing else worst.witness,
         notes="aggregates the comparison-function gate: " +
               ", ".join(h.name for h in sub.hypotheses))
     ratio = _ratio_expr(p.f, du).lambdify(("t", "x"))
@@ -652,17 +653,25 @@ _SHARED_HYPOTHESES = [
 ]
 
 
-def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None) -> EquivalenceReport:
+def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
+                      constantin: CriterionReport | None = None,
+                      reduced: CriterionReport | None = None) -> EquivalenceReport:
     """Cross-validate check_constantin against check_theorem_main applied to
-    the reduced gauge pair (v, lambda) = (u, u/u')."""
+    the reduced gauge pair (v, lambda) = (u, u/u').
+
+    ``constantin`` and ``reduced`` are those two reports when the caller
+    has already computed them for (p, c); missing ones are computed here.
+    """
     c = c or CheckConfig()
     if p.u is None or p.omega is None:
         raise ValueError("equivalence suite requires the gauges u and omega")
-    rep_c = check_constantin(p, c)
-    v, lam = reduce_to_constantin(p.u)
-    p_red = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
-                        T=p.T, x_bound=p.x_bound, name=p.name)
-    rep_t = check_theorem_main(p_red, c)
+    rep_c = constantin if constantin is not None else check_constantin(p, c)
+    rep_t = reduced
+    if rep_t is None:
+        v, lam = reduce_to_constantin(p.u)
+        p_red = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
+                            T=p.T, x_bound=p.x_bound, name=p.name)
+        rep_t = check_theorem_main(p_red, c)
     discrepancies = {}
     for name_c, name_t in _SHARED_HYPOTHESES:
         m1 = rep_c.hypothesis(name_c).worst_margin

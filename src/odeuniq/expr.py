@@ -640,7 +640,7 @@ class Expression:
             arrs = [np.asarray(a, dtype=np.float64) for a in arrays]
             with np.errstate(all="ignore"):
                 out = raw(*arrs)
-            if arrs:
+            if any(a.shape != out.shape for a in arrs):
                 shape = np.broadcast_shapes(*[a.shape for a in arrs])
                 if out.shape != shape:  # expression ignored some variables
                     out = np.broadcast_to(out, shape).copy()

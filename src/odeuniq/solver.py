@@ -6,6 +6,19 @@ order solution is propagated); step acceptance uses a mixed absolute and
 relative criterion.  The singular endpoint t = 0 is never evaluated; all
 probes stop at a configurable positive floor.  Probe outputs are evidence,
 never proof: only the criterion checkers speak to uniqueness theorems.
+
+One lane integrator advances a batch of independent legs in lockstep.
+Each of the six stages is one compiled-expression call over the running
+lanes; every lane has its own step size, direction, end point, minimal
+step and status, and leaves the batch when it finishes.  funnel_probe
+integrates its backward legs and its forward spread legs as one batch,
+forward_spread is the three-lane case and integrate_ivp the one-lane case.
+
+Every lane repeats the scalar loop's accept/reject sequence bit for bit:
+the stage and solution sums are accumulated term by term in tableau order,
+starting from 0 as Python's sum does, and the step factor ratio**-0.2 is
+taken with Python's pow per lane, since numpy's vectorized power can
+differ from it in the last bit.
 """
 from __future__ import annotations
 
@@ -14,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import EvalDomainError, Expression
+from .expr import Expression
 
 __all__ = [
     "Trajectory",
@@ -98,26 +111,180 @@ class Trajectory:
         return h00 * x0 + h10 * d0 + h01 * x1 + h11 * d1
 
 
-def _rhs_from(f):
-    """Right-hand side x' = -f(t, x), from an Expression or a callable f."""
+def _lane_f(f):
+    """f_lanes(t, x, out, prior) writes f(t, x) of every lane into out.
+
+    An Expression is one compiled call over all lanes; its value is
+    non-finite where the sample is.  A callable f is called lane by lane
+    with Python floats, and not for a lane whose earlier stage values
+    ``prior`` hold a non-finite value: the one-lane loop stopped there.
+    """
     if isinstance(f, Expression):
         fl = f.lambdify(("t", "x"))
 
-        def rhs(t, x):
-            val = float(fl(t, x))
-            if not math.isfinite(val):
-                raise SolverDomainError("non-finite f sample", t, x)
-            return -val
+        def f_lanes(t, x, out, prior):
+            out[...] = fl(t, x)
 
-        return rhs
+        return f_lanes
 
-    def rhs(t, x):
-        val = float(f(t, x))
-        if not math.isfinite(val):
-            raise SolverDomainError("non-finite f sample", t, x)
-        return -val
+    def f_lanes(t, x, out, prior):
+        out.fill(np.nan)
+        for i in np.flatnonzero(np.isfinite(prior).all(axis=0)).tolist():
+            out[i] = float(f(float(t[i]), float(x[i])))
 
-    return rhs
+    return f_lanes
+
+
+def _sum_rows(*rows):
+    """Coefficient columns for a running sum over the rows of the stage
+    array: row 0 holds +0 and rows 1..7 hold f at stages 1..7.  A tableau
+    row a is stored as (1, -a_1, ..., -a_j): (-a)*f = a*k exactly for the
+    slope k = -f, so the cumulative sum along the rows repeats Python's
+    sum(a_j*k_j) from 0, term by term and bit for bit."""
+    width = max(len(r) for r in rows)
+    coeff = np.zeros((len(rows), width + 1, 1))
+    for c, r in zip(coeff, rows):
+        c[0] = 1.0
+        c[1:len(r) + 1, 0] = np.negative(r)
+    return coeff
+
+
+_C_STAGES = np.array(_C[1:])[:, None]
+_A_STAGES = [_sum_rows(row)[0] for row in _A[1:]]
+_B_PAIR = _sum_rows(_B5, _B4)  # 5th- and 4th-order solutions at once
+
+
+def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
+                     max_steps: int = 200_000,
+                     fixed_step: float | None = None) -> list:
+    """Integrate x' = -f(t, x) on independent lanes (t0[i], x0[i]) -> t1[i]
+    in lockstep.  Returns, per lane, its Trajectory, or the
+    SolverDomainError of a non-finite f at its start point.
+
+    Each iteration takes one Dormand-Prince step on every running lane:
+    every stage is one f call over the lanes, and each lane keeps its own
+    step size, direction, end point and minimal step.  A lane leaves the
+    batch when it completes or its step size underflows; lanes still
+    running after max_steps iterations (steps, rejected ones included)
+    exhaust the budget.
+
+    A non-finite stage value, like an overflowing solution, makes the error
+    ratio non-finite, so the lane rejects the step with factor 0.1, as the
+    one-lane loop does for a stage failure.
+    """
+    t0, x0, t1 = (np.array(a, dtype=np.float64).ravel()
+                  for a in np.broadcast_arrays(t0, x0, t1))
+    f_lanes = _lane_f(f)
+    f0 = np.empty_like(t0)
+    with np.errstate(all="ignore"):
+        f_lanes(t0, x0, f0, np.empty((0, t0.size)))
+    k0 = -f0
+    start_ok = np.isfinite(f0)
+    out = [None] * t0.size
+    for i in np.flatnonzero(~start_ok).tolist():
+        out[i] = SolverDomainError("non-finite f sample",
+                                   float(t0[i]), float(x0[i]))
+    for i in np.flatnonzero(start_ok & (t0 == t1)).tolist():
+        out[i] = Trajectory(t0[i:i + 1], x0[i:i + 1], k0[i:i + 1],
+                            np.zeros(1), "completed")
+    lane = np.flatnonzero(start_ok & (t0 != t1))
+    if lane.size == 0:
+        return out
+    if fixed_step is not None and not (fixed_step > 0.0):
+        raise ValueError("fixed_step must be positive")
+    t, x, t1 = t0[lane], x0[lane], t1[lane]
+    direction = np.where(t1 > t, 1.0, -1.0)
+    span = np.abs(t1 - t)
+    # |h| per lane; h always points in the lane's direction, so the
+    # clip |h| > |t1 - t| -> h = t1 - t is a minimum of magnitudes
+    h_abs = np.full(lane.size, fixed_step) if fixed_step is not None \
+        else np.minimum(span * 1e-2, 0.1)
+    h_min = np.maximum(span * 1e-14, 1e-16)
+    dist = span
+    x_abs = np.abs(x)
+    Z = np.zeros((8, lane.size))  # +0, then f at stages 1..7 (FSAL: 7 -> 1)
+    Z[1] = f0[lane]
+    log = [(lane, t, x, k0[lane], np.zeros(lane.size))]  # accepted points
+    ends = {}                                            # lane -> status
+    n = 0
+    with np.errstate(all="ignore"):
+        while lane.size:
+            if n >= max_steps:
+                for i, ti in zip(lane.tolist(), t.tolist()):
+                    ends[i] = ("error_budget_exceeded",
+                               f"max_steps={max_steps} exhausted at t={ti!r}")
+                break
+            n += 1
+            h_abs = np.minimum(h_abs, dist)
+            h = direction * h_abs
+            t_stage = t + _C_STAGES * h
+            for i, a in enumerate(_A_STAGES, 2):
+                s = np.add.accumulate(a * Z[:i], axis=0)[-1]
+                f_lanes(t_stage[i - 2], x + h * s, Z[i], Z[1:i])
+            x5, x4 = x + h * np.add.accumulate(_B_PAIR * Z, axis=1)[:, -1]
+            err = np.abs(x5 - x4)
+            x5_abs = np.abs(x5)
+            scale = atol + rtol * np.maximum(x_abs, x5_abs)
+            ratio = np.where(scale > 0.0, err / scale, np.inf)
+            if fixed_step is not None:
+                bad = ~np.isfinite(Z).all(axis=0)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise SolverDomainError("stage failure in fixed-step mode",
+                                            float(t[i]), float(x[i]))
+                accept = [True] * lane.size
+            else:
+                # the one-lane loop's step control, per lane with Python's
+                # pow: numpy's vectorized power can differ in the last bit
+                rs = ratio.tolist()
+                accept = [r <= 1.0 for r in rs]
+                factor = np.array([
+                    (5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * r ** -0.2)))
+                    if r <= 1.0 else
+                    (max(0.1, 0.9 * r ** -0.2) if math.isfinite(r) else 0.1)
+                    for r, e in zip(rs, err.tolist())])
+            if all(accept):
+                t, x, x_abs = t + h, x5, x5_abs
+                Z[1] = Z[7]
+                log.append((lane, t, x, -Z[7], err))
+            elif any(accept):
+                m = np.array(accept)
+                t = np.where(m, t + h, t)
+                x = np.where(m, x5, x)
+                x_abs = np.where(m, x5_abs, x_abs)
+                Z[1] = np.where(m, Z[7], Z[1])
+                log.append((lane[m], t[m], x[m], -Z[1][m], err[m]))
+            if any(accept):
+                dist = direction * (t1 - t)
+            done = dist <= 0.0
+            if fixed_step is None:
+                h_abs = h_abs * factor
+                stop = done | (h_abs < h_min)
+            else:
+                h_abs = np.full(lane.size, fixed_step)
+                stop = done
+            if stop.any():
+                for i, ti, completed in zip(lane[stop].tolist(),
+                                            t[stop].tolist(),
+                                            done[stop].tolist()):
+                    ends[i] = ("completed", "") if completed else (
+                        "stopped_at_singularity",
+                        f"step size underflow at t={ti!r}")
+                keep = ~stop
+                lane, t, x, x_abs, h_abs, h_min, dist, t1, direction = (
+                    a[keep] for a in (lane, t, x, x_abs, h_abs, h_min, dist,
+                                      t1, direction))
+                Z = Z[:, keep]
+    owner = np.concatenate([rec[0] for rec in log])
+    order = np.argsort(owner, kind="stable")
+    ts, xs, ds, errs = (np.concatenate([rec[j] for rec in log])[order]
+                        for j in range(1, 5))
+    count = np.bincount(owner, minlength=t0.size)
+    end = np.cumsum(count)
+    for i, (status, message) in ends.items():
+        s = slice(end[i] - count[i], end[i])
+        out[i] = Trajectory(ts[s], xs[s], ds[s], errs[s], status, message)
+    return out
 
 
 def integrate_ivp(f, t0: float, x0: float, t1: float,
@@ -133,87 +300,14 @@ def integrate_ivp(f, t0: float, x0: float, t1: float,
     With fixed_step set, adaptivity is disabled and every step is accepted
     (used for convergence-order measurements, where the error controller
     would confound the step-size/error relation).
+
+    This is the one-lane case of the lockstep lane integrator.
     """
-    if t0 == t1:
-        rhs = _rhs_from(f)
-        d = rhs(t0, x0)
-        return Trajectory(np.array([t0]), np.array([x0]), np.array([d]),
-                          np.array([0.0]), "completed")
-    rhs = _rhs_from(f)
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t, x = float(t0), float(x0)
-    k_last = rhs(t, x)
-    ts, xs, ds, errs = [t], [x], [k_last], [0.0]
-    if fixed_step is not None:
-        if not (fixed_step > 0.0):
-            raise ValueError("fixed_step must be positive")
-        h = direction * fixed_step
-    else:
-        h = direction * min(span * 1e-2, 0.1)
-    h_min = max(span * 1e-14, 1e-16)
-    n = 0
-    status = "completed"
-    message = ""
-    while n < max_steps:
-        n += 1
-        remaining = t1 - t
-        if direction * remaining <= 0.0:
-            break
-        if abs(h) > abs(remaining):
-            h = remaining
-        # stages (FSAL: stage 7 value equals the propagated solution's slope)
-        k = [k_last]
-        failed = False
-        for i in range(1, 7):
-            xi = x + h * sum(aij * kj for aij, kj in zip(_A[i], k))
-            try:
-                k.append(rhs(t + _C[i] * h, xi))
-            except SolverDomainError:
-                failed = True
-                break
-        if not failed:
-            x5 = x + h * sum(b * kj for b, kj in zip(_B5, k))
-            x4 = x + h * sum(b * kj for b, kj in zip(_B4, k))
-            err = abs(x5 - x4)
-            scale = atol + rtol * max(abs(x), abs(x5))
-            ratio = err / scale if scale > 0 else math.inf
-        else:
-            ratio = math.inf
-            err = math.inf
-        if fixed_step is not None:
-            if failed:
-                raise SolverDomainError("stage failure in fixed-step mode",
-                                        t, x)
-            accept = True
-        else:
-            accept = ratio <= 1.0
-        if accept:
-            t = t + h
-            x = x5
-            k_last = k[6]  # FSAL
-            ts.append(t)
-            xs.append(x)
-            ds.append(k_last)
-            errs.append(err)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-        else:
-            factor = max(0.1, 0.9 * ratio ** -0.2) if math.isfinite(ratio) else 0.1
-        if direction * (t1 - t) <= 0.0:
-            break
-        if fixed_step is None:
-            h *= factor
-            if abs(h) < h_min:
-                status = "stopped_at_singularity"
-                message = f"step size underflow at t={t!r}"
-                break
-        else:
-            h = direction * fixed_step
-    else:
-        status = "error_budget_exceeded"
-        message = f"max_steps={max_steps} exhausted at t={t!r}"
-    return Trajectory(np.array(ts), np.array(xs), np.array(ds),
-                      np.array(errs), status, message)
+    (res,) = _integrate_lanes(f, t0, x0, t1, rtol, atol, max_steps,
+                              fixed_step)
+    if isinstance(res, SolverDomainError):
+        raise res
+    return res
 
 
 def convergence_order(f, t0: float, x0: float, t1: float, exact: float,
@@ -279,14 +373,21 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         raise ValueError("t_floor must lie in (0, T)")
     grid = np.linspace(-x_bound, x_bound, n)
     spacing = float(grid[1] - grid[0])
+    # one batch: the n backward legs, then three forward legs per level
+    deltas = [2.0 ** -k for k in range(1, spread_levels + 1)]
+    starts = [min(d, 0.5 * T) for d in deltas]
+    legs = _integrate_lanes(
+        f,
+        np.concatenate([np.full(n, T), np.repeat(starts, 3)]),
+        np.concatenate([grid, [x0 for d in deltas for x0 in (-d, 0.0, d)]]),
+        np.concatenate([np.full(n, t_floor), np.full(3 * spread_levels, T)]),
+        rtol, atol)
     reaches = np.zeros(n, dtype=bool)
     statuses = []
     failures = []
-    for i, x_T in enumerate(grid):
-        try:
-            traj = integrate_ivp(f, T, float(x_T), t_floor, rtol=rtol, atol=atol)
-        except SolverDomainError as exc:
-            failures.append((float(x_T), str(exc)))
+    for i, (x_T, traj) in enumerate(zip(grid.tolist(), legs[:n])):
+        if isinstance(traj, SolverDomainError):
+            failures.append((x_T, str(traj)))
             statuses.append("error")
             continue
         statuses.append(traj.status)
@@ -297,13 +398,12 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
             reaches[i] = touched or crossed
     basin = spacing * int(np.count_nonzero(reaches))
     spread_curve = []
-    for k in range(1, spread_levels + 1):
-        d = 2.0 ** -k
-        t0 = min(d, 0.5 * T)
+    for k, (t0, d) in enumerate(zip(starts, deltas)):
         try:
-            spread_curve.append((t0, forward_spread(f, t0, d, T, rtol, atol)))
+            spread = _spread(legs[n + 3 * k:n + 3 * k + 3], t0, d)
         except SolverDomainError:
-            spread_curve.append((t0, math.nan))
+            spread = math.nan
+        spread_curve.append((t0, spread))
     return FunnelReport(
         terminal_values=grid,
         reaches_zero=reaches,
@@ -322,9 +422,17 @@ def forward_spread(f, t0: float, delta: float, T: float,
     """Max pairwise spread at t = T of the three trajectories started at
     x(t0) in {-delta, 0, +delta}; collapse to 0 along t0 = delta -> 0 is
     uniqueness evidence."""
+    return _spread(_integrate_lanes(f, t0, (-delta, 0.0, delta), T,
+                                    rtol, atol), t0, delta)
+
+
+def _spread(legs, t0, delta) -> float:
+    """Max pairwise distance of the forward legs' end points; raises
+    SolverDomainError for the first leg that failed or did not complete."""
     ends = []
-    for x0 in (-delta, 0.0, delta):
-        traj = integrate_ivp(f, t0, x0, T, rtol=rtol, atol=atol)
+    for x0, traj in zip((-delta, 0.0, delta), legs):
+        if isinstance(traj, SolverDomainError):
+            raise traj
         if traj.status != "completed":
             raise SolverDomainError(
                 f"forward leg did not complete ({traj.status})", t0, x0)
@@ -372,10 +480,7 @@ def sup_ratio_diagnostic(f: Expression, v: Expression, lam: Expression,
         return SupRatioReport(taus, ratio, ratio.copy(), True, 0, skipped)
     running = np.maximum.accumulate(ratio[::-1])[::-1]
     # strict pattern at interior samples: ratio < max over strictly larger tau
-    violations = 0
-    for i in range(len(ratio) - 1):
-        right_max = running[i + 1]
-        if ratio[i] > 0.0 and ratio[i] >= right_max:
-            violations += 1
+    violations = int(np.count_nonzero((ratio[:-1] > 0.0)
+                                      & (ratio[:-1] >= running[1:])))
     return SupRatioReport(taus, ratio, running, violations == 0,
                           violations, skipped)

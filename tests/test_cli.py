@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from odeuniq import cli
+from odeuniq import cli, criteria
 from odeuniq.cli import main
 from odeuniq.criteria import CheckConfig, check_nagumo, ProblemSpec
 
@@ -228,3 +228,20 @@ def test_suite_expect_mismatch_exit_one(tmp_path):
     code = main(["suite", "--corpus", str(corpus),
                  "--out", str(tmp_path / "s.json")])
     assert code == 1
+
+
+def test_suite_checks_each_criterion_once(tmp_path, monkeypatch):
+    # equivalence_suite reuses the constantin and theorem1-reduced reports
+    calls = []
+    for name in ("check_constantin", "check_theorem_main"):
+        real = getattr(criteria, name)
+
+        def counted(p, c=None, real=real, name=name):
+            calls.append(name)
+            return real(p, c)
+
+        monkeypatch.setattr(criteria, name, counted)
+    (tmp_path / "tx.json").write_text(json.dumps(TX))
+    rows, _ = cli.run_suite(tmp_path, CheckConfig())
+    assert rows[0]["checks"]["equivalence"] == "pass"
+    assert sorted(calls) == ["check_constantin", "check_theorem_main"]

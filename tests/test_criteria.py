@@ -225,6 +225,16 @@ def test_equivalence_corpus(f, u, om, verdict):
     assert eq.max_discrepancy <= 1e-6
 
 
+def test_equivalence_takes_computed_reports():
+    p = problem("t*x", u="t", omega="r")
+    v, lam = reduce_to_constantin(p.u)
+    reduced = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
+                          T=p.T, x_bound=p.x_bound, name=p.name)
+    given = equivalence_suite(p, CFG, constantin=check_constantin(p, CFG),
+                              reduced=check_theorem_main(reduced, CFG))
+    assert given.to_dict() == equivalence_suite(p, CFG).to_dict()
+
+
 def test_equivalence_report_serializes():
     eq = equivalence_suite(problem("t*x", u="t", omega="r"), CFG)
     d = eq.to_dict()
@@ -322,7 +332,9 @@ def test_osgood_unconverged_segment_fails(monkeypatch):
     assert h.witness["kind"] == "divergent"
     assert h.witness["r0"] < 0.505 < h.witness["r"]
     rep = check_constantin(p, CFG)
-    assert not rep.hypothesis("comparison_function").passed
+    agg = rep.hypothesis("comparison_function")
+    assert not agg.passed and math.isnan(agg.worst_margin)
+    assert agg.witness == h.witness
     assert reverify(p, CFG, rep)
 
 
