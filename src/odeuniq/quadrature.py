@@ -17,6 +17,18 @@ member's panel tolerance.  Every other panel is redone by the scalar
 adaptive ``integrate`` on that member's own integrand, so errors,
 divergence and convergence flags are exactly those of a panel-by-panel
 loop.  ``integrate_singular_left`` is the one-member case.
+
+The adaptive integrator runs independent integrals as lanes in lockstep.
+Every lane keeps the one-interval loop's heap, freeze rule, budget,
+termination test (the ``sum`` over the heap) and left-ordered final
+reduction, and each round samples the next panels of all running lanes in
+one call of the integrand.  ``integrate`` is the one-lane case.  The lanes
+reproduce the one-interval loop bit for bit: each panel's rule is reduced
+with ``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row (the
+batched sweep's ``y @ W`` does not); a non-finite sample ends its lane with
+the ``IntegrandError`` of the loop's panel and node order; and an
+integrand that cannot take the panel array is sampled panel by panel,
+never past a lane's first failing panel.
 """
 from __future__ import annotations
 
@@ -102,33 +114,25 @@ _W_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _w_gauss_half = np.zeros(8)
 _w_gauss_half[1::2] = _WG  # Gauss nodes sit at the odd Kronrod indices
 _W_GAUSS = np.concatenate([_w_gauss_half[:-1], _w_gauss_half[::-1]])
+_W_PAIR = np.stack([_W_KRONROD, _W_GAUSS])
+
+
+def _on_array(g, x: np.ndarray):
+    """g(x) as a float array of x's shape, or None when g does not map x
+    to one."""
+    try:
+        y = np.asarray(g(x), dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return y if y.shape == x.shape else None
 
 
 def _eval_vectorized(g, x: np.ndarray) -> np.ndarray:
     """Evaluate g on an array, falling back to a scalar loop."""
-    try:
-        y = np.asarray(g(x), dtype=np.float64)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(xi)) for xi in x], dtype=np.float64)
-
-
-def _gk15(g, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel: (kronrod value, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    y = _eval_vectorized(g, x)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        where = float(x[bad][0])
-        raise IntegrandError(
-            f"non-finite integrand sample at x={where!r}", where=where)
-    k = half * float(np.dot(_W_KRONROD, y))
-    gq = half * float(np.dot(_W_GAUSS, y))
-    return k, abs(k - gq)
+    y = _on_array(g, x)
+    if y is None:
+        y = np.array([float(g(xi)) for xi in x], dtype=np.float64)
+    return y
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-10,
@@ -138,14 +142,118 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
     Subdivision halves the panel with the largest error estimate until the
     summed estimate drops below ``tol`` or the panel budget is exhausted
     (reported as converged=False, not an exception).
+
+    This is the one-lane case of the lockstep lane integrator.
     """
+    (res,) = _integrate_lanes(g, (a,), (b,), tol, budget)
+    if isinstance(res, IntegrandError):
+        raise res
+    return res
+
+
+def _integrate_lanes(g, a, b, tol: float = 1e-10,
+                     budget: int = DEFAULT_BUDGET) -> list:
+    """Adaptive quadrature of g on independent intervals [a[i], b[i]]
+    (sequences of floats) in lockstep.  Returns, per lane, its QuadResult,
+    or the IntegrandError of its first non-finite sample.
+
+    Every lane runs ``integrate``'s adaptive loop (``_adapt``) on its own
+    heap.  Each round evaluates the panels every running lane asks for
+    next, its whole interval first and then the two halves of the panel it
+    splits, in one call of g (``_gk15_panels``).
+    """
+    lanes = [_adapt(ai, bi, tol, budget) for ai, bi in zip(a, b)]
+    out = [None] * len(lanes)
+    # a None reply starts a lane
+    running, replies = range(len(lanes)), [None] * len(lanes)
+    while running:
+        ids, asks = [], []  # running lanes and the panels each needs next
+        for i, reply in zip(running, replies):
+            if isinstance(reply, IntegrandError):
+                out[i] = reply
+                continue
+            try:
+                asks.append(lanes[i].send(reply))
+                ids.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        running = ids
+        if running:
+            replies = _gk15_panels(g, asks)
+    return out
+
+
+def _gk15_panels(g, asks: list) -> list:
+    """The GK15 rule on every panel the lanes ask for (``asks``, one tuple
+    of panels per lane), sampled in one call of g on an array of shape
+    (panels, 15).  Returns, per lane, its panels' (Kronrod value, error
+    estimate) pairs, or the IntegrandError of its first panel with a
+    non-finite sample, naming the first such node.
+
+    Each panel repeats the one-panel rule's arithmetic: nodes
+    mid + half*x_k, then half*dot(W, y) for both weight vectors, reduced
+    with ``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row
+    (``y @ W`` does not).
+    """
+    mids, halves = [], []
+    for panels in asks:
+        for a, b in panels:
+            mids.append(0.5 * (a + b))
+            halves.append(0.5 * (b - a))
+    x = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
+    y = _sample_panels(g, x, asks)
+    with np.errstate(all="ignore"):
+        dots = np.vecdot(y[:, None], _W_PAIR).tolist()
+    replies = []
+    p = 0
+    for panels in asks:
+        pairs = []
+        for q in range(p, p + len(panels)):
+            dk, dg = dots[q]
+            # Kronrod weights are positive: a finite dk means finite samples
+            if not math.isfinite(dk) and not np.isfinite(y[q]).all():
+                where = float(x[q][~np.isfinite(y[q])][0])
+                pairs = IntegrandError(
+                    f"non-finite integrand sample at x={where!r}", where=where)
+                break
+            k = halves[q] * dk
+            pairs.append((k, abs(k - halves[q] * dg)))
+        replies.append(pairs)
+        p += len(panels)
+    return replies
+
+
+def _sample_panels(g, x: np.ndarray, asks: list) -> np.ndarray:
+    """g on the panel nodes x.  A g that does not map x to an array of its
+    shape is sampled panel by panel, as the one-panel rule samples it:
+    each lane's panels in order, none after its first panel with a
+    non-finite sample (those rows stay nan)."""
+    y = _on_array(g, x)
+    if y is not None:
+        return y
+    y = np.full(x.shape, math.nan)
+    p = 0
+    for panels in asks:
+        for q in range(p, p + len(panels)):
+            y[q] = _eval_vectorized(g, x[q])
+            if not np.isfinite(y[q]).all():
+                break
+        p += len(panels)
+    return y
+
+
+def _adapt(a: float, b: float, tol: float, budget: int):
+    """``integrate``'s adaptive loop on one lane, as a coroutine: it yields
+    the panels it needs, receives their (value, error) pairs and returns
+    the QuadResult.  A reversed interval is integrated forward and its
+    value negated."""
     if not (a < b):
         if a == b:
             return QuadResult(0.0, 0.0, True, False, 0)
-        res = integrate(g, b, a, tol=tol, budget=budget)
+        res = yield from _adapt(b, a, tol, budget)
         return QuadResult(-res.value, res.abs_error_estimate, res.converged,
                           res.diverged, res.subdivisions)
-    val, err = _gk15(g, a, b)
+    ((val, err),) = yield ((a, b),)
     # heap of (-err, insertion counter, a, b, val, err); counter keeps the
     # ordering deterministic when error estimates tie
     heap = [(-err, 0, a, b, val, err)]
@@ -164,8 +272,7 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        v1, e1 = _gk15(g, pa, pm)
-        v2, e2 = _gk15(g, pm, pb)
+        (v1, e1), (v2, e2) = yield ((pa, pm), (pm, pb))
         heapq.heappush(heap, (-e1, count, pa, pm, v1, e1))
         heapq.heappush(heap, (-e2, count + 1, pm, pb, v2, e2))
         count += 2
@@ -371,11 +478,8 @@ def _family_of(g):
     through the scalar path with its own fallback."""
 
     def family(x, _members):
-        try:
-            y = np.asarray(g(x), dtype=np.float64)
-        except (TypeError, ValueError):
-            y = None
-        if y is None or y.shape != x.shape:
+        y = _on_array(g, x)
+        if y is None:
             y = np.full(x.shape, math.nan)
         return y[None]
 

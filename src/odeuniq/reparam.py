@@ -9,7 +9,18 @@ its fixed-point integral equation t(tau) = int_tau^tau_plus lambda(t(s)) ds.
 
 tau_plus = +inf is represented by an explicit marker plus a finite horizon
 (the tau value at the smallest tabulated t); verification integrals are
-truncated there, which contributes at most t_min <= T*1e-8 to residuals.
+truncated there.  The fixed-point residual misses exactly t at the
+horizon, t_min (T*1e-8 unless a floor is given).  The L1 identity misses
+int_0+^t_min v/lambda, which t_min does not bound: it is 1e-2 for the
+gauge u = t^0.25*exp(t) and 1e-4 for u = sqrt(t) at t_min = 1e-8.
+
+The table's segment integrals, the fixed-point integrals and the refined
+inverse run as lanes: ``build_tau`` integrates all its segments as one
+lane batch of the quadrature, ``verify_fixed_point`` all its integrals,
+and ``t_of_tau(refine=True)`` on an array is one lane bisection whose
+residuals at each round are one lane integral.  Lanes reproduce the
+one-at-a-time loops bit for bit, and failures surface in the loops'
+order: the top table segment first, the first tau of a grid first.
 """
 from __future__ import annotations
 
@@ -19,10 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .criteria import CheckConfig, CriterionReport, Hypothesis, ProblemSpec
+from .criteria import (CheckConfig, CriterionReport, Hypothesis, ProblemSpec,
+                       _grid_bound_hypothesis)
 from .expr import Expression
-from .quadrature import IntegrandError, integrate, integrate_singular_left
-from .rootfind import bisect
+from .quadrature import (IntegrandError, _integrate_lanes, integrate,
+                         integrate_singular_left)
+from .rootfind import _bisect_lanes, bisect
 
 __all__ = [
     "Reparametrization",
@@ -105,27 +118,54 @@ class Reparametrization:
         out = self._t_spline(np.clip(tau_arr, lo, hi))
         out[tau_arr <= lo] = self.T  # t(tau_minus) = T exactly
         if refine and self.lam is not None:
-            for i, target in enumerate(tau_arr):
-                out[i] = self._refine_t(float(target), float(out[i]), tol)
+            self._refine(tau_arr, out)
         return float(out[0]) if scalar else out
 
-    def _refine_t(self, target: float, guess: float, tol: float) -> float:
-        """Sharpen the interpolated inverse by bisection against the
-        defining integral between the bracketing table nodes."""
-        if target <= self.tau_minus:
-            return self.T
-        k = int(np.searchsorted(-self.tau_table, -target, side="right")) - 1
-        k = min(max(k, 0), len(self.t_table) - 2)
-        t_lo, t_hi = float(self.t_table[k]), float(self.t_table[k + 1])
-        tau_hi_node = float(self.tau_table[k + 1])
+    def _refine(self, targets: np.ndarray, out: np.ndarray) -> None:
+        """Sharpen the interpolated inverse ``out`` in place by bisection
+        against the defining integral between the bracketing table nodes.
+
+        All targets run as one lane bisection; each round's residuals are
+        one lane integral.  A target whose bracket residuals have the same
+        sign keeps its interpolated value.  The first target (in order)
+        whose residual fails raises its error.
+        """
+        todo = np.flatnonzero(~(targets <= self.tau_minus))
+        n = todo.size
+        target = targets[todo]
+        k = np.searchsorted(-self.tau_table, -target, side="right") - 1
+        k = np.clip(k, 0, len(self.t_table) - 2)
+        t_lo, t_hi = self.t_table[k].tolist(), self.t_table[k + 1].tolist()
+        tau_hi_node, target = self.tau_table[k + 1].tolist(), target.tolist()
         inv_lam = _inv_lam_fn(self.lam)
 
-        def residual(t):
-            return tau_hi_node + integrate(inv_lam, t, t_hi, tol=1e-14).value - target
+        def residual(ts, lanes):
+            """tau(t) - target for the listed targets, or the quadrature's
+            IntegrandError."""
+            quads = _integrate_lanes(inv_lam, ts, [t_hi[i] for i in lanes],
+                                     tol=1e-14)
+            return [q if isinstance(q, IntegrandError)
+                    else tau_hi_node[i] + q.value - target[i]
+                    for q, i in zip(quads, lanes)]
 
-        if residual(t_lo) * residual(t_hi) > 0:
-            return guess
-        return bisect(residual, t_lo, t_hi, rtol=1e-12)
+        # both bracket ends in one round; the integral at t_hi is empty
+        ends = residual(t_lo + t_hi, list(range(n)) * 2)
+        f_lo, f_hi = ends[:n], ends[n:]
+        failed = {i: f for i, f in enumerate(f_lo)
+                  if isinstance(f, IntegrandError)}
+        run = [i for i in range(n)
+               if i not in failed and not f_lo[i] * f_hi[i] > 0]
+        roots = _bisect_lanes(
+            lambda ts, lanes: residual(ts, [run[j] for j in lanes]),
+            [t_lo[i] for i in run], [t_hi[i] for i in run], rtol=1e-12,
+            flo=[f_lo[i] for i in run], fhi=[f_hi[i] for i in run])
+        for i, root in zip(run, roots):
+            if isinstance(root, Exception):
+                failed[i] = root
+            else:
+                out[todo[i]] = root
+        if failed:
+            raise failed[min(failed)]
 
 
 def _inv_lam_fn(lam: Expression):
@@ -157,17 +197,18 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
         raise ReparamError(f"lambda vanishes or is negative at t={bad!r}")
     inv_lam = _inv_lam_fn(lam)
     seg_tol = max(tol / n_nodes, 1e-15)
-    taus = np.empty_like(t_nodes)
-    taus[-1] = tau_minus
-    for k in range(len(t_nodes) - 2, -1, -1):
-        try:
-            seg = integrate(inv_lam, float(t_nodes[k]), float(t_nodes[k + 1]),
-                            tol=seg_tol)
-        except IntegrandError as exc:
-            raise ReparamError(f"quadrature failed on panel: {exc}") from exc
+    segs = _integrate_lanes(inv_lam, t_nodes[:-1].tolist(),
+                            t_nodes[1:].tolist(), tol=seg_tol)
+    # the table is filled from T down: the top segment's failure is reported
+    for seg in reversed(segs):
+        if isinstance(seg, IntegrandError):
+            raise ReparamError(f"quadrature failed on panel: {seg}") from seg
         if seg.diverged:
             raise ReparamError("divergent quadrature at an interior panel")
-        taus[k] = taus[k + 1] + seg.value
+    # taus[k] = taus[k + 1] + seg[k], summed one segment at a time from T
+    taus = np.add.accumulate(
+        [float(tau_minus)] + [seg.value for seg in reversed(segs)])
+    taus = taus[::-1].copy()
     try:
         full = integrate_singular_left(inv_lam, T, tol=1e-10)
     except IntegrandError:
@@ -198,7 +239,7 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
     """Max residual of t(tau) = int_tau^tau_plus lambda(t(s)) ds on a tau grid.
 
     Integrals are truncated at the tabulated horizon; the missing tail is
-    exactly t at the horizon, at most T*1e-8 by construction.
+    exactly t at the horizon, t_min.
     """
     tau_hi = rep.tau_horizon
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
@@ -207,14 +248,16 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
     def integrand(s):
         return lam_v(rep.t_of_tau(s))
 
+    quads = _integrate_lanes(integrand, taus.tolist(), [tau_hi] * n_tau,
+                             tol=min(tol * 1e-2, 1e-9))
     worst = 0.0
-    for tau in taus:
-        res = integrate(integrand, float(tau), tau_hi, tol=min(tol * 1e-2, 1e-9))
+    for res, t in zip(quads, rep.t_of_tau(taus).tolist()):
+        if isinstance(res, IntegrandError):
+            raise res
         if res.diverged:
             raise ReparamError("divergent verification integral: "
                                "broken reparametrization")
-        residual = abs(rep.t_of_tau(float(tau)) - res.value)
-        worst = max(worst, residual)
+        worst = max(worst, abs(t - res.value))
     return worst
 
 
@@ -300,11 +343,12 @@ def exp_reparam_check(u: Expression, rep: Reparametrization,
         c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
     tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+    ts = rep.t_of_tau(taus, refine=rep.lam is not None, tol=tol)
     worst = 0.0
-    for tau in taus:
-        t = rep.t_of_tau(float(tau), refine=rep.lam is not None, tol=tol)
-        residual = abs(u.evaluate({"t": t}) - c * math.exp(-float(tau) + rep.tau_minus) *
-                       math.exp(-rep.tau_minus))
+    for tau, t in zip(taus.tolist(), ts.tolist()):
+        residual = abs(u.evaluate({"t": t})
+                       - c * math.exp(-tau + rep.tau_minus)
+                       * math.exp(-rep.tau_minus))
         worst = max(worst, residual)
     return worst
 
@@ -453,7 +497,7 @@ def check_relaxed_bound(p: ProblemSpec, grep: GeneralizedReparam,
             continue
         idx = run
         rhs = (du_vals[idx] / denom[idx])[:, None] * om_abs[None, :]
-        hyp = _relaxed_grid_hypothesis(
+        hyp = _grid_bound_hypothesis(
             f"relaxed_bound_domain{domain_id}", f_abs[idx], rhs,
             tg[idx], xg, c.tol)
         hyps.append(hyp)
@@ -472,8 +516,3 @@ def check_relaxed_bound(p: ProblemSpec, grep: GeneralizedReparam,
             None if not np.isfinite(r) else float(r) for r in ratio],
     }
     return CriterionReport("relaxed_bound", hyps, notes=notes, data=data)
-
-
-def _relaxed_grid_hypothesis(name, lhs, rhs, tgrid, xgrid, tol) -> Hypothesis:
-    from .criteria import _grid_bound_hypothesis
-    return _grid_bound_hypothesis(name, lhs, rhs, tgrid, xgrid, tol)

@@ -2,6 +2,11 @@
 
 All inverted maps in this package are monotone by construction, so plain
 bisection to a relative tolerance is the root-finding contract everywhere.
+
+The lane bisection runs many independent brackets in lockstep: each round
+sends every running lane's next point through one residual call.  Every
+lane repeats the one-bracket loop exactly (same points, same comparisons,
+same stopping rules and messages), and ``bisect`` is its one-lane case.
 """
 from __future__ import annotations
 
@@ -15,20 +20,68 @@ class BracketError(ValueError):
 def bisect(fn, lo: float, hi: float, rtol: float = 1e-12,
            max_iter: int = 200) -> float:
     """Root of fn on [lo, hi]; fn(lo) and fn(hi) must differ in sign."""
-    flo = fn(lo)
+    (res,) = _bisect_lanes(lambda xs, _lanes: [fn(xs[0])], (lo,), (hi,),
+                           rtol, max_iter)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _bisect_lanes(fn, lo, hi, rtol: float = 1e-12, max_iter: int = 200,
+                  flo=None, fhi=None) -> list:
+    """Roots on independent brackets [lo[i], hi[i]] in lockstep.
+
+    ``fn(points, lanes)`` returns one residual per listed lane at its
+    point; an exception instance in place of a residual ends that lane
+    with it.  ``flo`` and ``fhi``, when given, are residuals already known
+    at the bracket ends.  Returns, per lane, its root or its exception
+    (a BracketError, or the one from fn).
+    """
+    n = len(lo)
+    unknown = [None] * n
+    lanes = [_bisect_lane(*args, rtol, max_iter) for args in
+             zip(lo, hi, unknown if flo is None else flo,
+                 unknown if fhi is None else fhi)]
+    out = [None] * n
+    # a None reply starts a lane
+    running, replies = range(n), unknown
+    while running:
+        ids, points = [], []
+        for i, f in zip(running, replies):
+            if isinstance(f, Exception):
+                out[i] = f
+                continue
+            try:
+                points.append(lanes[i].send(f))
+                ids.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        running = ids
+        if running:
+            replies = fn(points, ids)
+    return out
+
+
+def _bisect_lane(lo, hi, flo, fhi, rtol: float, max_iter: int):
+    """``bisect``'s loop on one bracket, as a coroutine: it yields the
+    points it needs, receives their residuals and returns the root, or a
+    BracketError (returned, not raised, so that the caller raises it)."""
+    if flo is None:
+        flo = yield lo
     if flo == 0.0:
         return lo
-    fhi = fn(hi)
+    if fhi is None:
+        fhi = yield hi
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
+        return BracketError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fmid = fn(mid)
+        fmid = yield mid
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):

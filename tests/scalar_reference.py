@@ -1,5 +1,11 @@
 """Scalar reference loops for the batched drivers.
 
+``integrate`` and ``bisect`` are the one-interval adaptive quadrature and
+the one-bracket bisection that the lane integrator and the lane bisection
+replaced; ``build_tau``, ``t_of_tau``, ``verify_fixed_point``,
+``alpha_l1_check`` and ``exp_reparam_check`` are the reparametrization's
+one-integral-at-a-time loops built on them.
+
 ``singular_left`` and ``sweep`` are the loops ``quadrature.sweep_singular_left``
 replaced: the geometric-panel loop of ``integrate_singular_left`` and the
 per-segment adaptive integrals of the H2 and Osgood sweeps.
@@ -9,15 +15,246 @@ at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
 integrator replaced.  Tests require the batched code to reproduce them bit
 for bit.
 """
+import heapq
 import math
 
 import numpy as np
 
 from odeuniq.expr import Expression
-from odeuniq.quadrature import _tail_driver, integrate
+from odeuniq.quadrature import (
+    _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
+    IntegrandError, QuadResult, _eval_vectorized, _tail_driver,
+    integrate_singular_left)
+from odeuniq.reparam import Reparametrization, ReparamError, _inv_lam_fn
+from odeuniq.rootfind import BracketError
 from odeuniq.solver import (
     _A, _B4, _B5, _C, FunnelReport, SolverDomainError, Trajectory)
 
+
+# ---------------------------------------------------------------------------
+# one interval at a time adaptive quadrature
+
+def _gk15(g, a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 7/15 panel: (kronrod value, error estimate)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid + half * _NODES
+    y = _eval_vectorized(g, x)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        where = float(x[bad][0])
+        raise IntegrandError(
+            f"non-finite integrand sample at x={where!r}", where=where)
+    k = half * float(np.dot(_W_KRONROD, y))
+    gq = half * float(np.dot(_W_GAUSS, y))
+    return k, abs(k - gq)
+
+
+def integrate(g, a: float, b: float, tol: float = 1e-10,
+              budget: int = DEFAULT_BUDGET) -> QuadResult:
+    """Adaptive quadrature of g on the finite interval [a, b].
+
+    Subdivision halves the panel with the largest error estimate until the
+    summed estimate drops below ``tol`` or the panel budget is exhausted
+    (reported as converged=False, not an exception).
+    """
+    if not (a < b):
+        if a == b:
+            return QuadResult(0.0, 0.0, True, False, 0)
+        res = integrate(g, b, a, tol=tol, budget=budget)
+        return QuadResult(-res.value, res.abs_error_estimate, res.converged,
+                          res.diverged, res.subdivisions)
+    val, err = _gk15(g, a, b)
+    # heap of (-err, insertion counter, a, b, val, err); counter keeps the
+    # ordering deterministic when error estimates tie
+    heap = [(-err, 0, a, b, val, err)]
+    count = 1
+    n_panels = 1
+    while n_panels < budget:
+        total_err = sum(item[5] for item in heap)
+        if total_err <= tol:
+            break
+        neg_err, _, pa, pb, pv, pe = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        if pe <= tol / max(len(heap) + 1, 1) * 1e-3 or pm <= pa or pm >= pb:
+            # negligible panel, or midpoint not representable; freeze it
+            heap.append((0.0, count, pa, pb, pv, pe))
+            count += 1
+            if all(item[0] == 0.0 for item in heap):
+                break
+            continue
+        v1, e1 = _gk15(g, pa, pm)
+        v2, e2 = _gk15(g, pm, pb)
+        heapq.heappush(heap, (-e1, count, pa, pm, v1, e1))
+        heapq.heappush(heap, (-e2, count + 1, pm, pb, v2, e2))
+        count += 2
+        n_panels += 1
+    # deterministic reduction: sum panels ordered by left endpoint
+    panels = sorted(heap, key=lambda item: item[2])
+    value = float(sum(p[4] for p in panels))
+    err_total = float(sum(p[5] for p in panels))
+    diverged = abs(value) > DIVERGENCE_SUM_THRESHOLD
+    converged = (err_total <= tol) and not diverged
+    return QuadResult(value, err_total, converged, diverged, n_panels)
+
+
+# ---------------------------------------------------------------------------
+# one bracket at a time bisection
+
+def bisect(fn, lo: float, hi: float, rtol: float = 1e-12,
+           max_iter: int = 200) -> float:
+    """Root of fn on [lo, hi]; fn(lo) and fn(hi) must differ in sign."""
+    flo = fn(lo)
+    if flo == 0.0:
+        return lo
+    fhi = fn(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(
+            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+        if abs(hi - lo) <= rtol * max(abs(lo), abs(hi), 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# reparametrization, one integral at a time
+
+def build_tau(lam, T, tau_minus=0.0, tol=1e-12, n_nodes=400, t_min=None):
+    """tau(t) table with one adaptive integral per segment, from T down."""
+    if t_min is None:
+        t_min = T * 1e-8
+    t_nodes = np.geomspace(t_min, T, n_nodes)
+    lam_vals = lam.lambdify(("t",))(t_nodes)
+    if not np.all(np.isfinite(lam_vals)):
+        bad = float(t_nodes[np.flatnonzero(~np.isfinite(lam_vals))[0]])
+        raise ReparamError(f"lambda not finite at t={bad!r}")
+    if not np.all(lam_vals > 0.0):
+        bad = float(t_nodes[np.flatnonzero(~(lam_vals > 0.0))[0]])
+        raise ReparamError(f"lambda vanishes or is negative at t={bad!r}")
+    inv_lam = _inv_lam_fn(lam)
+    seg_tol = max(tol / n_nodes, 1e-15)
+    taus = np.empty_like(t_nodes)
+    taus[-1] = tau_minus
+    for k in range(len(t_nodes) - 2, -1, -1):
+        try:
+            seg = integrate(inv_lam, float(t_nodes[k]), float(t_nodes[k + 1]),
+                            tol=seg_tol)
+        except IntegrandError as exc:
+            raise ReparamError(f"quadrature failed on panel: {exc}") from exc
+        if seg.diverged:
+            raise ReparamError("divergent quadrature at an interior panel")
+        taus[k] = taus[k + 1] + seg.value
+    try:
+        full = integrate_singular_left(inv_lam, T, tol=1e-10)
+    except IntegrandError:
+        full = None
+    if full is None:
+        tau_plus = math.nan
+    elif full.converged:
+        tau_plus = tau_minus + full.value
+    elif full.diverged:
+        tau_plus = math.inf
+    else:
+        raise ReparamError("could not classify int_0+ 1/lambda "
+                           "(quadrature budget exhausted)")
+    return Reparametrization(T=T, tau_minus=tau_minus, tau_plus=tau_plus,
+                             t_table=t_nodes, tau_table=taus, lam=lam)
+
+
+def _refine_t(rep, target: float, guess: float) -> float:
+    if target <= rep.tau_minus:
+        return rep.T
+    k = int(np.searchsorted(-rep.tau_table, -target, side="right")) - 1
+    k = min(max(k, 0), len(rep.t_table) - 2)
+    t_lo, t_hi = float(rep.t_table[k]), float(rep.t_table[k + 1])
+    tau_hi_node = float(rep.tau_table[k + 1])
+    inv_lam = _inv_lam_fn(rep.lam)
+
+    def residual(t):
+        return tau_hi_node + integrate(inv_lam, t, t_hi, tol=1e-14).value - target
+
+    if residual(t_lo) * residual(t_hi) > 0:
+        return guess
+    return bisect(residual, t_lo, t_hi, rtol=1e-12)
+
+
+def t_of_tau(rep, tau):
+    """rep.t_of_tau(tau, refine=True), refining one target at a time."""
+    scalar = np.isscalar(tau) or np.asarray(tau).shape == ()
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
+    out = np.atleast_1d(rep.t_of_tau(tau_arr))
+    if rep.lam is not None:
+        for i, target in enumerate(tau_arr):
+            out[i] = _refine_t(rep, float(target), float(out[i]))
+    return float(out[0]) if scalar else out
+
+
+def verify_fixed_point(rep, lam, tol=1e-9, n_tau=50):
+    tau_hi = rep.tau_horizon
+    taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+    lam_v = lam.lambdify(("t",))
+
+    def integrand(s):
+        return lam_v(rep.t_of_tau(s))
+
+    worst = 0.0
+    for tau in taus:
+        res = integrate(integrand, float(tau), tau_hi, tol=min(tol * 1e-2, 1e-9))
+        if res.diverged:
+            raise ReparamError("divergent verification integral: "
+                               "broken reparametrization")
+        residual = abs(rep.t_of_tau(float(tau)) - res.value)
+        worst = max(worst, residual)
+    return worst
+
+
+def alpha_l1_check(rep, v, lam, tau, tol=1e-9):
+    v_fn = v.lambdify(("t",))
+    lam_fn = lam.lambdify(("t",))
+
+    def alpha_fn(s):
+        return v_fn(rep.t_of_tau(s))
+
+    left = integrate(alpha_fn, float(tau), rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
+    t_at = t_of_tau(rep, float(tau)) if rep.lam is not None \
+        else rep.t_of_tau(float(tau))
+    right = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), t_at,
+                                    tol=1e-11)
+    if left.diverged or right.diverged:
+        raise ReparamError("divergent side in the L1 identity check")
+    return abs(left.value - right.value)
+
+
+def exp_reparam_check(u, rep, c=None, n_tau=50):
+    if c is None:
+        c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
+    tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
+    taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+    worst = 0.0
+    for tau in taus:
+        t = t_of_tau(rep, float(tau)) if rep.lam is not None \
+            else rep.t_of_tau(float(tau))
+        residual = abs(u.evaluate({"t": t}) - c * math.exp(-float(tau) + rep.tau_minus) *
+                       math.exp(-rep.tau_minus))
+        worst = max(worst, residual)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# geometric panels and sweeps
 
 def singular_left(g, b, tol, budget=10_000, max_panels=1200):
     """int_0+^b g, one adaptive ``integrate`` call per geometric panel."""

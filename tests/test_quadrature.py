@@ -1,13 +1,20 @@
 """Adaptive quadrature against closed-form oracles."""
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
 from odeuniq.quadrature import (
+    _W_GAUSS,
+    _W_KRONROD,
+    _W_PAIR,
+    DEFAULT_BUDGET,
     IntegrandError,
+    _integrate_lanes,
     integrate,
     integrate_singular_left,
     integrate_to_infinity,
@@ -213,3 +220,154 @@ def test_sweep_rejects_bad_grid():
     for grid in ([0.0, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5]):
         with pytest.raises(ValueError):
             next(sweep_singular_left(family, members, grid, [1e-10]))
+
+
+# ---------------------------------------------------------------------------
+# lane integrator against the one-interval loop
+
+def _bits(res):
+    """A QuadResult as exact bits: -0.0, nan and every ulp count."""
+    return (struct.pack("<dd", res.value, res.abs_error_estimate),
+            res.converged, res.diverged, res.subdivisions)
+
+
+def _lane_outcome(res):
+    """A QuadResult's bits, or an IntegrandError's message and where."""
+    if isinstance(res, IntegrandError):
+        return ("IntegrandError", str(res), struct.pack("<d", res.where))
+    return _bits(res)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        res = fn(*args, **kwargs)
+    except IntegrandError as exc:
+        res = exc
+    return _lane_outcome(res)
+
+
+def _scalar_only(fn):
+    def g(w):
+        if isinstance(w, np.ndarray):
+            raise TypeError("scalar only")
+        return fn(w)
+    return g
+
+
+_HOLE = 0.3  # the non-finite integrands are nan within 0.02 of this point
+
+LANE_INTEGRANDS = {
+    "smooth": lambda w: np.exp(-w) * np.cos(3.0 * w),
+    "oscillating": lambda w: np.exp(w) * np.sin(30.0 * w),
+    "inv_sqrt": lambda w: 1.0 / np.sqrt(np.abs(w)),
+    "inv": lambda w: 1.0 / w,
+    "log": lambda w: np.log(np.abs(w)),
+    "hole": lambda w: np.where(np.abs(w - _HOLE) < 0.02, np.nan, np.cos(w)),
+    "scalar_smooth": _scalar_only(lambda w: math.exp(-w) * math.cos(3.0 * w)),
+    "scalar_hole": _scalar_only(
+        lambda w: math.nan if abs(w - _HOLE) < 0.02 else math.cos(w)),
+}
+
+_ends = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, _HOLE]))
+
+
+@st.composite
+def _lane_interval(draw):
+    kind = draw(st.sampled_from(["any", "zero", "sub_ulp", "reversed"]))
+    a = draw(_ends)
+    if kind == "zero":
+        return a, a
+    if kind == "sub_ulp":
+        b = a
+        for _ in range(draw(st.integers(1, 3))):
+            b = math.nextafter(b, math.inf)
+        return (a, b) if draw(st.booleans()) else (b, a)
+    b = draw(_ends)
+    return (max(a, b), min(a, b)) if kind == "reversed" else (a, b)
+
+
+@given(st.sampled_from(sorted(LANE_INTEGRANDS)),
+       st.lists(_lane_interval(), min_size=1, max_size=4),
+       st.one_of(st.sampled_from([1, 2]), st.integers(3, 40),
+                 st.just(DEFAULT_BUDGET)),
+       st.sampled_from([1e-6, 1e-10, 1e-14]))
+@settings(max_examples=200, deadline=None)
+def test_lanes_match_scalar_integrate(name, intervals, budget, tol):
+    g = LANE_INTEGRANDS[name]
+    # 1/w does not converge on a panel that touches 0: keep the full
+    # budget off those intervals, as each such lane takes 10^4 splits
+    assume(not (name == "inv" and budget == DEFAULT_BUDGET
+                and any(min(a, b) <= 0.0 <= max(a, b) for a, b in intervals)))
+    a, b = zip(*intervals)
+    with np.errstate(all="ignore"):
+        lanes = _integrate_lanes(g, a, b, tol, budget)
+        for (ai, bi), res in zip(intervals, lanes):
+            ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
+            assert _lane_outcome(res) == ref
+            assert _outcome(integrate, g, ai, bi, tol, budget) == ref
+
+
+def test_lanes_sample_scalar_only_integrand_like_the_loop():
+    # a scalar-only integrand is sampled point by point on exactly the
+    # panels the loop samples: none after a lane's first failing panel
+    def kinked_hole(w):
+        # [0, 0.7] samples no hole point, splits at the kink, and its left
+        # half samples the hole: the loop never samples the right half
+        if abs(w - _HOLE) < 0.02:
+            return math.nan
+        return math.sqrt(abs(w - 0.55))
+
+    def recording(calls):
+        def fn(w):
+            calls.append(w)
+            return kinked_hole(w)
+        return fn
+
+    def points(calls):
+        return [float(w) for w in calls if not isinstance(w, np.ndarray)]
+
+    intervals = [(0.0, 0.7), (0.0, 1.0), (0.29, 0.31), (0.7, 0.0), (0.5, 0.7),
+                 (0.2, 0.4)]
+    all_ref_calls = []
+    for a, b in intervals:
+        ref_calls, calls = [], []
+        ref = _outcome(scalar_reference.integrate, recording(ref_calls), a, b)
+        assert _outcome(integrate, recording(calls), a, b) == ref
+        assert points(calls) == points(ref_calls)
+        all_ref_calls += ref_calls
+    calls = []
+    _integrate_lanes(recording(calls), *zip(*intervals))
+    assert Counter(points(calls)) == Counter(points(all_ref_calls))
+
+
+def test_lanes_report_errors_per_lane():
+    g = LANE_INTEGRANDS["hole"]
+    res = _integrate_lanes(g, [0.0, 0.0, 0.5], [1.0, 0.2, 1.0])
+    assert isinstance(res[0], IntegrandError)
+    assert res[0].where == pytest.approx(_HOLE, abs=0.02)
+    assert res[1].converged and res[2].converged
+    assert res[1].value == pytest.approx(math.sin(0.2), rel=1e-12)
+    # an infinite sample: 1/w at the midpoint node of [-1, 1]
+    with np.errstate(divide="ignore"):
+        (inf_lane,) = _integrate_lanes(LANE_INTEGRANDS["inv"], [-1.0], [1.0])
+        ref = _outcome(scalar_reference.integrate, LANE_INTEGRANDS["inv"],
+                       -1.0, 1.0)
+    assert _lane_outcome(inf_lane) == ref
+    assert ref[0] == "IntegrandError" and inf_lane.where == 0.0
+
+
+@pytest.mark.parametrize("w", [_W_KRONROD, _W_GAUSS])
+def test_vecdot_rows_equal_dot(w):
+    # the lane integrator reduces each panel with np.vecdot and must give
+    # the bits of the one-panel rule's np.dot(W, y); a numpy or BLAS build
+    # that breaks this would move reports, so it fails here instead
+    rng = np.random.default_rng(5)
+    row = 0 if w is _W_KRONROD else 1
+    for shape in [(1, 15), (2, 15), (997, 15), (7, 3, 15)]:
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -30, 30, size=shape)
+        want = np.array([np.dot(w, r) for r in rows.reshape(-1, 15)])
+        assert np.vecdot(rows, w).ravel().tobytes() == want.tobytes()
+        # the form the lane integrator uses: both weight vectors at once
+        pair = np.vecdot(rows[..., None, :], _W_PAIR)[..., row]
+        assert pair.ravel().tobytes() == want.tobytes()

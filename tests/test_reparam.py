@@ -1,14 +1,19 @@
 """Reparametrization construction against closed-form maps."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from odeuniq.criteria import CheckConfig, ProblemSpec, reduce_to_constantin
 from odeuniq.expr import parse
+from odeuniq.quadrature import IntegrandError
 from odeuniq.reparam import (
     DegenerateReparamError,
+    Reparametrization,
     ReparamError,
     alpha_l1_check,
     build_tau,
@@ -242,3 +247,117 @@ def test_super_singular_lambda_needs_t_floor():
     # the closed form tau(t) = 1/t - 1/T
     rep = build_tau(parse("t^2", {"t"}), 1.0, t_min=1e-3)
     assert rep.tau_of_t(0.01) == pytest.approx(99.0, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# lanes against the one-integral-at-a-time loops
+
+CORPUS = sorted(
+    (Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+
+
+def _same(x, y):
+    return np.asarray(x, dtype=float).tobytes() == \
+        np.asarray(y, dtype=float).tobytes()
+
+
+def _gauges(path):
+    p = ProblemSpec.from_dict(json.loads(path.read_text()))
+    if p.lam is not None:
+        return p, p.v, p.lam
+    if p.u is not None:
+        return (p,) + reduce_to_constantin(p.u)
+    return p, None, None
+
+
+@pytest.mark.parametrize("t_min", [None, 1e-6])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_reparam_matches_scalar_loops(path, t_min):
+    p, v, lam = _gauges(path)
+    if lam is None:
+        pytest.skip("no gauge")
+    try:
+        ref = scalar_reference.build_tau(lam, p.T, t_min=t_min)
+    except ReparamError as exc:
+        with pytest.raises(ReparamError) as got:
+            build_tau(lam, p.T, t_min=t_min)
+        assert str(got.value) == str(exc)
+        return
+    rep = build_tau(lam, p.T, t_min=t_min)
+    assert _same(rep.tau_table, ref.tau_table)
+    assert _same(rep.tau_plus, ref.tau_plus)
+    assert _same(verify_fixed_point(rep, lam),
+                 scalar_reference.verify_fixed_point(ref, lam))
+    taus = np.concatenate([np.linspace(rep.tau_minus, rep.tau_horizon, 37),
+                           rep.tau_table[::40]])
+    assert _same(rep.t_of_tau(taus, refine=True),
+                 scalar_reference.t_of_tau(ref, taus))
+    assert _same(rep.t_of_tau(float(taus[5]), refine=True),
+                 scalar_reference.t_of_tau(ref, float(taus[5])))
+    if v is not None:
+        mid = 0.5 * (rep.tau_minus + rep.tau_horizon)
+        assert _same(alpha_l1_check(rep, v, lam, mid),
+                     scalar_reference.alpha_l1_check(ref, v, lam, mid))
+    if p.u is not None:
+        assert _same(exp_reparam_check(p.u, rep),
+                     scalar_reference.exp_reparam_check(p.u, ref))
+
+
+def _hole(a, b):
+    """A term that is nan on a short interval around the midpoint of
+    (a, b) and 0 elsewhere; the segment's first GK15 panel samples it."""
+    c = 0.5 * (a + b)
+    return f"0*sqrt((t - {c!r})^2 - {0.01 * (b - a)!r}^2)"
+
+
+def _dip(a, b):
+    """A term that lowers lambda = 1 to 1e-15 on [a, b)."""
+    def step(x):
+        return f"min(max((t - {x!r})*1e300, 0), 1)"
+    return f"-(1 - 1e-15)*({step(a)} - {step(b)})"
+
+
+@pytest.mark.parametrize("low,high", [("hole", "dip"), ("dip", "hole"),
+                                      ("hole", None), ("dip", None)])
+def test_build_tau_reports_top_failing_segment(low, high):
+    # a non-finite sample or a divergent integral in a segment below
+    # another failing one: the loop filled the table from T down, so the
+    # upper failure is the one reported
+    nodes = np.geomspace(1e-8, 1.0, 400)
+    terms = {"hole": _hole, "dip": _dip}
+    src = "1"
+    for kind, k in ((low, 340), (high, 380)):
+        if kind is not None:
+            src += " + " + terms[kind](float(nodes[k]), float(nodes[k + 1]))
+    lam = parse(src, {"t"})
+    # a loose tolerance takes each segment in one panel, so the dip's
+    # 1e15 * width > 1e12 shows as divergence at once
+    with pytest.raises(ReparamError) as ref:
+        scalar_reference.build_tau(lam, 1.0, tol=1e30)
+    with pytest.raises(ReparamError) as got:
+        build_tau(lam, 1.0, tol=1e30)
+    assert str(got.value) == str(ref.value)
+    expected = {"hole": "quadrature failed on panel",
+                "dip": "divergent quadrature"}[high or low]
+    assert str(got.value).startswith(expected)
+
+
+def test_refined_inverse_raises_first_failing_target():
+    # lambda = 1 with non-finite holes inside two table segments: refining
+    # a target in either segment samples a hole; the loop over targets
+    # raised for the first one in order, and so must the lane bisection
+    table = build_tau(lam_expr("1"), 1.0)
+    nodes = table.t_table
+    src = "1 + " + _hole(float(nodes[390]), float(nodes[391])) + " + " + \
+        _hole(float(nodes[395]), float(nodes[396]))
+    rep = Reparametrization(T=1.0, tau_minus=0.0, tau_plus=1.0,
+                            t_table=nodes, tau_table=table.tau_table,
+                            lam=lam_expr(src))
+    taus = [rep.tau_of_t(0.5 * float(nodes[k] + nodes[k + 1]))
+            for k in (395, 390)]
+    for order in (taus, taus[::-1]):
+        with pytest.raises(IntegrandError) as ref:
+            scalar_reference.t_of_tau(rep, np.array(order))
+        with pytest.raises(IntegrandError) as got:
+            rep.t_of_tau(np.array(order), refine=True)
+        assert str(got.value) == str(ref.value)
