@@ -161,7 +161,15 @@ def _integrate_lanes(g, a, b, tol: float = 1e-10,
     heap.  Each round evaluates the panels every running lane asks for
     next, its whole interval first and then the two halves of the panel it
     splits, in one call of g (``_gk15_panels``).
+
+    A nan or infinite endpoint raises ValueError before any lane starts.
     """
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+        name, end = next((name, end) for ai, bi in zip(a, b)
+                         for name, end in (("a", ai), ("b", bi))
+                         if not math.isfinite(end))
+        raise ValueError(
+            f"non-finite integration endpoint {name}={float(end)!r}")
     lanes = [_adapt(ai, bi, tol, budget) for ai, bi in zip(a, b)]
     out = [None] * len(lanes)
     # a None reply starts a lane

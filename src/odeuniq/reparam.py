@@ -6,6 +6,9 @@ t grid, interpolated with monotone cubic Hermite splines (slopes are known
 exactly: dtau/dt = -1/lambda), inverted either through the spline or by
 bracketing bisection against the defining integral, and verified against
 its fixed-point integral equation t(tau) = int_tau^tau_plus lambda(t(s)) ds.
+The splines are an in-package numpy evaluator that matches scipy's
+``CubicHermiteSpline``/``PPoly`` bit for bit, so tables and reports do not
+depend on scipy.
 
 tau_plus = +inf is represented by an explicit marker plus a finite horizon
 (the tau value at the smallest tabulated t); verification integrals are
@@ -28,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .criteria import (CheckConfig, CriterionReport, Hypothesis, ProblemSpec,
                        _grid_bound_hypothesis)
@@ -63,6 +65,45 @@ class DegenerateReparamError(ReparamError):
     pass
 
 
+class _HermiteSpline:
+    """The cubic Hermite interpolant through the points (x[k], y[k]) with
+    slopes d[k], x strictly increasing, extrapolated from the end
+    intervals.
+
+    It is scipy's ``CubicHermiteSpline`` (1.17) bit for bit: the same
+    coefficients, the same interval search (closed on the right at the
+    last knot) and ``PPoly``'s evaluation order, a sum that starts from
+    +0.0, which fixes the sign of a zero result.  Its input checks raise
+    scipy's ValueError messages.
+    """
+
+    def __init__(self, x, y, d):
+        x, y, d = (np.asarray(a, dtype=np.float64) for a in (x, y, d))
+        if x.shape[0] < 2:
+            raise ValueError("`x` must contain at least 2 elements.")
+        for name, a in (("x", x), ("y", y), ("dydx", d)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"`{name}` must contain only finite values.")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        # per interval k: x_k and the coefficients of 1, s, s^2, s^3 with
+        # s = q - x_k; the constant carries PPoly's leading +0.0
+        self._coef = np.stack([x[:-1], 0.0 + y[:-1], d[:-1],
+                               (slope - d[:-1]) / dx - t, t / dx])
+        # interval k holds x[k] <= q < x[k+1]; the count of interior knots
+        # <= q is k, and 0 or n-2 outside the table
+        self._inner = x[1:-1]
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        x0, c3, c2, c1, c0 = self._coef.take(
+            self._inner.searchsorted(q, "right"), axis=1)
+        s = q - x0
+        ss = s * s
+        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+
+
 @dataclass
 class Reparametrization:
     """Tabulated strictly monotone map between t in (0, T] and tau."""
@@ -86,11 +127,10 @@ class Reparametrization:
         else:
             tau_slopes = np.gradient(self.tau_table) / dt
             t_slopes = 1.0 / tau_slopes
-        self._tau_spline = CubicHermiteSpline(self.t_table, self.tau_table,
-                                              tau_slopes)
-        self._t_spline = CubicHermiteSpline(self.tau_table[::-1],
-                                            self.t_table[::-1],
-                                            t_slopes[::-1])
+        self._tau_spline = _HermiteSpline(self.t_table, self.tau_table,
+                                          tau_slopes)
+        self._t_spline = _HermiteSpline(self.tau_table[::-1],
+                                        self.t_table[::-1], t_slopes[::-1])
 
     @property
     def tau_horizon(self) -> float:
@@ -108,7 +148,7 @@ class Reparametrization:
         out = self._tau_spline(np.clip(t_arr, self.t_min, self.T))
         return float(out) if np.isscalar(t) or t_arr.shape == () else out
 
-    def t_of_tau(self, tau, refine: bool = False, tol: float = 1e-10):
+    def t_of_tau(self, tau, refine: bool = False):
         scalar = np.isscalar(tau) or np.asarray(tau).shape == ()
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
         lo, hi = self.tau_minus, self.tau_horizon
@@ -228,10 +268,9 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
                              t_table=t_nodes, tau_table=taus, lam=lam)
 
 
-def t_of_tau(rep: Reparametrization, tau: float, refine: bool = True,
-             tol: float = 1e-10) -> float:
+def t_of_tau(rep: Reparametrization, tau: float, refine: bool = True) -> float:
     """Module-level convenience for the monotone-interpolated inverse."""
-    return rep.t_of_tau(tau, refine=refine, tol=tol)
+    return rep.t_of_tau(tau, refine=refine)
 
 
 def verify_fixed_point(rep: Reparametrization, lam: Expression,
@@ -331,8 +370,7 @@ def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
 
 
 def exp_reparam_check(u: Expression, rep: Reparametrization,
-                      c: float | None = None, tol: float = 1e-10,
-                      n_tau: int = 50) -> float:
+                      c: float | None = None, n_tau: int = 50) -> float:
     """Max residual of u(t(tau)) = c * exp(-tau) on a tau grid.
 
     With lambda = u/u' the reparametrization is exactly exponential in the
@@ -343,7 +381,7 @@ def exp_reparam_check(u: Expression, rep: Reparametrization,
         c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
     tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
-    ts = rep.t_of_tau(taus, refine=rep.lam is not None, tol=tol)
+    ts = rep.t_of_tau(taus, refine=rep.lam is not None)
     worst = 0.0
     for tau, t in zip(taus.tolist(), ts.tolist()):
         residual = abs(u.evaluate({"t": t})

@@ -1,9 +1,14 @@
 """Command line interface: exit codes, output formats, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odeuniq
 from odeuniq import cli, criteria
 from odeuniq.cli import main
 from odeuniq.criteria import CheckConfig, check_nagumo, ProblemSpec
@@ -245,3 +250,18 @@ def test_suite_checks_each_criterion_once(tmp_path, monkeypatch):
     rows, _ = cli.run_suite(tmp_path, CheckConfig())
     assert rows[0]["checks"]["equivalence"] == "pass"
     assert sorted(calls) == ["check_constantin", "check_theorem_main"]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; a fresh interpreter shows what
+    # importing the command line interface pulls in
+    src = str(Path(odeuniq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import odeuniq.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -93,6 +93,25 @@ def test_nonfinite_integrand_raises():
                   0.0, 1.0)
 
 
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at_a", [True, False], ids=["a", "b"])
+def test_nonfinite_endpoint_raises(end, at_a):
+    a, b = (end, 1.0) if at_a else (1.0, end)
+    name = f"{'a' if at_a else 'b'}={end!r}"
+    calls = []
+
+    def g(w):
+        calls.append(w)
+        return np.cos(w)
+
+    with pytest.raises(ValueError, match=f"endpoint {name}"):
+        integrate(g, a, b)
+    # a bad lane stops the batch before any lane samples g
+    with pytest.raises(ValueError, match=f"endpoint {name}"):
+        _integrate_lanes(g, [0.0, a], [1.0, b])
+    assert calls == []
+
+
 def test_error_estimate_bounds_true_error():
     res = integrate(lambda w: np.sin(w), 0.0, math.pi, tol=1e-10)
     assert abs(res.value - 2.0) <= max(res.abs_error_estimate * 10, 1e-12)

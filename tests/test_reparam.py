@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_reference
 from odeuniq.criteria import CheckConfig, ProblemSpec, reduce_to_constantin
@@ -15,6 +15,7 @@ from odeuniq.reparam import (
     DegenerateReparamError,
     Reparametrization,
     ReparamError,
+    _HermiteSpline,
     alpha_l1_check,
     build_tau,
     check_relaxed_bound,
@@ -361,3 +362,86 @@ def test_refined_inverse_raises_first_failing_target():
         with pytest.raises(IntegrandError) as got:
             rep.t_of_tau(np.array(order), refine=True)
         assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the in-package cubic Hermite evaluator
+
+@st.composite
+def _hermite_tables(draw):
+    """A strictly increasing table of 2-400 knots with values and slopes,
+    and query points: the knots, points beyond both ends and -0.0."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = 10.0 ** draw(st.integers(-8, 3))
+    x = draw(st.floats(-10.0, 10.0)) + \
+        width * np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-5, 5))
+    d = rng.normal(size=n) * 10.0 ** draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.3] = -0.0
+        d[rng.random(n) < 0.3] = 0.0
+    span = x[-1] - x[0]
+    q = np.concatenate([x, rng.uniform(x[0] - span, x[-1] + span, 15 * n),
+                        [-0.0]])
+    return x, y, d, q
+
+
+@pytest.fixture(scope="module")
+def scipy_spline():
+    return pytest.importorskip("scipy.interpolate").CubicHermiteSpline
+
+
+@given(_hermite_tables())
+@example(([0.0, 1.0], [-0.0, 0.0], [1.0, 1.0], np.array([-0.0])))
+@settings(max_examples=60, deadline=None)
+def test_hermite_spline_matches_scipy_bits(scipy_spline, case):
+    # at q = -0.0 the first table's PPoly sum is -0.0 without its +0.0
+    x, y, d, q = case
+    ours = _HermiteSpline(x, y, d)
+    ref = scipy_spline(x, y, d)
+    k = q.size // 15
+    for query in (q, q[:15 * k].reshape(k, 15), np.asarray(q[-1]), q[0]):
+        got, want = np.asarray(ours(query)), np.asarray(ref(query))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_hermite_spline_rejects_what_scipy_rejects():
+    with pytest.raises(ValueError, match="at least 2 elements"):
+        _HermiteSpline([0.0], [1.0], [1.0])
+    for i, name in enumerate(("x", "y", "dydx")):
+        args = [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]
+        args[i] = [0.0, math.inf]
+        with pytest.raises(ValueError, match=f"`{name}` must contain only"):
+            _HermiteSpline(*args)
+
+
+# tau_of_t at three off-node t and the unrefined t_of_tau at three tau, as
+# float.hex, from scipy's CubicHermiteSpline; these hold without scipy
+PINNED_SPLINE_BITS = [
+    ("linear", None,
+     ["0x1.1d0be7b5b4610p+2", "0x1.a6b702eefa214p+1", "0x1.1215059be8c24p+1"],
+     ["0x1.f744a6eff6c0ap-4", "0x1.82426799d0602p-11", "0x1.6cd6704cd7bbdp-19"]),
+    ("power_gauge", None,
+     ["0x1.ba17d7cf1b8e4p+4", "0x1.26ba49e0d1143p+4", "0x1.26b97827bee7ep+3"],
+     ["0x1.47ae1455f4807p-7", "0x1.a36e2e5e83a03p-14", "0x1.0c6f79edacdaap-20"]),
+    ("exp_gauge", 2e-3,
+     ["0x1.a2e7fda264bdfp+6", "0x1.55bc2f9de3858p+4", "0x1.dd36cfb87eab1p+1"],
+     ["0x1.04949cb333292p-7", "0x1.059ee9f8ee5bdp-8", "0x1.5d4adf57f04f7p-9"]),
+    ("sqrt_gauge", 1e-6,
+     ["0x1.4b91ad77983e0p+2", "0x1.ba17061811dfep+1", "0x1.ba1562ac1b595p+0"],
+     ["0x1.030dc4e0cca21p-5", "0x1.0624dd1ea417ap-10", "0x1.094565406fbb8p-15"]),
+]
+
+
+@pytest.mark.parametrize("stem,t_min,tau_bits,t_bits", PINNED_SPLINE_BITS,
+                         ids=[row[0] for row in PINNED_SPLINE_BITS])
+def test_spline_values_pinned(stem, t_min, tau_bits, t_bits):
+    path = next(p for p in CORPUS if p.stem == stem)
+    p, _, lam = _gauges(path)
+    rep = build_tau(lam, p.T, t_min=t_min)
+    ts = np.geomspace(rep.t_min, rep.T, 5)[1:-1] * 1.0001
+    taus = np.linspace(rep.tau_minus, rep.tau_horizon, 5)[1:-1]
+    assert [float(v).hex() for v in rep.tau_of_t(ts)] == tau_bits
+    assert [float(v).hex() for v in rep.t_of_tau(taus)] == t_bits
