@@ -16,6 +16,7 @@ from .criteria import (
     check_theorem_main,
     equivalence_suite,
     nagumo_transform,
+    reduce_problem,
     reduce_to_constantin,
     reverify,
 )
@@ -61,7 +62,7 @@ __all__ = [
     "ProblemSpec", "ProblemValidationError",
     "check_athanassov", "check_comparison_fn", "check_constantin",
     "check_nagumo", "check_theorem_main", "equivalence_suite",
-    "nagumo_transform", "reduce_to_constantin", "reverify",
+    "nagumo_transform", "reduce_problem", "reduce_to_constantin", "reverify",
     "EvalDomainError", "Expression", "ExprError", "ExprSyntaxError",
     "parse", "substitute",
     "QuadResult", "integrate", "integrate_singular_left",

@@ -28,11 +28,24 @@ import numpy as np
 from . import criteria, reparam as reparam_mod, solver as solver_mod
 from .criteria import CheckConfig, ProblemSpec, ProblemValidationError
 from .expr import ExprError
+from .rootfind import BracketError
 
 SCHEMA_VERSION = "1.0"
 
-CRITERION_NAMES = ("nagumo", "athanassov", "constantin",
-                   "theorem1", "theorem1-reduced")
+# name -> (gauges the criterion requires, its check), in the suite's run
+# order.  The checks look up criteria.check_* at call time, so that a
+# patched criteria.check_* takes effect.
+CRITERIA = {
+    "nagumo": ((), lambda p, c: criteria.check_nagumo(p, c)),
+    "athanassov": (("u",), lambda p, c: criteria.check_athanassov(p, c)),
+    "constantin": (("u", "omega"),
+                   lambda p, c: criteria.check_constantin(p, c)),
+    "theorem1-reduced": (("u", "omega"), lambda p, c:
+                         criteria.check_theorem_main(criteria.reduce_problem(p), c)),
+    "theorem1": (("v", "lam", "omega"),
+                 lambda p, c: criteria.check_theorem_main(p, c)),
+}
+CRITERION_NAMES = tuple(CRITERIA)
 
 
 class ConfigError(Exception):
@@ -115,8 +128,8 @@ def _build_config(args) -> CheckConfig:
     if getattr(args, "n", None) is not None:
         kwargs["n_t"] = args.n
     cfg = CheckConfig(**kwargs)
-    if cfg.eps_min <= 0 or cfg.eps_max <= cfg.eps_min:
-        raise ConfigError("check: require 0 < eps-min < eps-max")
+    if not (0 < cfg.eps_min < cfg.eps_max < math.inf):
+        raise ConfigError("check: require 0 < eps-min < eps-max < inf")
     if cfg.n_t < 2:
         raise ConfigError("check: grid size n must be at least 2")
     return cfg
@@ -137,14 +150,6 @@ def _config_dict(args, extra=None):
 # ---------------------------------------------------------------------------
 # check
 
-_REQUIRED_GAUGES = {
-    "nagumo": (),
-    "athanassov": ("u",),
-    "constantin": ("u", "omega"),
-    "theorem1": ("v", "lam", "omega"),
-    "theorem1-reduced": ("u", "omega"),
-}
-
 _GAUGE_ROLE = {
     "u": "gauge u (coefficient/comparison criteria)",
     "v": "gauge v (weight criterion hypothesis set)",
@@ -153,30 +158,19 @@ _GAUGE_ROLE = {
 }
 
 
+def _missing_gauges(problem: ProblemSpec, name: str) -> list:
+    return [g for g in CRITERIA[name][0] if getattr(problem, g) is None]
+
+
 def run_checks(problem: ProblemSpec, names, config: CheckConfig):
     """Shared by cmd_check and cmd_suite so their reports agree exactly."""
     reports = []
     for name in names:
-        if name == "nagumo":
-            rep = criteria.check_nagumo(problem, config)
-        elif name == "athanassov":
-            rep = criteria.check_athanassov(problem, config)
-        elif name == "constantin":
-            rep = criteria.check_constantin(problem, config)
-        elif name == "theorem1":
-            rep = criteria.check_theorem_main(problem, config)
-            rep.criterion = "theorem1"
-        elif name == "theorem1-reduced":
-            v, lam = criteria.reduce_to_constantin(problem.u)
-            reduced = ProblemSpec(f=problem.f, u=problem.u, v=v, lam=lam,
-                                  omega=problem.omega, T=problem.T,
-                                  x_bound=problem.x_bound,
-                                  name=problem.name)
-            rep = criteria.check_theorem_main(reduced, config)
-            rep.criterion = "theorem1-reduced"
-        else:
+        if name not in CRITERIA:
             raise ConfigError(f"criteria: unknown criterion {name!r} "
                               f"(expected one of {', '.join(CRITERION_NAMES)})")
+        rep = CRITERIA[name][1](problem, config)
+        rep.criterion = name
         reports.append(rep)
     return reports
 
@@ -187,7 +181,7 @@ def cmd_check(args) -> int:
     if not names:
         problems.append("criteria: empty criteria list")
     for name in names:
-        if name not in _REQUIRED_GAUGES:
+        if name not in CRITERIA:
             problems.append(f"criteria: unknown criterion {name!r}")
     try:
         problem = load_problem(args.problem, args.T)
@@ -196,14 +190,10 @@ def cmd_check(args) -> int:
         problems.extend(exc.messages)
         problem = config = None
     if problem is not None:
-        for name in names:
-            if name not in _REQUIRED_GAUGES:
-                continue
-            for g in _REQUIRED_GAUGES[name]:
-                if getattr(problem, g, None) is None:
-                    problems.append(
-                        f"criteria: {name} requires {_GAUGE_ROLE[g]} "
-                        f"missing from {args.problem}")
+        for name in (n for n in names if n in CRITERIA):
+            for g in _missing_gauges(problem, name):
+                problems.append(f"criteria: {name} requires {_GAUGE_ROLE[g]} "
+                                f"missing from {args.problem}")
     if problems:
         for msg in problems:
             print(f"config error: {msg}", file=sys.stderr)
@@ -226,6 +216,8 @@ def cmd_check(args) -> int:
 def cmd_reparam(args) -> int:
     try:
         problem = load_problem(args.problem, args.T)
+        if args.t_floor is not None and not (0 < args.t_floor < problem.T):
+            raise ConfigError("reparam: need 0 < t-floor < T")
         if problem.lam is not None:
             lam = problem.lam
             v = problem.v
@@ -239,11 +231,8 @@ def cmd_reparam(args) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
 
-    t_min = None
-    if args.t_floor is not None:
-        t_min = args.t_floor
     try:
-        rep = reparam_mod.build_tau(lam, problem.T, t_min=t_min)
+        rep = reparam_mod.build_tau(lam, problem.T, t_min=args.t_floor)
     except reparam_mod.ReparamError as exc:
         print(f"reparam: {exc}", file=sys.stderr)
         return 1
@@ -272,7 +261,7 @@ def cmd_reparam(args) -> int:
                 problem.u if problem.u is not None else lam, c, T=problem.T)
             diagnostics["generalized_table_monotone"] = bool(
                 np.all(np.diff(grep.rep.t_table) > 0))
-        except reparam_mod.DegenerateReparamError as exc:
+        except (reparam_mod.ReparamError, BracketError) as exc:
             diagnostics["generalized_error"] = str(exc)
 
     if args.format == "csv":
@@ -364,18 +353,6 @@ def funnel_report_dict(rep) -> dict:
 # ---------------------------------------------------------------------------
 # suite
 
-def _suite_criteria_for(problem: ProblemSpec):
-    names = ["nagumo"]
-    if problem.u is not None:
-        names.append("athanassov")
-    if problem.u is not None and problem.omega is not None:
-        names += ["constantin", "theorem1-reduced"]
-    if (problem.v is not None and problem.lam is not None
-            and problem.omega is not None):
-        names.append("theorem1")
-    return names
-
-
 def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
               funnel_n=101, t_floor_factor=1e-4):
     """Check + funnel matrix over all *.json problems in a directory."""
@@ -397,7 +374,7 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
             rows.append(row)
             continue
         row["problem"] = problem.name
-        names = _suite_criteria_for(problem)
+        names = [n for n in CRITERIA if not _missing_gauges(problem, n)]
         any_pass = False
         try:
             reports = {rep.criterion: rep
@@ -405,7 +382,7 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
             for name, rep in reports.items():
                 row["checks"][name] = "pass" if rep.overall else "fail"
                 any_pass = any_pass or rep.overall
-            if problem.u is not None and problem.omega is not None:
+            if "theorem1-reduced" in reports:
                 eq = criteria.equivalence_suite(
                     problem, config, constantin=reports["constantin"],
                     reduced=reports["theorem1-reduced"])

@@ -10,15 +10,21 @@ inequality; negative means violation.
 These checks are sampled necessary-condition filters, not proofs: passing
 means no violation was found on the grids, with inequality slack ``tol``
 to absorb quadrature noise at equality cases.
+
+Each hypothesis is defined once, in ``HYPOTHESES``, from the problem's
+expressions.  The checkers evaluate a definition on their grids and
+``reverify`` evaluates the same definition at a failing witness, so every
+hypothesis of every criterion can be re-checked.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expr import EvalDomainError, Expression, parse
+from .expr import Bin, Expression, parse
 from .quadrature import integrate, integrate_singular_left, sweep_singular_left
 
 __all__ = [
@@ -34,6 +40,7 @@ __all__ = [
     "check_constantin",
     "check_theorem_main",
     "reduce_to_constantin",
+    "reduce_problem",
     "equivalence_suite",
     "nagumo_transform",
     "reverify",
@@ -322,14 +329,161 @@ def _uniform_limit_hypothesis(name, ratio_fn, ts, xs, threshold,
     return Hypothesis(name, final < threshold, margin, witness)
 
 
-def _ratio_expr(num: Expression, den: Expression) -> Expression:
-    from .expr import Bin
-    return Expression(Bin("/", num.root, den.root))
+# ---------------------------------------------------------------------------
+# hypothesis definitions: HYPOTHESES maps each hypothesis name to a builder
+# of its definition from the problem's Expressions.  The checkers evaluate a
+# definition on their grids; reverify evaluates the same one at a witness.
+
+class _Pair(NamedTuple):
+    """|f(t, x1) - f(t, x2)| <= coeff(t)*|x1 - x2|."""
+    f: Callable
+    coeff: Callable
+
+    def at(self, w):
+        return self.f(w["t"], w["x"]), self.coeff(w["t"])
 
 
-def _product_over_expr(a: Expression, b: Expression, den: Expression) -> Expression:
-    from .expr import Bin
-    return Expression(Bin("/", Bin("*", a.root, b.root), den.root))
+class _Bound(NamedTuple):
+    """lhs(t, x) <= rhs(t, x)."""
+    lhs: Callable
+    rhs: Callable
+
+    def at(self, w):
+        return self.lhs(w["t"], w["x"]), self.rhs(w["t"], w["x"])
+
+
+class _Limit(NamedTuple):
+    """ratio(t, x) -> 0 as t -> 0+, uniformly in x."""
+    ratio: Callable
+
+    def at(self, w):
+        return (self.ratio(w["t"], w["x"]),)
+
+
+class _Integral(NamedTuple):
+    """int_0^t integrand(w, eps) dw <= eps*bound(t), integrated at the
+    quadrature tolerance tol(c, eps).  eps is the H2 scale, a float or an
+    array of scales that broadcasts against w; the other integrals ignore
+    it.  H1 asks only for convergence and has no bound."""
+    integrand: Callable
+    tol: Callable
+    bound: Callable | None = None
+
+
+class _Gate(NamedTuple):
+    """The comparison-function gate: omega(0+) = 0, omega increasing, and
+    the Osgood integral int_0^r omega(s)/s ds <= r, whose integrand, tol
+    and bound are read as an _Integral's."""
+    omega: Callable
+    integrand: Callable
+    tol: Callable
+    bound: Callable
+
+    def ratio(self, r, _x):
+        return self.omega(r)  # omega(0+) = 0 as a limit that ignores x
+
+    def at(self, w):
+        return (self.omega(w["r"] if "r" in w else w["t"]),)
+
+
+def _quad_tol(c: CheckConfig, _eps) -> float:
+    return c.quad_tol
+
+
+def _gate(omega: Expression) -> _Gate:
+    om = omega.lambdify(("r",))
+    return _Gate(om, lambda s, _eps: om(s) / s, _quad_tol, lambda r: r)
+
+
+def _compiled(node) -> Callable:
+    return Expression(node).lambdify(("t", "x"))
+
+
+def _uprime_over_u(p: ProblemSpec) -> Callable:
+    du, u = p.u.diff("t").lambdify(("t",)), p.u.lambdify(("t",))
+    return lambda t: du(t) / u(t)
+
+
+def _constantin_bound(p: ProblemSpec) -> _Bound:
+    """|f(t,x)| <= (u'/u)(t) * omega(|x|)."""
+    f, om = p.f.lambdify(("t", "x")), p.omega.lambdify(("r",))
+    coeff = _uprime_over_u(p)
+    return _Bound(lambda t, x: np.abs(f(t, x)),
+                  lambda t, x: coeff(t) * om(np.abs(x)))
+
+
+def _h1(p: ProblemSpec) -> _Integral:
+    """v/lambda is integrable at 0+."""
+    v, lam = p.v.lambdify(("t",)), p.lam.lambdify(("t",))
+    return _Integral(lambda w, _eps: v(w) / lam(w), _quad_tol)
+
+
+def _h2(p: ProblemSpec) -> _Integral:
+    """int_0^t omega(eps*v(w))/lambda(w) dw <= eps*v(t) for every eps > 0."""
+    v, lam = p.v.lambdify(("t",)), p.lam.lambdify(("t",))
+    om = p.omega.lambdify(("r",))
+
+    def tol(c, eps):
+        # relative to eps*max(|v|, 1) over the t grid
+        vmax = float(np.max(np.abs(v(c.t_grid(p.T)))))
+        return np.maximum(1e-12 * eps * max(vmax, 1.0), 1e-300)
+
+    return _Integral(lambda w, eps: om(eps * v(w)) / lam(w), tol, v)
+
+
+def _h3(p: ProblemSpec) -> _Bound:
+    """|f(t,x)| <= omega(|x|)/lambda(t)."""
+    f, lam = p.f.lambdify(("t", "x")), p.lam.lambdify(("t",))
+    om = p.omega.lambdify(("r",))
+    return _Bound(lambda t, x: np.abs(f(t, x)),
+                  lambda t, x: om(np.abs(x)) / lam(t))
+
+
+def _h5(p: ProblemSpec) -> _Bound:
+    """|lambda(t) f(t,x)| <= v(t)."""
+    f, lam = p.f.lambdify(("t", "x")), p.lam.lambdify(("t",))
+    v = p.v.lambdify(("t",))
+    return _Bound(lambda t, x: np.abs(lam(t) * f(t, x)), lambda t, x: v(t))
+
+
+HYPOTHESES = {
+    "lipschitz_1_over_t": lambda p: _Pair(p.f.lambdify(("t", "x")),
+                                          lambda t: 1.0 / t),
+    "uniform_limit_f": lambda p: _Limit(p.f.lambdify(("t", "x"))),
+    # gauge_validity fails where u(t) = 0 makes the coefficient non-finite
+    **dict.fromkeys(("lipschitz_uprime_over_u", "gauge_validity"),
+                    lambda p: _Pair(p.f.lambdify(("t", "x")), _uprime_over_u(p))),
+    "uniform_limit_f_over_uprime": lambda p: _Limit(_compiled(
+        Bin("/", p.f.root, p.u.diff("t").root))),
+    "bound_f_le_uprime_over_u_omega": _constantin_bound,
+    **dict.fromkeys(("comparison_function", "omega_vanishes_at_0",
+                     "omega_increasing", "osgood_integral"),
+                    lambda p: _gate(p.omega)),
+    "H1_integrability": _h1,
+    "H2_osgood_scaled": _h2,
+    "H3_bound_f_le_omega_over_lambda": _h3,
+    "H4_uniform_limit_lambda_f_over_v": lambda p: _Limit(_compiled(
+        Bin("/", Bin("*", p.lam.root, p.f.root), p.v.root))),
+    "H4_uniform_limit_f_over_vprime": lambda p: _Limit(_compiled(
+        Bin("/", p.f.root, p.v.diff("t").root))),
+    "H5_domination": _h5,
+}
+
+
+def _sweep(name: str, p: ProblemSpec, c: CheckConfig, notes="") -> Hypothesis:
+    """Evaluate the definition of a pair, bound or limit hypothesis on the
+    sample grids."""
+    d = HYPOTHESES[name](p)
+    xg = c.x_grid(p.x_bound)
+    if isinstance(d, _Limit):
+        return _uniform_limit_hypothesis(name, d.ratio, c.limit_ts(p.T), xg,
+                                         c.limit_threshold, c.limit_tail)
+    tg = c.t_grid(p.T)
+    T, X = tg[:, None], xg[None, :]
+    if isinstance(d, _Pair):
+        return _pairwise_bound_hypothesis(name, d.f(T, X), d.coeff(tg), tg, xg, c.tol)
+    lhs, rhs = np.broadcast_arrays(d.lhs(T, X), d.rhs(T, X))
+    return _grid_bound_hypothesis(name, lhs, rhs, tg, xg, c.tol, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +492,8 @@ def _product_over_expr(a: Expression, b: Expression, den: Expression) -> Express
 def check_nagumo(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionReport:
     """Lipschitz-in-x bound with constant 1/t plus the uniform vanishing of f."""
     c = c or CheckConfig()
-    tg = c.t_grid(p.T)
-    xg = c.x_grid(p.x_bound)
-    f = p.f.lambdify(("t", "x"))
-    fvals = f(tg[:, None], xg[None, :])
-    hyp_a = _pairwise_bound_hypothesis(
-        "lipschitz_1_over_t", fvals, 1.0 / tg, tg, xg, c.tol)
-    hyp_b = _uniform_limit_hypothesis(
-        "uniform_limit_f", f, c.limit_ts(p.T), xg, c.limit_threshold, c.limit_tail)
-    return CriterionReport("nagumo", [hyp_a, hyp_b])
+    return CriterionReport("nagumo", [_sweep("lipschitz_1_over_t", p, c),
+                                      _sweep("uniform_limit_f", p, c)])
 
 
 def check_athanassov(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionReport:
@@ -355,8 +502,6 @@ def check_athanassov(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
     if p.u is None:
         raise ValueError("athanassov check requires the gauge u")
     tg = c.t_grid(p.T)
-    xg = c.x_grid(p.x_bound)
-    du = p.u.diff("t")
     uvals = p.u.lambdify(("t",))(tg)
     if np.any(uvals == 0.0):
         t_bad = float(tg[np.flatnonzero(uvals == 0.0)[0]])
@@ -364,25 +509,21 @@ def check_athanassov(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
             "gauge_validity", False, float("nan"),
             {"kind": "domain_error", "t": t_bad, "x": 0.0},
             notes="u(t) = 0 at a sampled t > 0")])
-    coeff = du.lambdify(("t",))(tg) / uvals
-    f = p.f.lambdify(("t", "x"))
-    fvals = f(tg[:, None], xg[None, :])
-    hyp_a = _pairwise_bound_hypothesis(
-        "lipschitz_uprime_over_u", fvals, coeff, tg, xg, c.tol)
-    ratio = _ratio_expr(p.f, du).lambdify(("t", "x"))
-    hyp_b = _uniform_limit_hypothesis(
-        "uniform_limit_f_over_uprime", ratio, c.limit_ts(p.T), xg,
-        c.limit_threshold, c.limit_tail)
-    return CriterionReport("athanassov", [hyp_a, hyp_b])
+    return CriterionReport("athanassov", [
+        _sweep("lipschitz_uprime_over_u", p, c),
+        _sweep("uniform_limit_f_over_uprime", p, c)])
 
 
-def _osgood_hypothesis(omega: Expression, c: CheckConfig, name="osgood_integral",
+def _osgood_hypothesis(d: _Gate, c: CheckConfig, name="osgood_integral",
                        notes="") -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
-    integrand = _osgood_integrand(omega)
     rg = c.r_grid()
+
+    def integrand(s):
+        return d.integrand(s, None)
+
     sweep = next(sweep_singular_left(lambda s, _members: integrand(s)[None],
-                                     [integrand], rg, [c.quad_tol]))
+                                     [integrand], rg, [d.tol(c, None)]))
     if sweep.base.diverged:
         return Hypothesis(name, False, float("-inf"),
                           {"kind": "divergent", "r": float(rg[0])},
@@ -396,7 +537,7 @@ def _osgood_hypothesis(omega: Expression, c: CheckConfig, name="osgood_integral"
         return Hypothesis(name, False, float("nan"), witness,
                           notes="quadrature did not converge near 0+" if j == 0
                           else "quadrature did not converge on (r0, r]")
-    margins = rg - sweep.values
+    margins = d.bound(rg) - sweep.values
     j = int(np.argmin(margins))  # ties: smallest r
     r = float(rg[j])
     witness = {"kind": "quad_ineq", "r": r, "integral": float(sweep.values[j]),
@@ -405,28 +546,19 @@ def _osgood_hypothesis(omega: Expression, c: CheckConfig, name="osgood_integral"
                       witness, notes=notes)
 
 
-def _osgood_integrand(omega: Expression):
-    om = omega.lambdify(("r",))
-
-    def integrand(s):
-        return om(s) / s
-
-    return integrand
-
-
 def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> CriterionReport:
     """Comparison-function gate: omega continuous and increasing, omega(0+) = 0,
     and the Osgood-type integral inequality int_0^r omega(s)/s ds <= r."""
     c = c or CheckConfig()
-    om = omega.lambdify(("r",))
+    d = _gate(omega)
     # omega(0+) -> 0 along a dyadic sequence
     hyp_zero = _uniform_limit_hypothesis(
-        "omega_vanishes_at_0", lambda r, _x: om(r), c.limit_ts(1.0),
+        "omega_vanishes_at_0", d.ratio, c.limit_ts(1.0),
         np.array([0.0]), c.limit_threshold, c.limit_tail)
     hyp_zero.witness.pop("x", None)  # the ratio does not depend on x
     # strict increase across consecutive grid points
     rg = c.r_grid()
-    vals = om(rg)
+    vals = d.omega(rg)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
         hyp_inc = Hypothesis("omega_increasing", False, float("nan"),
@@ -439,7 +571,7 @@ def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> Crit
             "omega_increasing", bool(np.all(diffs > 0.0)), worst,
             {"kind": "increase_pair", "r1": float(rg[k]), "r2": float(rg[k + 1]),
              "omega_r1": float(vals[k]), "omega_r2": float(vals[k + 1])})
-    hyp_int = _osgood_hypothesis(omega, c)
+    hyp_int = _osgood_hypothesis(d, c)
     return CriterionReport("comparison_fn", [hyp_zero, hyp_inc, hyp_int])
 
 
@@ -449,16 +581,7 @@ def check_constantin(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
     c = c or CheckConfig()
     if p.u is None or p.omega is None:
         raise ValueError("constantin check requires the gauges u and omega")
-    tg = c.t_grid(p.T)
-    xg = c.x_grid(p.x_bound)
-    du = p.u.diff("t")
-    f = p.f.lambdify(("t", "x"))
-    lhs = np.abs(f(tg[:, None], xg[None, :]))
-    coeff = du.lambdify(("t",))(tg) / p.u.lambdify(("t",))(tg)
-    om_abs = _omega_abs(p.omega)(xg)
-    rhs = coeff[:, None] * om_abs[None, :]
-    hyp_a = _grid_bound_hypothesis(
-        "bound_f_le_uprime_over_u_omega", lhs, rhs, tg, xg, c.tol)
+    hyp_a = _sweep("bound_f_le_uprime_over_u_omega", p, c)
     sub = check_comparison_fn(p.omega, c)
     # worst sub-margin; nan (an unconverged integral) outranks every number
     worst = next((h for h in sub.hypotheses if math.isnan(h.worst_margin)),
@@ -469,29 +592,22 @@ def check_constantin(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
         failing[0].witness if failing else worst.witness,
         notes="aggregates the comparison-function gate: " +
               ", ".join(h.name for h in sub.hypotheses))
-    ratio = _ratio_expr(p.f, du).lambdify(("t", "x"))
-    hyp_c = _uniform_limit_hypothesis(
-        "uniform_limit_f_over_uprime", ratio, c.limit_ts(p.T), xg,
-        c.limit_threshold, c.limit_tail)
+    hyp_c = _sweep("uniform_limit_f_over_uprime", p, c)
     return CriterionReport("constantin", [hyp_a, hyp_b, hyp_c],
                            notes=OMEGA_EXTENSION_NOTE)
 
 
-def _omega_abs(omega: Expression):
-    om = omega.lambdify(("r",))
-
-    def fn(x):
-        return om(np.abs(x))
-
-    return fn
-
-
 def reduce_to_constantin(u: Expression) -> tuple[Expression, Expression]:
     """The reduction of the gauge pair: v = u and lambda = u/u'."""
-    from .expr import Bin
     du = u.diff("t")
     lam = Expression(Bin("/", u.root, du.root))
     return u, lam
+
+
+def reduce_problem(p: ProblemSpec) -> ProblemSpec:
+    """p with the reduced gauge pair (v, lambda) = (u, u/u')."""
+    v, lam = reduce_to_constantin(p.u)
+    return replace(p, v=v, lam=lam)
 
 
 def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionReport:
@@ -500,76 +616,52 @@ def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> Criterio
     c = c or CheckConfig()
     if p.v is None or p.lam is None or p.omega is None:
         raise ValueError("theorem check requires gauges v, lambda and omega")
-    tg = c.t_grid(p.T)
-    xg = c.x_grid(p.x_bound)
-    v_fn = p.v.lambdify(("t",))
-    lam_fn = p.lam.lambdify(("t",))
-    om_fn = p.omega.lambdify(("r",))
-    f = p.f.lambdify(("t", "x"))
-    hyps = []
-
-    # H1: integrability of v/lambda at 0+
-    h1_res = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), 1.0,
-                                     tol=c.quad_tol)
-    if h1_res.diverged:
-        hyps.append(Hypothesis("H1_integrability", False, float("-inf"),
-                               {"kind": "divergent", "t": 1.0},
-                               notes="int_0+^1 v/lambda diverges"))
-    elif not h1_res.converged:
-        hyps.append(Hypothesis("H1_integrability", False, float("nan"),
-                               {"kind": "divergent", "t": 1.0},
-                               notes="quadrature budget exhausted"))
-    else:
-        hyps.append(Hypothesis("H1_integrability", True, 0.0,
-                               {"kind": "quad_value", "t": 1.0,
-                                "integral": float(h1_res.value)}))
-
-    # H2: int_0^t omega(eps*v(w))/lambda(w) dw <= eps*v(t), margins scaled by eps
-    hyps.append(_h2_hypothesis(p, c, tg, v_fn, lam_fn, om_fn))
-
-    # H3: |f(t,x)| <= omega(|x|)/lambda(t)
-    lhs = np.abs(f(tg[:, None], xg[None, :]))
-    rhs = om_fn(np.abs(xg))[None, :] / lam_fn(tg)[:, None]
-    hyps.append(_grid_bound_hypothesis(
-        "H3_bound_f_le_omega_over_lambda", lhs, rhs, tg, xg, c.tol))
-
-    # H4: lambda*f/v -> 0 and f/v' -> 0 uniformly
-    lim_ts = c.limit_ts(p.T)
-    ratio_a = _product_over_expr(p.lam, p.f, p.v).lambdify(("t", "x"))
-    hyps.append(_uniform_limit_hypothesis(
-        "H4_uniform_limit_lambda_f_over_v", ratio_a, lim_ts, xg,
-        c.limit_threshold, c.limit_tail))
-    dv = p.v.diff("t")
-    ratio_b = _ratio_expr(p.f, dv).lambdify(("t", "x"))
-    hyps.append(_uniform_limit_hypothesis(
-        "H4_uniform_limit_f_over_vprime", ratio_b, lim_ts, xg,
-        c.limit_threshold, c.limit_tail))
-
-    # H5: |lambda(t) f(t,x)| <= v(t)
-    lhs5 = np.abs(lam_fn(tg)[:, None] * f(tg[:, None], xg[None, :]))
-    rhs5 = np.broadcast_to(v_fn(tg)[:, None], lhs5.shape)
-    hyps.append(_grid_bound_hypothesis(
-        "H5_domination", lhs5, rhs5, tg, xg, c.tol,
-        notes="checked separately from H2/H3 and reported separately"))
-
+    hyps = [
+        _h1_hypothesis(p, c),
+        _h2_hypothesis(p, c),
+        _sweep("H3_bound_f_le_omega_over_lambda", p, c),
+        _sweep("H4_uniform_limit_lambda_f_over_v", p, c),
+        _sweep("H4_uniform_limit_f_over_vprime", p, c),
+        _sweep("H5_domination", p, c,
+               notes="checked separately from H2/H3 and reported separately"),
+    ]
     return CriterionReport("theorem_main", hyps,
                            notes=EPS_CAVEAT + "; " + OMEGA_EXTENSION_NOTE)
 
 
-def _h2_hypothesis(p: ProblemSpec, c: CheckConfig, tg, v_fn, lam_fn, om_fn) -> Hypothesis:
-    eg = c.eps_grid()
-    vt = v_fn(tg)
+def _h1_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
+    """H1: integrability of v/lambda at 0+."""
+    d = HYPOTHESES["H1_integrability"](p)
+    res = integrate_singular_left(lambda w: d.integrand(w, None), 1.0,
+                                  tol=d.tol(c, None))
+    if res.diverged:
+        return Hypothesis("H1_integrability", False, float("-inf"),
+                          {"kind": "divergent", "t": 1.0},
+                          notes="int_0+^1 v/lambda diverges")
+    if not res.converged:
+        return Hypothesis("H1_integrability", False, float("nan"),
+                          {"kind": "divergent", "t": 1.0},
+                          notes="quadrature budget exhausted")
+    return Hypothesis("H1_integrability", True, 0.0,
+                      {"kind": "quad_value", "t": 1.0, "integral": float(res.value)})
+
+
+def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
+    """H2: int_0^t omega(eps*v(w))/lambda(w) dw <= eps*v(t), margins scaled
+    by eps."""
+    d = HYPOTHESES["H2_osgood_scaled"](p)
+    tg, eg = c.t_grid(p.T), c.eps_grid()
+    vt = d.bound(tg)
 
     def family(w, members):
         # one column of scales: v and lambda are sampled once on the shared
         # nodes, omega on the (eps x nodes) block
-        scales = eg[members].reshape((-1,) + (1,) * w.ndim)
-        return _h2_integrand(v_fn, lam_fn, om_fn, scales)(w)
+        return d.integrand(w, eg[members].reshape((-1,) + (1,) * w.ndim))
 
-    integrands = [_h2_integrand(v_fn, lam_fn, om_fn, float(eps)) for eps in eg]
-    tols = [_h2_tol(float(eps), vt) for eps in eg]
+    integrands = [lambda w, eps=float(eps): d.integrand(w, eps) for eps in eg]
     margins = np.empty((len(tg), len(eg)))
-    for ie, sweep in enumerate(sweep_singular_left(family, integrands, tg, tols)):
+    sweeps = sweep_singular_left(family, integrands, tg, d.tol(c, eg).tolist())
+    for ie, sweep in enumerate(sweeps):
         eps = float(eg[ie])
         if sweep.base.diverged:
             return Hypothesis(
@@ -599,23 +691,6 @@ def _h2_hypothesis(p: ProblemSpec, c: CheckConfig, tg, v_fn, lam_fn, om_fn) -> H
     }
     return Hypothesis("H2_osgood_scaled", worst >= -c.tol, worst, witness,
                       notes="margins scaled by eps")
-
-
-def _h2_integrand(v_fn, lam_fn, om_fn, eps):
-    """w -> omega(eps*v(w))/lambda(w), the H2 integrand at the scale eps (a
-    float, or an array of scales that broadcasts against w)."""
-
-    def integrand(w):
-        return om_fn(eps * v_fn(w)) / lam_fn(w)
-
-    return integrand
-
-
-def _h2_tol(eps: float, v_on_grid) -> float:
-    """Quadrature tolerance of the H2 integrals at scale eps, relative to
-    eps*max(|v|, 1) over the t grid."""
-    vmax = float(np.max(np.abs(v_on_grid)))
-    return max(1e-12 * eps * max(vmax, 1.0), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +741,8 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
     if p.u is None or p.omega is None:
         raise ValueError("equivalence suite requires the gauges u and omega")
     rep_c = constantin if constantin is not None else check_constantin(p, c)
-    rep_t = reduced
-    if rep_t is None:
-        v, lam = reduce_to_constantin(p.u)
-        p_red = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
-                            T=p.T, x_bound=p.x_bound, name=p.name)
-        rep_t = check_theorem_main(p_red, c)
+    rep_t = reduced if reduced is not None else check_theorem_main(
+        reduce_problem(p), c)
     discrepancies = {}
     for name_c, name_t in _SHARED_HYPOTHESES:
         m1 = rep_c.hypothesis(name_c).worst_margin
@@ -728,146 +799,52 @@ def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
 # witness re-verification
 
 def reverify(p: ProblemSpec, c: CheckConfig, report: CriterionReport) -> bool:
-    """Re-evaluate every failing hypothesis's witness independently of the
-    grid sweep; returns True when each reproduces a violation > tol."""
-    for h in report.hypotheses:
-        if h.passed:
-            continue
-        if not _reverify_one(p, c, report.criterion, h):
-            return False
-    return True
+    """Re-evaluate every failing hypothesis's witness with the hypothesis's
+    definition in HYPOTHESES, apart from the grid sweep; returns True when
+    each reproduces a violation > tol.  A domain_error witness reproduces
+    when any value of the definition is non-finite at its point.  Raises
+    KeyError on a hypothesis without a definition."""
+    with np.errstate(all="ignore"):
+        return all(_reverify_one(p, c, h) for h in report.hypotheses
+                   if not h.passed)
 
 
-def _reverify_one(p: ProblemSpec, c: CheckConfig, criterion: str,
-                  h: Hypothesis) -> bool:
+def _reverify_one(p: ProblemSpec, c: CheckConfig, h: Hypothesis) -> bool:
+    d = HYPOTHESES[h.name](p)
     w = h.witness
-    kind = w.get("kind")
-    f = p.f
-    if kind == "pair_ineq":
-        lhs = abs(f.evaluate({"t": w["t"], "x": w["x1"]}) -
-                  f.evaluate({"t": w["t"], "x": w["x2"]}))
-        coeff = _pair_coeff(p, criterion, w["t"])
-        rhs = coeff * abs(w["x1"] - w["x2"])
-        return lhs > rhs + c.tol
-    if kind == "grid_ineq":
-        lhs, rhs = _grid_sides(p, h.name, w["t"], w["x"])
-        return lhs > rhs + c.tol
-    if kind == "limit_final":
-        if "x" not in w:
-            # omega(0+) vanishing check; the witness t is an r value
-            val = abs(float(p.omega.lambdify(("r",))(np.array([w["t"]]))[0]))
-            return not (val < w["threshold"])
-        xs = c.x_grid(p.x_bound)
-        ratio = _limit_ratio(p, criterion, h.name)
-        sup = float(np.max(np.abs(ratio(np.array([w["t"]])[:, None],
-                                        xs[None, :]))))
-        return not (sup < w["threshold"])
-    if kind == "limit_increase":
-        if "x" not in w:
-            om = p.omega.lambdify(("r",))
-            return (abs(float(om(np.array([w["t"]]))[0])) >
-                    abs(float(om(np.array([w["t_prev"]]))[0])))
-        xs = c.x_grid(p.x_bound)
-        ratio = _limit_ratio(p, criterion, h.name)
-        s_prev = float(np.max(np.abs(ratio(np.array([w["t_prev"]])[:, None],
-                                           xs[None, :]))))
-        s_now = float(np.max(np.abs(ratio(np.array([w["t"]])[:, None],
-                                          xs[None, :]))))
-        return s_now > s_prev
-    if kind == "quad_ineq":
-        res = integrate_singular_left(_osgood_integrand(p.omega), w["r"],
-                                      tol=c.quad_tol)
-        return res.diverged or res.value > w["bound"] + c.tol
-    if kind == "quad_ineq_eps":
-        eps = w["eps"]
-        integrand, qtol = _h2_integral(p, c, eps)
-        res = integrate_singular_left(integrand, w["t"], tol=qtol)
-        return res.diverged or res.value / eps > w["v_t"] + c.tol
-    if kind == "divergent":
-        # re-run the integral named by the witness at the sweep's tolerance
-        if h.name.startswith("H1"):
-            v_fn = p.v.lambdify(("t",))
-            lam_fn = p.lam.lambdify(("t",))
-            integrand, qtol = (lambda s: v_fn(s) / lam_fn(s)), c.quad_tol
-            lo, hi = 0.0, 1.0
-        elif h.name.startswith("H2"):
-            integrand, qtol = _h2_integral(p, c, w["eps"])
-            lo, hi = w.get("t0", 0.0), w["t"]
-        else:
-            integrand, qtol = _osgood_integrand(p.omega), c.quad_tol
-            lo, hi = w.get("r0", 0.0), w.get("r", 1.0)
-        if lo == 0.0:
-            res = integrate_singular_left(integrand, hi, tol=qtol)
-        else:
-            res = integrate(integrand, lo, hi, tol=qtol)
-        return res.diverged or not res.converged
+    kind = w["kind"]
     if kind == "domain_error":
-        # a non-finite sample was observed during the sweep; accept the
-        # witness if the point re-evaluates as bad, or if it names a point
-        # we cannot re-evaluate scalar-wise (vectorized eval saw the issue)
-        try:
-            if h.name == "gauge_validity":
-                # a gauge underflowed to 0 at a sampled t > 0; confirm the
-                # degenerate value rather than re-evaluating f
-                val = p.u.evaluate({"t": w["t"]})
-                return val == 0.0 or not math.isfinite(val)
-            if "r" in w:
-                val = p.omega.evaluate({"r": w["r"]})
-            elif h.name in ("uniform_limit_f", "uniform_limit_f_over_uprime",
-                            "H4_uniform_limit_lambda_f_over_v",
-                            "H4_uniform_limit_f_over_vprime"):
-                ratio = _limit_ratio(p, criterion, h.name)
-                val = float(ratio(np.array([w["t"]]), np.array([w.get("x", 0.0)]))[0])
-            else:
-                val = f.evaluate({"t": w["t"], "x": w.get("x", 0.0)})
-        except EvalDomainError:
-            return True
-        return not math.isfinite(val)
+        return not np.all(np.isfinite(d.at(w)))
+    if kind == "pair_ineq":
+        t, x1, x2 = w["t"], w["x1"], w["x2"]
+        return abs(d.f(t, x1) - d.f(t, x2)) > d.coeff(t) * abs(x1 - x2) + c.tol
+    if kind == "grid_ineq":
+        lhs, rhs = d.at(w)
+        return lhs > rhs + c.tol
+    if kind in ("limit_final", "limit_increase"):
+        xs = c.x_grid(p.x_bound)[None, :]
+
+        def sup(t):
+            return np.max(np.abs(d.ratio(np.array([[t]]), xs)))
+
+        if kind == "limit_final":
+            return not (sup(w["t"]) < w["threshold"])
+        return sup(w["t"]) > sup(w["t_prev"])
     if kind == "increase_pair":
-        om = p.omega.lambdify(("r",))
-        return not (float(om(np.array([w["r2"]]))[0]) >
-                    float(om(np.array([w["r1"]]))[0]))
-    return False
+        return not (d.omega(w["r2"]) > d.omega(w["r1"]))
+    # quad_ineq, quad_ineq_eps and divergent: re-run the integral named by
+    # the witness at the sweep's tolerance
+    eps = w.get("eps", 1.0)
+    lo, hi = w.get("t0", w.get("r0", 0.0)), w["t"] if "t" in w else w["r"]
 
+    def integrand(s):
+        return d.integrand(s, eps)
 
-def _h2_integral(p: ProblemSpec, c: CheckConfig, eps: float):
-    """The H2 integrand at scale eps and its sweep tolerance."""
-    v_fn = p.v.lambdify(("t",))
-    integrand = _h2_integrand(v_fn, p.lam.lambdify(("t",)),
-                              p.omega.lambdify(("r",)), eps)
-    return integrand, _h2_tol(eps, v_fn(c.t_grid(p.T)))
-
-
-def _pair_coeff(p: ProblemSpec, criterion: str, t: float) -> float:
-    if criterion == "nagumo":
-        return 1.0 / t
-    du = p.u.diff("t")
-    return du.evaluate({"t": t}) / p.u.evaluate({"t": t})
-
-
-def _grid_sides(p: ProblemSpec, hyp_name: str, t: float, x: float):
-    lhs = abs(p.f.evaluate({"t": t, "x": x}))
-    if hyp_name == "bound_f_le_uprime_over_u_omega":
-        du = p.u.diff("t")
-        rhs = (du.evaluate({"t": t}) / p.u.evaluate({"t": t}) *
-               p.omega.evaluate({"r": abs(x)}))
-    elif hyp_name == "H3_bound_f_le_omega_over_lambda":
-        rhs = p.omega.evaluate({"r": abs(x)}) / p.lam.evaluate({"t": t})
-    elif hyp_name == "H5_domination":
-        lhs = abs(p.lam.evaluate({"t": t}) * p.f.evaluate({"t": t, "x": x}))
-        rhs = p.v.evaluate({"t": t})
+    tol = float(d.tol(c, eps))
+    if lo == 0.0:
+        res = integrate_singular_left(integrand, hi, tol=tol)
     else:
-        raise KeyError(hyp_name)
-    return lhs, rhs
-
-
-def _limit_ratio(p: ProblemSpec, criterion: str, hyp_name: str):
-    if hyp_name == "uniform_limit_f":
-        return p.f.lambdify(("t", "x"))
-    if hyp_name == "uniform_limit_f_over_uprime":
-        return _ratio_expr(p.f, p.u.diff("t")).lambdify(("t", "x"))
-    if hyp_name == "H4_uniform_limit_lambda_f_over_v":
-        return _product_over_expr(p.lam, p.f, p.v).lambdify(("t", "x"))
-    if hyp_name == "H4_uniform_limit_f_over_vprime":
-        return _ratio_expr(p.f, p.v.diff("t")).lambdify(("t", "x"))
-    raise KeyError(hyp_name)
+        res = integrate(integrand, lo, hi, tol=tol)
+    if kind == "divergent":
+        return res.diverged or not res.converged
+    return res.diverged or res.value / eps > d.bound(hi) + c.tol

@@ -13,6 +13,7 @@ from odeuniq import cli, criteria
 from odeuniq.cli import main
 from odeuniq.criteria import CheckConfig, check_nagumo, ProblemSpec
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 LINEAR = {"f": "x", "u": "t^(1/4)*exp(t)", "name": "linear"}
 TX = {"f": "t*x", "u": "t", "omega": "r", "name": "tx"}
 X_OVER_T = {"f": "x/t", "name": "x_over_t"}
@@ -84,6 +85,16 @@ def test_check_all_config_errors_reported_together(problem_file, capsys):
     assert err.count("config error") >= 3
 
 
+@pytest.mark.parametrize("flag,value", [("--eps-min", "nan"),
+                                        ("--eps-max", "nan"),
+                                        ("--eps-max", "inf")])
+def test_check_eps_range_exit_two(problem_file, capsys, flag, value):
+    code = main(["check", "--problem", problem_file(TX),
+                 "--criteria", "theorem1-reduced", flag, value])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_check_report_matches_library(problem_file, tmp_path):
     out = str(tmp_path / "report.json")
     main(["check", "--problem", problem_file(TX),
@@ -149,6 +160,29 @@ def test_reparam_generalized_large_c_monotone(problem_file, tmp_path):
     assert code == 0
     d = json.loads(open(out).read())["reports"][0]["diagnostics"]
     assert d["generalized_table_monotone"] is True
+
+
+@pytest.mark.parametrize("stem,c,error", [
+    ("power_gauge", "10", "no sign change on"),
+    ("power_gauge", "7", "reparametrization table is not strictly monotone"),
+    ("direct_gauges", "4.841", "no sign change on"),
+])
+def test_reparam_generalized_failure_reported(tmp_path, stem, c, error):
+    out = str(tmp_path / "rep.json")
+    code = main(["reparam", "--problem", str(CORPUS / f"{stem}.json"),
+                 "--generalized-c", c, "--out", out])
+    assert code == 0
+    d = json.loads(open(out).read())["reports"][0]["diagnostics"]
+    assert d["generalized_error"].startswith(error)
+
+
+@pytest.mark.parametrize("t_floor", ["0", "-1", "nan", "2"])
+def test_reparam_t_floor_outside_horizon_exit_two(problem_file, capsys,
+                                                  t_floor):
+    code = main(["reparam", "--problem", problem_file(TX),
+                 "--t-floor", t_floor])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_reparam_no_gauge_exit_two(problem_file, capsys):

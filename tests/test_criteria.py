@@ -1,14 +1,18 @@
 """Criterion checkers against closed-form verdicts and margins."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from odeuniq import criteria, quadrature
+from odeuniq import cli, criteria, quadrature
 from odeuniq.criteria import (
     CheckConfig,
+    CriterionReport,
+    Hypothesis,
     ProblemSpec,
     ProblemValidationError,
     check_athanassov,
@@ -18,6 +22,7 @@ from odeuniq.criteria import (
     check_theorem_main,
     equivalence_suite,
     nagumo_transform,
+    reduce_problem,
     reduce_to_constantin,
     reverify,
 )
@@ -181,6 +186,8 @@ def test_theorem_h1_divergence_detected():
     p = problem("0", v="t", lam="t^2", omega="r")
     rep = check_theorem_main(p, CFG)
     assert not rep.hypothesis("H1_integrability").passed
+    h2 = rep.hypothesis("H2_osgood_scaled")
+    assert not h2.passed and h2.witness["kind"] == "divergent"
 
 
 def test_theorem_h5_violation_witnessed():
@@ -227,11 +234,8 @@ def test_equivalence_corpus(f, u, om, verdict):
 
 def test_equivalence_takes_computed_reports():
     p = problem("t*x", u="t", omega="r")
-    v, lam = reduce_to_constantin(p.u)
-    reduced = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
-                          T=p.T, x_bound=p.x_bound, name=p.name)
     given = equivalence_suite(p, CFG, constantin=check_constantin(p, CFG),
-                              reduced=check_theorem_main(reduced, CFG))
+                              reduced=check_theorem_main(reduce_problem(p), CFG))
     assert given.to_dict() == equivalence_suite(p, CFG).to_dict()
 
 
@@ -272,6 +276,13 @@ REVERIFY_CASES = [
     # v/lambda = 1/t: H1 and H2 both diverge at 0+
     pytest.param({"f": "0", "v": "t", "lambda": "t^2", "omega": "r"},
                  id="0-v=t-lambda=t^2-r"),
+    # omega(0) = 0*inf is nan: the domain_error witnesses of Constantin's
+    # bound and of H3 sit at x = 0, where omega makes the bound non-finite
+    pytest.param({"f": "0", "u": "t", "omega": "r*log(1/r)"},
+                 id="0-t-r*log(1/r)"),
+    pytest.param({"f": "x/(2*t)", "v": "t", "lambda": "t",
+                  "omega": "r*log(1/r)"},
+                 id="x/(2*t)-v=t-lambda=t-r*log(1/r)"),
 ]
 
 
@@ -281,16 +292,41 @@ def test_all_failure_witnesses_reverify(spec):
     reports = [check_nagumo(p, CFG)]
     if p.u is not None:
         reports += [check_athanassov(p, CFG), check_constantin(p, CFG)]
-        v, lam = reduce_to_constantin(p.u)
-        pt = ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega,
-                         T=p.T, x_bound=p.x_bound)
+        pt = reduce_problem(p)
     for rep in reports:
         assert reverify(p, CFG, rep)
-    theorem = check_theorem_main(pt, CFG)
-    assert reverify(pt, CFG, theorem)
-    if p.u is None:
-        h2 = theorem.hypothesis("H2_osgood_scaled")
-        assert not h2.passed and h2.witness["kind"] == "divergent"
+    assert reverify(pt, CFG, check_theorem_main(pt, CFG))
+
+
+def test_omega_domain_witness_reverifies():
+    # omega is nan on (0, 2^-30): omega_vanishes_at_0 fails with a
+    # domain_error witness at an r value, which reverify evaluates omega at
+    p = problem("0", u="t", omega="r*sqrt(r - 2^-30)")
+    gate = check_comparison_fn(p.omega, CFG)
+    assert gate.hypothesis("omega_vanishes_at_0").witness["kind"] == "domain_error"
+    assert reverify(p, CFG, gate)
+    rep = check_constantin(p, CFG)
+    assert not rep.hypothesis("comparison_function").passed
+    assert reverify(p, CFG, rep)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_every_emitted_hypothesis_has_a_definition():
+    names = {"omega_vanishes_at_0", "omega_increasing", "osgood_integral"}
+    for path in sorted(CORPUS.glob("*.json")):
+        p = ProblemSpec.from_dict(json.loads(path.read_text()))
+        for name, (gauges, _) in cli.CRITERIA.items():
+            if all(getattr(p, g) is not None for g in gauges):
+                (rep,) = cli.run_checks(p, [name], CFG)
+                names |= {h.name for h in rep.hypotheses}
+    assert names == set(criteria.HYPOTHESES)
+    unknown = CriterionReport("nagumo", [Hypothesis(
+        "no_such_hypothesis", False, -1.0, {"kind": "grid_ineq", "t": 1.0,
+                                           "x": 0.0})])
+    with pytest.raises(KeyError):
+        reverify(p, CFG, unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +419,7 @@ def _sweep_problems(draw):
     d = {"f": f, "omega": f"{a!r}*r"}
     if draw(st.booleans()):
         d["u"] = f"t^{draw(st.floats(min_value=1.0, max_value=2.0))!r}"
-        p = ProblemSpec.from_dict(d)
-        v, lam = reduce_to_constantin(p.u)
-        return ProblemSpec(f=p.f, u=p.u, v=v, lam=lam, omega=p.omega)
+        return reduce_problem(ProblemSpec.from_dict(d))
     k = draw(st.floats(min_value=0.5, max_value=0.95))
     d["v"] = f"t^{draw(st.floats(min_value=k, max_value=1.5))!r}"
     d["lambda"] = f"t^{k!r}"
