@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expr import Bin, Expression, parse
-from .quadrature import integrate, integrate_singular_left, sweep_singular_left
+from .quadrature import (
+    IntegrandError, integrate, integrate_singular_left, sweep_singular_left)
 
 __all__ = [
     "ProblemSpec",
@@ -369,6 +370,9 @@ class _Integral(NamedTuple):
     tol: Callable
     bound: Callable | None = None
 
+    def at(self, w):
+        return (self.integrand(w["t"], w.get("eps", 1.0)),)
+
 
 class _Gate(NamedTuple):
     """The comparison-function gate: omega(0+) = 0, omega increasing, and
@@ -428,7 +432,11 @@ def _h2(p: ProblemSpec) -> _Integral:
         vmax = float(np.max(np.abs(v(c.t_grid(p.T)))))
         return np.maximum(1e-12 * eps * max(vmax, 1.0), 1e-300)
 
-    return _Integral(lambda w, eps: om(eps * v(w)) / lam(w), tol, v)
+    def integrand(w, eps):
+        with np.errstate(all="ignore"):
+            return om(eps * v(w)) / lam(w)
+
+    return _Integral(integrand, tol, v)
 
 
 def _h3(p: ProblemSpec) -> _Bound:
@@ -472,18 +480,20 @@ HYPOTHESES = {
 
 def _sweep(name: str, p: ProblemSpec, c: CheckConfig, notes="") -> Hypothesis:
     """Evaluate the definition of a pair, bound or limit hypothesis on the
-    sample grids."""
+    sample grids; a non-finite sample fails it with a domain_error."""
     d = HYPOTHESES[name](p)
     xg = c.x_grid(p.x_bound)
-    if isinstance(d, _Limit):
-        return _uniform_limit_hypothesis(name, d.ratio, c.limit_ts(p.T), xg,
-                                         c.limit_threshold, c.limit_tail)
-    tg = c.t_grid(p.T)
-    T, X = tg[:, None], xg[None, :]
-    if isinstance(d, _Pair):
-        return _pairwise_bound_hypothesis(name, d.f(T, X), d.coeff(tg), tg, xg, c.tol)
-    lhs, rhs = np.broadcast_arrays(d.lhs(T, X), d.rhs(T, X))
-    return _grid_bound_hypothesis(name, lhs, rhs, tg, xg, c.tol, notes=notes)
+    with np.errstate(all="ignore"):
+        if isinstance(d, _Limit):
+            return _uniform_limit_hypothesis(name, d.ratio, c.limit_ts(p.T), xg,
+                                             c.limit_threshold, c.limit_tail)
+        tg = c.t_grid(p.T)
+        T, X = tg[:, None], xg[None, :]
+        if isinstance(d, _Pair):
+            return _pairwise_bound_hypothesis(name, d.f(T, X), d.coeff(tg), tg,
+                                              xg, c.tol)
+        lhs, rhs = np.broadcast_arrays(d.lhs(T, X), d.rhs(T, X))
+        return _grid_bound_hypothesis(name, lhs, rhs, tg, xg, c.tol, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +671,14 @@ def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
     integrands = [lambda w, eps=float(eps): d.integrand(w, eps) for eps in eg]
     margins = np.empty((len(tg), len(eg)))
     sweeps = sweep_singular_left(family, integrands, tg, d.tol(c, eg).tolist())
-    for ie, sweep in enumerate(sweeps):
-        eps = float(eg[ie])
+    for ie, eps in enumerate(eg.tolist()):
+        try:
+            sweep = next(sweeps)
+        except IntegrandError as exc:
+            return Hypothesis(
+                "H2_osgood_scaled", False, float("nan"),
+                {"kind": "domain_error", "t": exc.where, "eps": eps},
+                notes="omega(eps*v)/lambda is not finite at t")
         if sweep.base.diverged:
             return Hypothesis(
                 "H2_osgood_scaled", False, float("-inf"),

@@ -4,6 +4,15 @@ Expressions are the carrier for the right-hand side f(t, x), the gauge
 functions u(t), v(t), lambda(t) and the comparison function omega(r).
 They are immutable after parsing; evaluation is pure.
 
+An expression has one semantics: the numpy kernel that ``lambdify``
+compiles.  It never raises; a value is nan or inf exactly when some
+intermediate result is (a division by zero, a sqrt/log/power domain
+violation or an overflow).  ``evaluate`` is that kernel at one point and
+raises EvalDomainError where its value is not finite.
+
+Functions: sqrt, abs, exp, log, sin, cos, sign (sign(0) = 0), pow(a, b),
+min(a, b) and max(a, b).
+
 Grammar (conventional precedence, '^' right-associative):
 
     expr   := term (('+'|'-') term)*
@@ -70,7 +79,8 @@ class MissingBindingError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Division by zero, log/power domain violation, or non-finite result."""
+    """A non-finite value: division by zero, a log/sqrt/power domain
+    violation or an overflow at some step of the evaluation."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,104 +294,11 @@ def _free_vars(node: Node, out: set):
 
 
 # ---------------------------------------------------------------------------
-# strict scalar evaluation
-
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
-def _eval(node: Node, env: dict) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise MissingBindingError(f"no binding for variable {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        try:
-            if node.op == "+":
-                r = a + b
-            elif node.op == "-":
-                r = a - b
-            elif node.op == "*":
-                r = a * b
-            elif node.op == "/":
-                if b == 0.0:
-                    raise EvalDomainError(f"division by zero: {a!r}/{b!r}")
-                r = a / b
-            else:  # ^
-                r = _pow_checked(a, b)
-        except OverflowError:
-            raise EvalDomainError(f"overflow in {a!r} {node.op} {b!r}") from None
-        _check_finite(r, node)
-        return r
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        r = _call_checked(node.fn, args)
-        _check_finite(r, node)
-        return r
-    raise TypeError(node)
-
-
-def _pow_checked(a: float, b: float) -> float:
-    if a == 0.0 and b < 0.0:
-        raise EvalDomainError(f"zero base with negative exponent: {a!r}^{b!r}")
-    if a < 0.0 and b != math.floor(b):
-        raise EvalDomainError(f"negative base with fractional exponent: {a!r}^{b!r}")
-    try:
-        return math.pow(a, b)
-    except ValueError:
-        raise EvalDomainError(f"power domain error: {a!r}^{b!r}") from None
-
-
-def _call_checked(fn: str, args: list) -> float:
-    a = args[0]
-    try:
-        if fn == "sqrt":
-            if a < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {a!r}")
-            return math.sqrt(a)
-        if fn == "abs":
-            return abs(a)
-        if fn == "exp":
-            return math.exp(a)
-        if fn == "log":
-            if a <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {a!r}")
-            return math.log(a)
-        if fn == "sin":
-            return math.sin(a)
-        if fn == "cos":
-            return math.cos(a)
-        if fn == "sign":
-            return _sign(a)
-        if fn == "pow":
-            return _pow_checked(a, args[1])
-        if fn == "min":
-            return min(a, args[1])
-        if fn == "max":
-            return max(a, args[1])
-    except OverflowError:
-        raise EvalDomainError(f"overflow in {fn}({args!r})") from None
-    raise EvalDomainError(f"unknown function {fn!r}")
-
-
-def _check_finite(r: float, node: Node):
-    if not math.isfinite(r):
-        raise EvalDomainError(f"non-finite result in {_serialize(node)}")
-
-
-# ---------------------------------------------------------------------------
 # vectorized numpy compilation
+
+def _nan_where_nan(a, b, value):
+    return np.where(np.isnan(a) | np.isnan(b), np.nan, value)
+
 
 _NP_ENV = {
     "sqrt": np.sqrt,
@@ -391,19 +308,23 @@ _NP_ENV = {
     "sin": np.sin,
     "cos": np.cos,
     "sign": np.sign,
-    "pow": np.power,
+    "pow": lambda a, b: _nan_where_nan(a, b, np.power(a, b)),
     "min": np.minimum,
     "max": np.maximum,
+    "power": lambda a, b: _nan_where_nan(a, b, a ** b),
     "asarray": np.asarray,
     "float64": np.float64,
     "finite_or_nan": lambda a: np.where(np.isfinite(a), a, np.nan),
     "__builtins__": {},
 }
 
-# Strict evaluation raises on every non-finite intermediate result.  Most
-# operations carry a non-finite operand into a non-finite result anyway;
-# these can turn it finite (c/inf = 0, exp(-inf) = 0, min(inf, c) = c,
-# 1^nan = 1, sign(inf) = 1), so the kernel maps such operands to nan.
+# An expression's value is non-finite exactly when one of its intermediate
+# results is.  Most operations carry a non-finite operand into a non-finite
+# result anyway; these can turn it finite (c/inf = 0, exp(-inf) = 0,
+# min(inf, c) = c, sign(inf) = 1, 1^inf = 1), so the kernel maps such an
+# operand to nan.  A power can also turn nan finite (1^nan = nan^0 = 1), so
+# '^' with an intermediate operand and pow() give nan when an operand is
+# nan; they keep '**' and np.power for the value otherwise.
 _ABSORBING_CALLS = frozenset({"exp", "sign", "pow", "min", "max"})
 
 
@@ -415,26 +336,31 @@ def _np_source(node: Node) -> str:
     if isinstance(node, Neg):
         return f"(-{_np_source(node.arg)})"
     if isinstance(node, Bin):
-        op = "**" if node.op == "^" else node.op
-        left, right = _np_source(node.left), _np_source(node.right)
         if node.op == "^":
             left, right = _np_guarded(node.left), _np_guarded(node.right)
-        elif node.op == "/":
-            right = _np_guarded(node.right)
-        return f"({left}{op}{right})"
+            if _is_intermediate(node.left) or _is_intermediate(node.right):
+                return f"power({left}, {right})"
+            return f"({left}**{right})"
+        right = _np_guarded(node.right) if node.op == "/" else _np_source(node.right)
+        return f"({_np_source(node.left)}{node.op}{right})"
     if isinstance(node, Call):
         src = _np_guarded if node.fn in _ABSORBING_CALLS else _np_source
         return f"{node.fn}({', '.join(src(a) for a in node.args)})"
     raise TypeError(node)
 
 
+def _is_intermediate(node: Node) -> bool:
+    """True for an operation's result, False for a (negated) number or
+    variable."""
+    while isinstance(node, Neg):
+        node = node.arg
+    return isinstance(node, (Bin, Call))
+
+
 def _np_guarded(node: Node) -> str:
     """Source of an operand of an absorbing operation: an intermediate
     result is passed through finite_or_nan; a number or variable is not."""
-    inner = node
-    while isinstance(inner, Neg):
-        inner = inner.arg
-    if isinstance(inner, (Bin, Call)):
+    if _is_intermediate(node):
         return f"finite_or_nan({_np_source(node)})"
     return _np_source(node)
 
@@ -609,11 +535,22 @@ class Expression:
         return _serialize(self.root)
 
     def evaluate(self, bindings: dict) -> float:
-        """Strict scalar evaluation; raises EvalDomainError / MissingBindingError."""
-        return _eval(self.root, bindings)
-
-    def __call__(self, **bindings) -> float:
-        return self.evaluate(bindings)
+        """The compiled kernel at one point: lambdify's function of the free
+        variables, called with one-element arrays of their bound values.
+        Raises MissingBindingError when a free variable has no binding and
+        EvalDomainError when the value is not finite."""
+        names = tuple(sorted(self.free_vars))
+        try:
+            point = [float(bindings[n]) for n in names]
+        except KeyError as exc:
+            raise MissingBindingError(
+                f"no binding for variable {exc.args[0]!r}") from None
+        value = self._compiled(names)(*[np.array([v]) for v in point]).item()
+        if not math.isfinite(value):
+            at = ", ".join(f"{n}={v!r}" for n, v in zip(names, point))
+            raise EvalDomainError(
+                f"non-finite value {value!r} of {self.serialize()} at ({at})")
+        return value
 
     def diff(self, var: str) -> "Expression":
         return Expression(_diff(self.root, var))
@@ -624,7 +561,10 @@ class Expression:
         The compiled function never raises on domain violations; it returns
         nan/inf there (callers detect non-finite samples).
         """
-        key = tuple(varnames)
+        return self._compiled(tuple(varnames))
+
+    def _compiled(self, key: tuple):
+        """lambdify's function for the signature ``key``, compiled once."""
         cached = self._vector_cache.get(key)
         if cached is not None:
             return cached

@@ -382,13 +382,9 @@ def exp_reparam_check(u: Expression, rep: Reparametrization,
     tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
     ts = rep.t_of_tau(taus, refine=rep.lam is not None)
-    worst = 0.0
-    for tau, t in zip(taus.tolist(), ts.tolist()):
-        residual = abs(u.evaluate({"t": t})
-                       - c * math.exp(-tau + rep.tau_minus)
-                       * math.exp(-rep.tau_minus))
-        worst = max(worst, residual)
-    return worst
+    exact = [c * math.exp(-tau + rep.tau_minus) * math.exp(-rep.tau_minus)
+             for tau in taus.tolist()]
+    return float(np.max(np.abs(u.lambdify(("t",))(ts) - exact)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +478,7 @@ def generalized_reparam(u: Expression, c: float, T: float = 1.0,
     t_start = u_inverse(h(tau_lo))
     t_targets = np.geomspace(t_start, t_start * 1e-8, n_nodes)
     taus = np.empty_like(t_targets)
-    for i, ti in enumerate(t_targets):
-        target_h = u_fn({"t": float(ti)})
+    for i, target_h in enumerate(u.lambdify(("t",))(t_targets).tolist()):
         taus[i] = bisect(lambda s, g=target_h: h(s) - g, tau_lo, tau_end,
                          rtol=1e-14)
     taus[0] = tau_lo

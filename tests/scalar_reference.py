@@ -14,13 +14,19 @@ per-segment adaptive integrals of the H2 and Osgood sweeps.
 at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
 integrator replaced.  Tests require the batched code to reproduce them bit
 for bit.
+
+``evaluate`` is the strict tree-walker that ``Expression.evaluate`` was
+before it became the compiled kernel at one point.  It computes in ``math``,
+so tests require agreement to rounding, and the same domain errors.
 """
 import heapq
 import math
 
 import numpy as np
 
-from odeuniq.expr import Expression
+from odeuniq.expr import (
+    Bin, Call, EvalDomainError, Expression, MissingBindingError, Neg, Node,
+    Num, Var, _serialize)
 from odeuniq.quadrature import (
     _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
     IntegrandError, QuadResult, _eval_vectorized, _tail_driver,
@@ -482,3 +488,106 @@ def forward_spread(f, t0: float, delta: float, T: float,
                 f"forward leg did not complete ({traj.status})", t0, x0)
         ends.append(traj.x_end)
     return max(abs(a - b) for a in ends for b in ends)
+
+
+# ---------------------------------------------------------------------------
+# strict scalar expression evaluation
+
+def evaluate(expr: Expression, bindings: dict) -> float:
+    """Walk expr's tree in math; raises EvalDomainError at the first
+    non-finite intermediate result."""
+    return _eval(expr.root, bindings)
+
+
+def _sign(x: float) -> float:
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _eval(node: Node, env: dict) -> float:
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return float(env[node.name])
+        except KeyError:
+            raise MissingBindingError(f"no binding for variable {node.name!r}") from None
+    if isinstance(node, Neg):
+        return -_eval(node.arg, env)
+    if isinstance(node, Bin):
+        a = _eval(node.left, env)
+        b = _eval(node.right, env)
+        try:
+            if node.op == "+":
+                r = a + b
+            elif node.op == "-":
+                r = a - b
+            elif node.op == "*":
+                r = a * b
+            elif node.op == "/":
+                if b == 0.0:
+                    raise EvalDomainError(f"division by zero: {a!r}/{b!r}")
+                r = a / b
+            else:  # ^
+                r = _pow_checked(a, b)
+        except OverflowError:
+            raise EvalDomainError(f"overflow in {a!r} {node.op} {b!r}") from None
+        _check_finite(r, node)
+        return r
+    if isinstance(node, Call):
+        args = [_eval(a, env) for a in node.args]
+        r = _call_checked(node.fn, args)
+        _check_finite(r, node)
+        return r
+    raise TypeError(node)
+
+
+def _pow_checked(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise EvalDomainError(f"zero base with negative exponent: {a!r}^{b!r}")
+    if a < 0.0 and b != math.floor(b):
+        raise EvalDomainError(f"negative base with fractional exponent: {a!r}^{b!r}")
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise EvalDomainError(f"power domain error: {a!r}^{b!r}") from None
+
+
+def _call_checked(fn: str, args: list) -> float:
+    a = args[0]
+    try:
+        if fn == "sqrt":
+            if a < 0.0:
+                raise EvalDomainError(f"sqrt of negative value {a!r}")
+            return math.sqrt(a)
+        if fn == "abs":
+            return abs(a)
+        if fn == "exp":
+            return math.exp(a)
+        if fn == "log":
+            if a <= 0.0:
+                raise EvalDomainError(f"log of non-positive value {a!r}")
+            return math.log(a)
+        if fn == "sin":
+            return math.sin(a)
+        if fn == "cos":
+            return math.cos(a)
+        if fn == "sign":
+            return _sign(a)
+        if fn == "pow":
+            return _pow_checked(a, args[1])
+        if fn == "min":
+            return min(a, args[1])
+        if fn == "max":
+            return max(a, args[1])
+    except OverflowError:
+        raise EvalDomainError(f"overflow in {fn}({args!r})") from None
+    raise EvalDomainError(f"unknown function {fn!r}")
+
+
+def _check_finite(r: float, node: Node):
+    if not math.isfinite(r):
+        raise EvalDomainError(f"non-finite result in {_serialize(node)}")

@@ -95,6 +95,19 @@ def test_check_eps_range_exit_two(problem_file, capsys, flag, value):
     assert "config error" in capsys.readouterr().err
 
 
+def test_check_h2_domain_error_writes_report(problem_file, tmp_path, capsys):
+    # omega(eps*v)/lambda is nan where eps*t < 2^-30
+    out = str(tmp_path / "report.json")
+    code = main(["check", "--problem", problem_file(
+        {"f": "0", "u": "t", "omega": "r*sqrt(r - 2^-30)"}),
+        "--criteria", "theorem1-reduced", "--out", out])
+    assert code == 1
+    assert "theorem1-reduced: fail" in capsys.readouterr().out
+    (rep,) = json.loads(open(out).read())["reports"]
+    h2 = next(h for h in rep["hypotheses"] if h["name"] == "H2_osgood_scaled")
+    assert h2["witness"]["kind"] == "domain_error"
+
+
 def test_check_report_matches_library(problem_file, tmp_path):
     out = str(tmp_path / "report.json")
     main(["check", "--problem", problem_file(TX),

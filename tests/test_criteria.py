@@ -310,6 +310,26 @@ def test_omega_domain_witness_reverifies():
     assert reverify(p, CFG, rep)
 
 
+@pytest.mark.parametrize("spec", [
+    # lambda underflows to 0 near 0+: omega(eps*v)/lambda = r/0
+    pytest.param({"f": "0", "v": "t", "lambda": "exp(-1/t)", "omega": "r"},
+                 id="v=t-lambda=exp(-1/t)-r"),
+    # the reduced pair of u = t: omega(eps*t) is nan below eps*t = 2^-30
+    pytest.param({"f": "0", "u": "t", "omega": "r*sqrt(r - 2^-30)"},
+                 id="reduced-t-r*sqrt(r - 2^-30)"),
+])
+def test_h2_nonfinite_integrand_fails(spec):
+    p = ProblemSpec.from_dict(spec)
+    if p.u is not None:
+        p = reduce_problem(p)
+    rep = check_theorem_main(p, CFG)
+    h2 = rep.hypothesis("H2_osgood_scaled")
+    assert not h2.passed and math.isnan(h2.worst_margin)
+    assert h2.witness["kind"] == "domain_error"
+    assert set(h2.witness) == {"kind", "t", "eps"}
+    assert reverify(p, CFG, rep)
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 

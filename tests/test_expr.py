@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import scalar_reference
 from odeuniq.expr import (
+    FUNCTIONS,
     EvalDomainError,
     Expression,
     ExprSyntaxError,
@@ -169,13 +171,14 @@ def test_derivative_matches_finite_difference(src, t):
 def _expr_trees(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         leaf = draw(st.one_of(
-            st.floats(min_value=0.0, max_value=9.0).map(lambda v: repr(round(v, 3))),
-            st.sampled_from(["t", "x"])))
+            st.floats(min_value=-9.0, max_value=9.0).map(lambda v: repr(round(v, 3))),
+            st.sampled_from(["0", "t", "x"])))
         return leaf
-    op = draw(st.sampled_from(["+", "-", "*", "/"]))
-    a = draw(_expr_trees(depth=depth + 1))
-    b = draw(_expr_trees(depth=depth + 1))
-    return f"({a} {op} {b})"
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^", *FUNCTIONS]))
+    args = [draw(_expr_trees(depth=depth + 1)) for _ in range(FUNCTIONS.get(op, 2))]
+    if op in FUNCTIONS:
+        return f"{op}({', '.join(args)})"
+    return f"({args[0]} {op} {args[1]})"
 
 
 @given(_expr_trees())
@@ -188,16 +191,27 @@ def test_serialize_parse_round_trip(src):
 
 @given(_expr_trees(), st.floats(min_value=0.1, max_value=3.0),
        st.floats(min_value=-2.0, max_value=2.0))
-@example("(0.0 + (0.0 / (1.0 / 0.0)))", 1.0, 0.0)  # 0/inf: strict raises
-@settings(max_examples=100, deadline=None)
+@example("(0.0 + (0.0 / (1.0 / 0.0)))", 1.0, 0.0)  # 0/inf = 0
+# a power turns a non-finite operand finite: 1^nan = nan^0 = inf^0 = 1^inf = 1
+@example("(1 ^ sqrt(0 - 1))", 1.0, 0.0)
+@example("(sqrt(0 - 1) ^ 0)", 1.0, 0.0)
+@example("((1 / 0) ^ 0)", 1.0, 0.0)
+@example("(1 ^ (1 / 0))", 1.0, 0.0)
+@settings(max_examples=300, deadline=None)
 def test_lambdify_agrees_with_scalar_eval(src, t, x):
+    """evaluate and lambdify against the strict tree-walker: the same domain
+    errors, values to rounding (numpy's exp and power are not math's), and
+    evaluate is lambdify at one point bit for bit."""
     e = parse(src, allowed_vars={"t", "x"})
-    fn = e.lambdify(("t", "x"))
+    point = {"t": t, "x": x}
+    vector = float(e.lambdify(("t", "x"))(np.array([t]), np.array([x]))[0])
     try:
-        scalar = e.evaluate({"t": t, "x": x})
+        ref = scalar_reference.evaluate(e, point)
     except EvalDomainError:
-        out = fn(np.array([t]), np.array([x]))[0]
-        assert not np.isfinite(out) or abs(out) > 1e15
+        with pytest.raises(EvalDomainError):
+            e.evaluate(point)
+        assert not np.isfinite(vector)
         return
-    vector = float(fn(np.array([t]), np.array([x]))[0])
-    assert vector == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+    value = e.evaluate(point)
+    assert value == pytest.approx(ref, rel=1e-12)
+    assert value.hex() == vector.hex()
