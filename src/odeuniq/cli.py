@@ -81,12 +81,16 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path, payload):
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
+def _write(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(path, payload):
+    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
+    _write(path, text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -94,11 +98,7 @@ def _write_csv(path, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
                               else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def load_problem(path, T_override=None) -> ProblemSpec:
@@ -214,22 +214,15 @@ def cmd_check(args) -> int:
 # reparam
 
 def cmd_reparam(args) -> int:
-    try:
-        problem = load_problem(args.problem, args.T)
-        if args.t_floor is not None and not (0 < args.t_floor < problem.T):
-            raise ConfigError("reparam: need 0 < t-floor < T")
-        if problem.lam is not None:
-            lam = problem.lam
-            v = problem.v
-        elif problem.u is not None:
-            v, lam = criteria.reduce_to_constantin(problem.u)
-        else:
-            raise ConfigError(
-                "reparam: problem provides neither lambda nor u")
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.problem, args.T)
+    if args.t_floor is not None and not (0 < args.t_floor < problem.T):
+        raise ConfigError("reparam: need 0 < t-floor < T")
+    if problem.lam is not None:
+        v, lam = problem.v, problem.lam
+    elif problem.u is not None:
+        v, lam = criteria.reduce_to_constantin(problem.u)
+    else:
+        raise ConfigError("reparam: problem provides neither lambda nor u")
 
     try:
         rep = reparam_mod.build_tau(lam, problem.T, t_min=args.t_floor)
@@ -287,18 +280,11 @@ def cmd_reparam(args) -> int:
 # solve / funnel
 
 def cmd_solve(args) -> int:
-    try:
-        problem = load_problem(args.problem, args.T)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.problem, args.T)
     t0 = args.t0 if args.t0 is not None else problem.T
     t1 = args.t1 if args.t1 is not None else (args.t_floor or 1e-6 * problem.T)
     if args.rtol <= 0 or args.atol <= 0:
-        print("config error: solve: rtol and atol must be positive",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("solve: rtol and atol must be positive")
     traj = solver_mod.integrate_ivp(problem.f, t0, args.x0, t1,
                                     rtol=args.rtol, atol=args.atol)
     rows = list(zip(traj.t.tolist(), traj.x.tolist(), traj.xdot.tolist(),
@@ -309,18 +295,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_funnel(args) -> int:
-    try:
-        problem = load_problem(args.problem, args.T)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.problem, args.T)
     n = args.n if args.n is not None else 201
     t_floor = args.t_floor if args.t_floor is not None else 1e-6 * problem.T
     if n < 3 or not (0 < t_floor < problem.T):
-        print("config error: funnel: need n >= 3 and 0 < t-floor < T",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("funnel: need n >= 3 and 0 < t-floor < T")
     rep = solver_mod.funnel_probe(problem.f, problem.T, n=n, t_floor=t_floor,
                                   rtol=args.rtol, atol=args.atol,
                                   x_bound=problem.x_bound)
@@ -420,14 +399,8 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
 
 
 def cmd_suite(args) -> int:
-    try:
-        config = _build_config(args)
-        rows, alarms = run_suite(args.corpus, config,
-                                 rtol=args.rtol, atol=args.atol)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+    rows, alarms = run_suite(args.corpus, _build_config(args),
+                             rtol=args.rtol, atol=args.atol)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_dict(args),

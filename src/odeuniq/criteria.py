@@ -24,9 +24,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expr import Bin, Expression, parse
+from .expr import Bin, EvalDomainError, Expression, parse
 from .quadrature import (
     IntegrandError, integrate, integrate_singular_left, sweep_singular_left)
+from .rootfind import _bisect_lanes
 
 __all__ = [
     "ProblemSpec",
@@ -528,12 +529,8 @@ def _osgood_hypothesis(d: _Gate, c: CheckConfig, name="osgood_integral",
                        notes="") -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
     rg = c.r_grid()
-
-    def integrand(s):
-        return d.integrand(s, None)
-
-    sweep = next(sweep_singular_left(lambda s, _members: integrand(s)[None],
-                                     [integrand], rg, [d.tol(c, None)]))
+    sweep = next(sweep_singular_left(
+        lambda s, _members: d.integrand(s, None)[None], rg, [d.tol(c, None)]))
     if sweep.base.diverged:
         return Hypothesis(name, False, float("-inf"),
                           {"kind": "divergent", "r": float(rg[0])},
@@ -668,9 +665,8 @@ def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
         # nodes, omega on the (eps x nodes) block
         return d.integrand(w, eg[members].reshape((-1,) + (1,) * w.ndim))
 
-    integrands = [lambda w, eps=float(eps): d.integrand(w, eps) for eps in eg]
     margins = np.empty((len(tg), len(eg)))
-    sweeps = sweep_singular_left(family, integrands, tg, d.tol(c, eg).tolist())
+    sweeps = sweep_singular_left(family, tg, d.tol(c, eg))
     for ie, eps in enumerate(eg.tolist()):
         try:
             sweep = next(sweeps)
@@ -789,26 +785,42 @@ def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
     t(s) the bisection inverse of the increasing gauge u; the bound
     |g(s, x1) - g(s, x2)| <= |x1 - x2|/s is the Nagumo condition for the
     transformed equation.
+
+    g is an array function: s and x broadcast, and every t(s) is one lane
+    of a lane bisection of the compiled u, so an array call equals the
+    per-point calls bit for bit; a scalar call returns a float.  Where f
+    or u' is not finite, g is nan or inf, as a compiled expression is.  An
+    s outside u_range raises ValueError, and a non-finite u met by the
+    bisection raises EvalDomainError.
     """
-    from .rootfind import bisect
-    du = u.diff("t")
-
-    def u_at(t):
-        return u.evaluate({"t": t})
-
-    u_hi = u_at(T)
+    u_fn, f_fn = u.lambdify(("t",)), f.lambdify(("t", "x"))
+    du_fn = u.diff("t").lambdify(("t",))
     t_lo = 1e-12 * T
-
-    def t_of_s(s):
-        if not (u_at(t_lo) <= s <= u_hi):
-            raise ValueError(f"u-value {s!r} outside the gauge range")
-        return bisect(lambda t: u_at(t) - s, t_lo, T)
+    u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
 
     def g(s, x):
-        t = t_of_s(s)
-        return f.evaluate({"t": t, "x": x}) / du.evaluate({"t": t})
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                                   np.asarray(x, dtype=np.float64))
+        targets = s.ravel()
+        for target in targets.tolist():
+            if not (u_lo <= target <= u_hi):
+                raise ValueError(f"u-value {target!r} outside the gauge range")
 
-    return g, (u_at(t_lo), u_hi)
+        def residual(ts, lanes):
+            # u(t_lo) - s <= 0 <= u(T) - s: every bracket holds a root
+            r = (u_fn(np.array(ts)) - targets[lanes]).tolist()
+            bad = [ti for ri, ti in zip(r, ts) if not math.isfinite(ri)]
+            if bad:
+                raise EvalDomainError(f"u is not finite at t={bad[0]!r}")
+            return r
+
+        n = targets.size
+        t = np.reshape(_bisect_lanes(residual, [t_lo] * n, [T] * n), s.shape)
+        with np.errstate(all="ignore"):
+            out = f_fn(t, x) / du_fn(t)
+        return float(out) if out.ndim == 0 else out
+
+    return g, (u_lo, u_hi)
 
 
 # ---------------------------------------------------------------------------

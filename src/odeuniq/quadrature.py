@@ -9,26 +9,25 @@ geometric tail extrapolation for the convergence decision and an explicit,
 documented divergence heuristic.
 
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
-integrands from 0+ to every point of a grid.  The geometric panels below
-the first grid point and the grid segments are evaluated as GK15 panels in
-batches, one family call per block of panels; a panel is accepted when all
+integrands from 0+ to every point of a grid, as GK15 panels sampled in
+batches, one family call per block of panels.  A panel is accepted when
 its samples are finite and its Kronrod-Gauss difference is within the
-member's panel tolerance.  Every other panel is redone by the scalar
-adaptive ``integrate`` on that member's own integrand, so errors,
-divergence and convergence flags are exactly those of a panel-by-panel
-loop.  ``integrate_singular_left`` is the one-member case.
+member's panel tolerance; any other panel is redone by the adaptive
+``integrate`` on that member alone, so values, errors and flags are those
+of a panel-by-panel loop.  ``integrate_singular_left`` is the one-member
+case.
 
-The adaptive integrator runs independent integrals as lanes in lockstep.
-Every lane keeps the one-interval loop's heap, freeze rule, budget,
-termination test (the ``sum`` over the heap) and left-ordered final
-reduction, and each round samples the next panels of all running lanes in
-one call of the integrand.  ``integrate`` is the one-lane case.  The lanes
-reproduce the one-interval loop bit for bit: each panel's rule is reduced
-with ``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row (the
-batched sweep's ``y @ W`` does not); a non-finite sample ends its lane with
-the ``IntegrandError`` of the loop's panel and node order; and an
-integrand that cannot take the panel array is sampled panel by panel,
-never past a lane's first failing panel.
+The adaptive integrator runs independent integrals as lanes in lockstep,
+one integrand call per round for the next panels of all running lanes;
+``integrate`` is the one-lane case.  Every lane keeps the one-interval
+loop's heap, freeze rule, budget, termination test (the ``sum`` over the
+heap) and left-ordered reduction, and reproduces it bit for bit: each
+panel's rule is reduced with ``np.vecdot``, which gives the bits of
+``np.dot(W, y)`` per row (the sweep's ``y @ W`` does not), and a
+non-finite sample ends its lane with the loop's ``IntegrandError``.
+
+Integrands are array functions: ``g(x)`` maps an array of points to an
+array of x's shape, or to a value that broadcasts to it.
 """
 from __future__ import annotations
 
@@ -37,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rootfind import _lockstep
 
 __all__ = [
     "QuadResult",
@@ -117,22 +118,11 @@ _W_GAUSS = np.concatenate([_w_gauss_half[:-1], _w_gauss_half[::-1]])
 _W_PAIR = np.stack([_W_KRONROD, _W_GAUSS])
 
 
-def _on_array(g, x: np.ndarray):
-    """g(x) as a float array of x's shape, or None when g does not map x
-    to one."""
-    try:
-        y = np.asarray(g(x), dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
-    return y if y.shape == x.shape else None
-
-
-def _eval_vectorized(g, x: np.ndarray) -> np.ndarray:
-    """Evaluate g on an array, falling back to a scalar loop."""
-    y = _on_array(g, x)
-    if y is None:
-        y = np.array([float(g(xi)) for xi in x], dtype=np.float64)
-    return y
+def _sample(g, x: np.ndarray) -> np.ndarray:
+    """g on the array x, as a float array of x's shape."""
+    y = np.asarray(g(x), dtype=np.float64)
+    # broadcast_to costs more than the rest: only for a broadcast value
+    return y if y.shape == x.shape else np.broadcast_to(y, x.shape)
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-10,
@@ -160,7 +150,7 @@ def _integrate_lanes(g, a, b, tol: float = 1e-10,
     Every lane runs ``integrate``'s adaptive loop (``_adapt``) on its own
     heap.  Each round evaluates the panels every running lane asks for
     next, its whole interval first and then the two halves of the panel it
-    splits, in one call of g (``_gk15_panels``).
+    splits, in one call of the array function g (``_gk15_panels``).
 
     A nan or infinite endpoint raises ValueError before any lane starts.
     """
@@ -170,25 +160,8 @@ def _integrate_lanes(g, a, b, tol: float = 1e-10,
                          if not math.isfinite(end))
         raise ValueError(
             f"non-finite integration endpoint {name}={float(end)!r}")
-    lanes = [_adapt(ai, bi, tol, budget) for ai, bi in zip(a, b)]
-    out = [None] * len(lanes)
-    # a None reply starts a lane
-    running, replies = range(len(lanes)), [None] * len(lanes)
-    while running:
-        ids, asks = [], []  # running lanes and the panels each needs next
-        for i, reply in zip(running, replies):
-            if isinstance(reply, IntegrandError):
-                out[i] = reply
-                continue
-            try:
-                asks.append(lanes[i].send(reply))
-                ids.append(i)
-            except StopIteration as stop:
-                out[i] = stop.value
-        running = ids
-        if running:
-            replies = _gk15_panels(g, asks)
-    return out
+    return _lockstep([_adapt(ai, bi, tol, budget) for ai, bi in zip(a, b)],
+                     lambda asks, _ids: _gk15_panels(g, asks))
 
 
 def _gk15_panels(g, asks: list) -> list:
@@ -209,7 +182,7 @@ def _gk15_panels(g, asks: list) -> list:
             mids.append(0.5 * (a + b))
             halves.append(0.5 * (b - a))
     x = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
-    y = _sample_panels(g, x, asks)
+    y = _sample(g, x)
     with np.errstate(all="ignore"):
         dots = np.vecdot(y[:, None], _W_PAIR).tolist()
     replies = []
@@ -229,25 +202,6 @@ def _gk15_panels(g, asks: list) -> list:
         replies.append(pairs)
         p += len(panels)
     return replies
-
-
-def _sample_panels(g, x: np.ndarray, asks: list) -> np.ndarray:
-    """g on the panel nodes x.  A g that does not map x to an array of its
-    shape is sampled panel by panel, as the one-panel rule samples it:
-    each lane's panels in order, none after its first panel with a
-    non-finite sample (those rows stay nan)."""
-    y = _on_array(g, x)
-    if y is not None:
-        return y
-    y = np.full(x.shape, math.nan)
-    p = 0
-    for panels in asks:
-        for q in range(p, p + len(panels)):
-            y[q] = _eval_vectorized(g, x[q])
-            if not np.isfinite(y[q]).all():
-                break
-        p += len(panels)
-    return y
 
 
 def _adapt(a: float, b: float, tol: float, budget: int):
@@ -348,8 +302,9 @@ def integrate_singular_left(g, b: float, tol: float = 1e-10,
     """
     if not (b > 0.0):
         raise ValueError(f"integrate_singular_left requires b > 0, got {b!r}")
-    sweeps = sweep_singular_left(_family_of(g), [g], [b], [tol],
-                                 budget=budget, max_panels=max_panels)
+    sweeps = sweep_singular_left(lambda x, _members: _sample(g, x)[None],
+                                 [b], [tol], budget=budget,
+                                 max_panels=max_panels)
     return next(sweeps).base
 
 
@@ -376,31 +331,29 @@ _FIRST_CHUNK = 64
 _BLOCK_SAMPLES = 1 << 16
 
 
-def sweep_singular_left(family, integrands, grid, tols,
-                        budget: int = DEFAULT_BUDGET, max_panels: int = 1200):
+def sweep_singular_left(family, grid, tols, budget: int = DEFAULT_BUDGET,
+                        max_panels: int = 1200):
     """Integrate every member of a family from 0+ to every grid point.
 
     ``family(x, members)`` samples the members listed by the index array
-    ``members`` at the points ``x`` and returns an array of shape
-    ``(len(members),) + x.shape``.  ``integrands[i]`` is member i alone;
-    it redoes, through the scalar ``integrate``, every panel the batch
-    does not accept.  ``grid`` is strictly increasing with grid[0] > 0,
-    and ``tols[i]`` is member i's tolerance for the base integral over
-    (0, grid[0]] and for each grid segment.
+    ``members`` at the points ``x`` (an array) and returns an array of
+    shape ``(len(members),) + x.shape``.  Member i has the tolerance
+    ``tols[i]`` for the base integral over (0, grid[0]] and for each
+    segment of ``grid``, which is strictly increasing with grid[0] > 0.
+    A panel the batch does not accept is redone by ``integrate`` on
+    ``family(x, [i])[0]``.
 
-    Yields one ``Sweep`` per member, in member order.  The base is the
-    geometric-panel integral of ``integrate_singular_left`` and each
-    segment one adaptive integral, with the values, flags and
-    ``IntegrandError`` of that panel-by-panel loop.  The work is done
-    lazily: a caller that stops iterating, e.g. at a divergent base, never
-    sees an error that the loop would have met at a later member.
+    Yields one ``Sweep`` per member of ``tols``, in order, with the
+    values, flags and ``IntegrandError`` of the panel-by-panel loop.  The
+    work is lazy: a caller that stops iterating, e.g. at a divergent base,
+    never sees an error that the loop would have met at a later member.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not (grid.ndim == 1 and grid.size and grid[0] > 0.0
             and np.all(np.diff(grid) > 0.0)):
         raise ValueError("sweep grid must be strictly increasing with grid[0] > 0")
-    n_members = len(integrands)
-    tols = np.broadcast_to(np.asarray(tols, dtype=np.float64), (n_members,))
+    tols = np.asarray(tols, dtype=np.float64)
+    n_members = len(tols)
     edges = [float(grid[0])]  # base panel k is [edges[k+1], edges[k]]
     blocks: dict = {}
 
@@ -416,7 +369,11 @@ def sweep_singular_left(family, integrands, grid, tols,
         first, _, k, err, finite = hit
         return k[i - first], err[i - first], finite[i - first]
 
-    def base_panels(i):
+    def member(i):
+        idx = np.array([i])
+        return lambda x: family(x, idx)[0]
+
+    def base_panels(i, alone):
         start, size = 0, _FIRST_CHUNK
         while start < max_panels:
             stop = min(start + size, max_panels)
@@ -433,15 +390,15 @@ def sweep_singular_left(family, integrands, grid, tols,
                 if okj:
                     yield kj, ej
                 else:
-                    res = integrate(integrands[i], edges[start + j + 1],
+                    res = integrate(alone, edges[start + j + 1],
                                     edges[start + j], tol=float(ptol[j]),
                                     budget=min(budget, 200))
                     yield res.value, res.abs_error_estimate
             start, size = stop, 2 * size
 
     for i in range(n_members):
-        tol = float(tols[i])
-        base = _tail_driver(base_panels(i), tol, max_panels)
+        tol, alone = float(tols[i]), member(i)
+        base = _tail_driver(base_panels(i, alone), tol, max_panels)
         values = np.full(grid.size, math.nan)
         converged = np.zeros(grid.size, dtype=bool)
         values[0], converged[0] = base.value, base.converged
@@ -450,7 +407,7 @@ def sweep_singular_left(family, integrands, grid, tols,
             seg = k.copy()
             ok = _accepted(k, err, finite, tol)
             for j in np.flatnonzero(~ok).tolist():
-                res = integrate(integrands[i], float(grid[j]),
+                res = integrate(alone, float(grid[j]),
                                 float(grid[j + 1]), tol=tol, budget=budget)
                 seg[j], ok[j] = res.value, res.converged
             values[1:] = seg
@@ -463,7 +420,7 @@ def _gk15_block(family, members, lo: np.ndarray, hi: np.ndarray):
     """GK15 panels [lo[p], hi[p]] for the listed members in one family
     call: Kronrod values, error estimates and all-samples-finite flags,
     each of shape (len(members), len(lo)).  Non-finite samples only clear
-    the flag; the scalar path raises on them if the panel is needed."""
+    the flag; ``integrate`` raises on them if the panel is needed."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
@@ -478,20 +435,6 @@ def _accepted(k, err, finite, tol):
     """Panels on which one GK15 step of ``integrate`` converges: finite
     samples, error within tol and no divergence flag."""
     return finite & (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
-
-
-def _family_of(g):
-    """g as a one-member family.  A g that does not map an array of points
-    to an array of the same shape samples as nan, so that every panel goes
-    through the scalar path with its own fallback."""
-
-    def family(x, _members):
-        y = _on_array(g, x)
-        if y is None:
-            y = np.full(x.shape, math.nan)
-        return y[None]
-
-    return family
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10,

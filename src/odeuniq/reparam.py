@@ -46,7 +46,6 @@ __all__ = [
     "ReparamError",
     "DegenerateReparamError",
     "build_tau",
-    "t_of_tau",
     "verify_fixed_point",
     "transform",
     "alpha_l1_check",
@@ -210,11 +209,7 @@ class Reparametrization:
 
 def _inv_lam_fn(lam: Expression):
     lam_v = lam.lambdify(("t",))
-
-    def fn(t):
-        return 1.0 / lam_v(t)
-
-    return fn
+    return lambda t: 1.0 / lam_v(t)
 
 
 def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
@@ -268,11 +263,6 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
                              t_table=t_nodes, tau_table=taus, lam=lam)
 
 
-def t_of_tau(rep: Reparametrization, tau: float, refine: bool = True) -> float:
-    """Module-level convenience for the monotone-interpolated inverse."""
-    return rep.t_of_tau(tau, refine=refine)
-
-
 def verify_fixed_point(rep: Reparametrization, lam: Expression,
                        tol: float = 1e-9, n_tau: int = 50) -> float:
     """Max residual of t(tau) = int_tau^tau_plus lambda(t(s)) ds on a tau grid.
@@ -283,12 +273,8 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
     tau_hi = rep.tau_horizon
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
     lam_v = lam.lambdify(("t",))
-
-    def integrand(s):
-        return lam_v(rep.t_of_tau(s))
-
-    quads = _integrate_lanes(integrand, taus.tolist(), [tau_hi] * n_tau,
-                             tol=min(tol * 1e-2, 1e-9))
+    quads = _integrate_lanes(lambda s: lam_v(rep.t_of_tau(s)), taus.tolist(),
+                             [tau_hi] * n_tau, tol=min(tol * 1e-2, 1e-9))
     worst = 0.0
     for res, t in zip(quads, rep.t_of_tau(taus).tolist()):
         if isinstance(res, IntegrandError):
@@ -356,11 +342,8 @@ def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
     """Residual of int_tau^tau_plus alpha(s) ds = int_0+^t(tau) v(w)/lambda(w) dw."""
     v_fn = v.lambdify(("t",))
     lam_fn = lam.lambdify(("t",))
-
-    def alpha_fn(s):
-        return v_fn(rep.t_of_tau(s))
-
-    left = integrate(alpha_fn, float(tau), rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
+    left = integrate(lambda s: v_fn(rep.t_of_tau(s)), float(tau),
+                     rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
     t_at = rep.t_of_tau(float(tau), refine=rep.lam is not None)
     right = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), t_at,
                                     tol=1e-11)
@@ -423,7 +406,7 @@ class GeneralizedReparam:
 
 
 def generalized_reparam(u: Expression, c: float, T: float = 1.0,
-                        tol: float = 1e-12, n_nodes: int = 300) -> GeneralizedReparam:
+                        n_nodes: int = 300) -> GeneralizedReparam:
     """Extract t(tau) = u^{-1}(c*exp(-tau) - 1/tau) on the monotone-decreasing
     sub-domain where the right-hand side is positive and within u's range.
 
@@ -464,18 +447,16 @@ def generalized_reparam(u: Expression, c: float, T: float = 1.0,
 
     t_floor = 1e-12 * T
     u_lo = u_fn({"t": t_floor})
-
-    def u_inverse(target):
-        # clamp away the last-bit overshoot from the tau_lo bisection
-        target = min(max(target, u_lo), u_max)
-        if target >= u_max:
-            return T
-        if target <= u_lo:
-            return t_floor
-        return bisect(lambda t: u_fn({"t": t}) - target, t_floor, T,
-                      rtol=1e-13)
-
-    t_start = u_inverse(h(tau_lo))
+    # u^-1(h(tau_lo)), clamped against the last-bit overshoot of the tau_lo
+    # bisection
+    target = min(max(h(tau_lo), u_lo), u_max)
+    if target >= u_max:
+        t_start = T
+    elif target <= u_lo:
+        t_start = t_floor
+    else:
+        t_start = bisect(lambda t: u_fn({"t": t}) - target, t_floor, T,
+                         rtol=1e-13)
     t_targets = np.geomspace(t_start, t_start * 1e-8, n_nodes)
     taus = np.empty_like(t_targets)
     for i, target_h in enumerate(u.lambdify(("t",))(t_targets).tolist()):

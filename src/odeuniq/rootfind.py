@@ -7,6 +7,7 @@ The lane bisection runs many independent brackets in lockstep: each round
 sends every running lane's next point through one residual call.  Every
 lane repeats the one-bracket loop exactly (same points, same comparisons,
 same stopping rules and messages), and ``bisect`` is its one-lane case.
+The lockstep loop, ``_lockstep``, also runs the quadrature's lanes.
 """
 from __future__ import annotations
 
@@ -37,28 +38,34 @@ def _bisect_lanes(fn, lo, hi, rtol: float = 1e-12, max_iter: int = 200,
     at the bracket ends.  Returns, per lane, its root or its exception
     (a BracketError, or the one from fn).
     """
-    n = len(lo)
-    unknown = [None] * n
+    unknown = [None] * len(lo)
     lanes = [_bisect_lane(*args, rtol, max_iter) for args in
              zip(lo, hi, unknown if flo is None else flo,
                  unknown if fhi is None else fhi)]
-    out = [None] * n
-    # a None reply starts a lane
-    running, replies = range(n), unknown
+    return _lockstep(lanes, fn)
+
+
+def _lockstep(lanes, evaluate) -> list:
+    """Run coroutine lanes in lockstep; returns, per lane, its return value
+    or the exception instance sent to it in place of a reply.  Each round
+    ``evaluate(asks, ids)`` answers what the listed running lanes ask for
+    next, one reply per lane; a None reply starts a lane."""
+    out = [None] * len(lanes)
+    running, replies = range(len(lanes)), [None] * len(lanes)
     while running:
-        ids, points = [], []
-        for i, f in zip(running, replies):
-            if isinstance(f, Exception):
-                out[i] = f
+        ids, asks = [], []
+        for i, reply in zip(running, replies):
+            if isinstance(reply, Exception):
+                out[i] = reply
                 continue
             try:
-                points.append(lanes[i].send(f))
+                asks.append(lanes[i].send(reply))
                 ids.append(i)
             except StopIteration as stop:
                 out[i] = stop.value
         running = ids
         if running:
-            replies = fn(points, ids)
+            replies = evaluate(asks, ids)
     return out
 
 

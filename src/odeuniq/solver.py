@@ -8,11 +8,12 @@ probes stop at a configurable positive floor.  Probe outputs are evidence,
 never proof: only the criterion checkers speak to uniqueness theorems.
 
 One lane integrator advances a batch of independent legs in lockstep.
-Each of the six stages is one compiled-expression call over the running
-lanes; every lane has its own step size, direction, end point, minimal
-step and status, and leaves the batch when it finishes.  funnel_probe
-integrates its backward legs and its forward spread legs as one batch,
-forward_spread is the three-lane case and integrate_ivp the one-lane case.
+Each of the six stages is one call of f, a compiled expression or an
+array function, over the running lanes; every lane has its own step size,
+direction, end point, minimal step and status, and leaves the batch when
+it finishes.  funnel_probe integrates its backward legs and its forward
+spread legs as one batch, forward_spread is the three-lane case and
+integrate_ivp the one-lane case.
 
 Every lane repeats the scalar loop's accept/reject sequence bit for bit:
 the stage and solution sums are accumulated term by term in tableau order,
@@ -111,30 +112,6 @@ class Trajectory:
         return h00 * x0 + h10 * d0 + h01 * x1 + h11 * d1
 
 
-def _lane_f(f):
-    """f_lanes(t, x, out, prior) writes f(t, x) of every lane into out.
-
-    An Expression is one compiled call over all lanes; its value is
-    non-finite where the sample is.  A callable f is called lane by lane
-    with Python floats, and not for a lane whose earlier stage values
-    ``prior`` hold a non-finite value: the one-lane loop stopped there.
-    """
-    if isinstance(f, Expression):
-        fl = f.lambdify(("t", "x"))
-
-        def f_lanes(t, x, out, prior):
-            out[...] = fl(t, x)
-
-        return f_lanes
-
-    def f_lanes(t, x, out, prior):
-        out.fill(np.nan)
-        for i in np.flatnonzero(np.isfinite(prior).all(axis=0)).tolist():
-            out[i] = float(f(float(t[i]), float(x[i])))
-
-    return f_lanes
-
-
 def _sum_rows(*rows):
     """Coefficient columns for a running sum over the rows of the stage
     array: row 0 holds +0 and rows 1..7 hold f at stages 1..7.  A tableau
@@ -161,12 +138,14 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     in lockstep.  Returns, per lane, its Trajectory, or the
     SolverDomainError of a non-finite f at its start point.
 
-    Each iteration takes one Dormand-Prince step on every running lane:
-    every stage is one f call over the lanes, and each lane keeps its own
-    step size, direction, end point and minimal step.  A lane leaves the
-    batch when it completes or its step size underflows; lanes still
-    running after max_steps iterations (steps, rejected ones included)
-    exhaust the budget.
+    f is an Expression in t and x, or an array function: f(t, x) maps the
+    lanes' arrays t and x to an array of their shape, or to a value that
+    broadcasts to it.  Each iteration takes one Dormand-Prince step on
+    every running lane: every stage is one f call over the lanes, and each
+    lane keeps its own step size, direction, end point and minimal step.
+    A lane leaves the batch when it completes or its step size underflows;
+    lanes still running after max_steps iterations (steps, rejected ones
+    included) exhaust the budget.
 
     A non-finite stage value, like an overflowing solution, makes the error
     ratio non-finite, so the lane rejects the step with factor 0.1, as the
@@ -174,10 +153,11 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     """
     t0, x0, t1 = (np.array(a, dtype=np.float64).ravel()
                   for a in np.broadcast_arrays(t0, x0, t1))
-    f_lanes = _lane_f(f)
+    if isinstance(f, Expression):
+        f = f.lambdify(("t", "x"))
     f0 = np.empty_like(t0)
     with np.errstate(all="ignore"):
-        f_lanes(t0, x0, f0, np.empty((0, t0.size)))
+        f0[...] = f(t0, x0)
     k0 = -f0
     start_ok = np.isfinite(f0)
     out = [None] * t0.size
@@ -220,7 +200,7 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
             t_stage = t + _C_STAGES * h
             for i, a in enumerate(_A_STAGES, 2):
                 s = np.add.accumulate(a * Z[:i], axis=0)[-1]
-                f_lanes(t_stage[i - 2], x + h * s, Z[i], Z[1:i])
+                Z[i] = f(t_stage[i - 2], x + h * s)
             x5, x4 = x + h * np.add.accumulate(_B_PAIR * Z, axis=1)[:, -1]
             err = np.abs(x5 - x4)
             x5_abs = np.abs(x5)
@@ -293,9 +273,11 @@ def integrate_ivp(f, t0: float, x0: float, t1: float,
                   fixed_step: float | None = None) -> Trajectory:
     """Integrate x' = -f(t, x) from (t0, x0) to t1 (either direction).
 
-    Every accepted step's local error estimate satisfies the mixed
-    criterion err <= atol + rtol*max(|x_n|, |x_n+1|).  Step underflow is
-    reported as status='stopped_at_singularity' with the reach point.
+    f is an Expression in t and x, or an array function called on
+    one-element arrays t and x.  Every accepted step's local error
+    estimate satisfies the mixed criterion
+    err <= atol + rtol*max(|x_n|, |x_n+1|).  Step underflow is reported as
+    status='stopped_at_singularity' with the reach point.
 
     With fixed_step set, adaptivity is disabled and every step is accepted
     (used for convergence-order measurements, where the error controller

@@ -29,8 +29,7 @@ from odeuniq.expr import (
     Num, Var, _serialize)
 from odeuniq.quadrature import (
     _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
-    IntegrandError, QuadResult, _eval_vectorized, _tail_driver,
-    integrate_singular_left)
+    IntegrandError, QuadResult, _tail_driver, integrate_singular_left)
 from odeuniq.reparam import Reparametrization, ReparamError, _inv_lam_fn
 from odeuniq.rootfind import BracketError
 from odeuniq.solver import (
@@ -39,6 +38,18 @@ from odeuniq.solver import (
 
 # ---------------------------------------------------------------------------
 # one interval at a time adaptive quadrature
+
+def _eval_vectorized(g, x: np.ndarray) -> np.ndarray:
+    """g on the panel nodes x as a float array; an integrand that does not
+    map x to an array of its shape is sampled point by point."""
+    try:
+        y = np.asarray(g(x), dtype=np.float64)
+    except (TypeError, ValueError):
+        y = None
+    if y is None or y.shape != x.shape:
+        y = np.array([float(g(xi)) for xi in x], dtype=np.float64)
+    return y
+
 
 def _gk15(g, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7/15 panel: (kronrod value, error estimate)."""

@@ -230,6 +230,19 @@ def test_funnel_json(problem_file, tmp_path):
     assert rep["grid_spacing"] == pytest.approx(0.02)
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("solve", ["--rtol", "0"], "solve: rtol and atol must be positive"),
+    ("funnel", ["--n", "2"], "funnel: need n >= 3 and 0 < t-floor < T"),
+])
+def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
+                                     message):
+    code = main([command, "--problem", problem_file(TX), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # suite
 

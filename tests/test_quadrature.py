@@ -1,7 +1,6 @@
 """Adaptive quadrature against closed-form oracles."""
 import math
 import struct
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,15 +116,6 @@ def test_error_estimate_bounds_true_error():
     assert abs(res.value - 2.0) <= max(res.abs_error_estimate * 10, 1e-12)
 
 
-def test_scalar_only_integrand_falls_back():
-    def g(w):
-        if isinstance(w, np.ndarray):
-            raise TypeError("scalar only")
-        return w * w
-    res = integrate(g, 0.0, 1.0, tol=1e-12)
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-
 @given(st.floats(min_value=0.1, max_value=2.0),
        st.floats(min_value=2.1, max_value=5.0),
        st.floats(min_value=2.1, max_value=5.0))
@@ -163,16 +153,6 @@ def test_singular_left_matches_panel_loop(g, b):
     assert res.value == pytest.approx(ref.value, rel=1e-13)
 
 
-def test_singular_left_scalar_only_integrand():
-    def g(w):
-        if isinstance(w, np.ndarray):
-            raise TypeError("scalar only")
-        return w ** -0.5
-    res = integrate_singular_left(g, 1.0, tol=1e-12)
-    assert res.converged
-    assert res.value == pytest.approx(2.0, rel=1e-8)
-
-
 def _power_family(powers):
     powers = np.asarray(powers, dtype=float)
 
@@ -187,7 +167,7 @@ def test_sweep_matches_panel_loop():
     family, members = _power_family(powers)
     grid = np.geomspace(1e-6, 1.0, 40)
     tols = [1e-12, 1e-10, 1e-12, 1e-11]
-    sweeps = list(sweep_singular_left(family, members, grid, tols))
+    sweeps = list(sweep_singular_left(family, grid, tols))
     assert len(sweeps) == len(powers)
     for s, g, tol, p in zip(sweeps, members, tols, powers):
         base, values, converged = scalar_reference.sweep(g, grid, tol)
@@ -215,7 +195,7 @@ def test_sweep_reports_in_member_order(order):
         return np.stack([members[i](x) for i in idx])
 
     grid = np.array([0.25, 0.5, 1.0])
-    sweeps = sweep_singular_left(family, members, grid, [1e-10, 1e-10])
+    sweeps = sweep_singular_left(family, grid, [1e-10, 1e-10])
     # the panel-by-panel loop meets the members in this order: a divergence
     # first ends the sweep before the later member's bad sample is reached
     if order[0] == "div":
@@ -235,10 +215,10 @@ def test_sweep_reports_in_member_order(order):
 
 
 def test_sweep_rejects_bad_grid():
-    family, members = _power_family([0.5])
+    family, _ = _power_family([0.5])
     for grid in ([0.0, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5]):
         with pytest.raises(ValueError):
-            next(sweep_singular_left(family, members, grid, [1e-10]))
+            next(sweep_singular_left(family, grid, [1e-10]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +245,6 @@ def _outcome(fn, *args, **kwargs):
     return _lane_outcome(res)
 
 
-def _scalar_only(fn):
-    def g(w):
-        if isinstance(w, np.ndarray):
-            raise TypeError("scalar only")
-        return fn(w)
-    return g
-
-
 _HOLE = 0.3  # the non-finite integrands are nan within 0.02 of this point
 
 LANE_INTEGRANDS = {
@@ -282,9 +254,6 @@ LANE_INTEGRANDS = {
     "inv": lambda w: 1.0 / w,
     "log": lambda w: np.log(np.abs(w)),
     "hole": lambda w: np.where(np.abs(w - _HOLE) < 0.02, np.nan, np.cos(w)),
-    "scalar_smooth": _scalar_only(lambda w: math.exp(-w) * math.cos(3.0 * w)),
-    "scalar_hole": _scalar_only(
-        lambda w: math.nan if abs(w - _HOLE) < 0.02 else math.cos(w)),
 }
 
 _ends = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, _HOLE]))
@@ -324,39 +293,6 @@ def test_lanes_match_scalar_integrate(name, intervals, budget, tol):
             ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
             assert _lane_outcome(res) == ref
             assert _outcome(integrate, g, ai, bi, tol, budget) == ref
-
-
-def test_lanes_sample_scalar_only_integrand_like_the_loop():
-    # a scalar-only integrand is sampled point by point on exactly the
-    # panels the loop samples: none after a lane's first failing panel
-    def kinked_hole(w):
-        # [0, 0.7] samples no hole point, splits at the kink, and its left
-        # half samples the hole: the loop never samples the right half
-        if abs(w - _HOLE) < 0.02:
-            return math.nan
-        return math.sqrt(abs(w - 0.55))
-
-    def recording(calls):
-        def fn(w):
-            calls.append(w)
-            return kinked_hole(w)
-        return fn
-
-    def points(calls):
-        return [float(w) for w in calls if not isinstance(w, np.ndarray)]
-
-    intervals = [(0.0, 0.7), (0.0, 1.0), (0.29, 0.31), (0.7, 0.0), (0.5, 0.7),
-                 (0.2, 0.4)]
-    all_ref_calls = []
-    for a, b in intervals:
-        ref_calls, calls = [], []
-        ref = _outcome(scalar_reference.integrate, recording(ref_calls), a, b)
-        assert _outcome(integrate, recording(calls), a, b) == ref
-        assert points(calls) == points(ref_calls)
-        all_ref_calls += ref_calls
-    calls = []
-    _integrate_lanes(recording(calls), *zip(*intervals))
-    assert Counter(points(calls)) == Counter(points(all_ref_calls))
 
 
 def test_lanes_report_errors_per_lane():
