@@ -10,10 +10,14 @@ solve    integrate the trajectory x' = -f(t,x), emit CSV
 funnel   backward-reachability probe of the zero solution, emit JSON
 suite    run checks + funnel over a corpus directory, combined matrix
 
+Each subcommand takes --out and exactly the flags it reads; any other
+flag is an argparse usage error (exit 2).
+
 Problem files are JSON with string expression fields, e.g.
 {"f": "t*x", "u": "t", "omega": "r", "T": 1.0, "x_bound": 1.0}.
-Reports embed the fully resolved configuration and a schema version;
-no timestamps, so repeated runs are byte-identical.
+JSON reports embed a schema version and a ``config`` block: the flags
+the subcommand read, static defaults filled in (an unset --T or --t-floor
+is null), and the problem name.  No timestamps: reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .criteria import CheckConfig, ProblemSpec, ProblemValidationError
 from .expr import ExprError
 from .rootfind import BracketError
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 # name -> (gauges the criterion requires, its check), in the suite's run
 # order.  The checks look up criteria.check_* at call time, so that a
@@ -120,19 +124,11 @@ def load_problem(path, T_override=None) -> ProblemSpec:
 
 
 def _build_config(args) -> CheckConfig:
-    kwargs = {}
-    if getattr(args, "eps_min", None) is not None:
-        kwargs["eps_min"] = args.eps_min
-    if getattr(args, "eps_max", None) is not None:
-        kwargs["eps_max"] = args.eps_max
-    if getattr(args, "n", None) is not None:
-        kwargs["n_t"] = args.n
-    cfg = CheckConfig(**kwargs)
-    if not (0 < cfg.eps_min < cfg.eps_max < math.inf):
+    if not (0 < args.eps_min < args.eps_max < math.inf):
         raise ConfigError("check: require 0 < eps-min < eps-max < inf")
-    if cfg.n_t < 2:
+    if args.n < 2:
         raise ConfigError("check: grid size n must be at least 2")
-    return cfg
+    return CheckConfig(n_t=args.n, eps_min=args.eps_min, eps_max=args.eps_max)
 
 
 def _config_dict(args, extra=None):
@@ -281,8 +277,14 @@ def cmd_reparam(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem, args.T)
+    t_floor = args.t_floor if args.t_floor is not None else 1e-6 * problem.T
+    if not (0 < t_floor < problem.T):
+        raise ConfigError("solve: need 0 < t-floor < T")
     t0 = args.t0 if args.t0 is not None else problem.T
-    t1 = args.t1 if args.t1 is not None else (args.t_floor or 1e-6 * problem.T)
+    t1 = args.t1 if args.t1 is not None else t_floor
+    # the solver never evaluates the singular endpoint t = 0
+    if not (t0 > 0 and t1 > 0):
+        raise ConfigError("solve: need t0 > 0 and t1 > 0")
     if args.rtol <= 0 or args.atol <= 0:
         raise ConfigError("solve: rtol and atol must be positive")
     traj = solver_mod.integrate_ivp(problem.f, t0, args.x0, t1,
@@ -296,11 +298,11 @@ def cmd_solve(args) -> int:
 
 def cmd_funnel(args) -> int:
     problem = load_problem(args.problem, args.T)
-    n = args.n if args.n is not None else 201
     t_floor = args.t_floor if args.t_floor is not None else 1e-6 * problem.T
-    if n < 3 or not (0 < t_floor < problem.T):
+    if args.n < 3 or not (0 < t_floor < problem.T):
         raise ConfigError("funnel: need n >= 3 and 0 < t-floor < T")
-    rep = solver_mod.funnel_probe(problem.f, problem.T, n=n, t_floor=t_floor,
+    rep = solver_mod.funnel_probe(problem.f, problem.T, n=args.n,
+                                  t_floor=t_floor,
                                   rtol=args.rtol, atol=args.atol,
                                   x_bound=problem.x_bound)
     payload = {
@@ -332,9 +334,9 @@ def funnel_report_dict(rep) -> dict:
 # ---------------------------------------------------------------------------
 # suite
 
-def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
-              funnel_n=101, t_floor_factor=1e-4):
-    """Check + funnel matrix over all *.json problems in a directory."""
+def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9):
+    """Check + funnel matrix over all *.json problems in a directory.  The
+    funnel probe runs on 101 terminal values down to t = 1e-4 T."""
     paths = sorted(Path(corpus_dir).glob("*.json"))
     if not paths:
         raise ConfigError(f"suite: no problem files in {corpus_dir}")
@@ -374,8 +376,7 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9,
             continue
         try:
             fr = solver_mod.funnel_probe(
-                problem.f, problem.T, n=funnel_n,
-                t_floor=t_floor_factor * problem.T,
+                problem.f, problem.T, n=101, t_floor=1e-4 * problem.T,
                 rtol=rtol, atol=atol, x_bound=problem.x_bound)
             row["funnel_basin_width"] = fr.basin_width
             row["funnel_grid_spacing"] = fr.grid_spacing
@@ -433,49 +434,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "and solver probes for singular IVPs x' + f(t,x) = 0.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem_required=True):
-        p.add_argument("--problem", required=problem_required,
-                       help="JSON problem file")
-        p.add_argument("--out", default=None,
-                       help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--rtol", type=float, default=1e-6)
-        p.add_argument("--atol", type=float, default=1e-9)
-        p.add_argument("--T", type=float, default=None,
-                       help="override problem horizon T")
-        p.add_argument("--t-floor", dest="t_floor", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--eps-min", dest="eps_min", type=float, default=None)
-        p.add_argument("--eps-max", dest="eps_max", type=float, default=None)
+    flags = {
+        "--problem": dict(required=True, help="JSON problem file"),
+        "--corpus": dict(required=True, help="directory of *.json"),
+        "--T": dict(type=float, help="override problem horizon T"),
+        "--rtol": dict(type=float, default=1e-6),
+        "--atol": dict(type=float, default=1e-9),
+        "--t-floor": dict(type=float, help="lower end of the t range "
+                          "(default: 1e-6 T; reparam: 1e-8 T)"),
+        "--n": dict(type=int, default=CheckConfig.n_t, help="grid size"),
+        "--eps-min": dict(type=float, default=CheckConfig.eps_min),
+        "--eps-max": dict(type=float, default=CheckConfig.eps_max),
+        "--criteria": dict(default="nagumo", help="comma list of "
+                           f"{', '.join(CRITERION_NAMES)}"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--generalized-c": dict(type=float, help="run the generalized "
+                                "reparametrization with this c"),
+        "--t0": dict(type=float, help="default: T"),
+        "--t1": dict(type=float, help="default: t-floor"),
+        "--x0": dict(type=float, default=0.0),
+    }
 
-    p = sub.add_parser("check", help="run uniqueness criteria")
-    common(p)
-    p.add_argument("--criteria", default="nagumo",
-                   help=f"comma list of {', '.join(CRITERION_NAMES)}")
-    p.set_defaults(func=cmd_check)
+    def add(name, func, summary, *names, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="output path (default: stdout)")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func, **defaults)  # a keyword overrides a default
 
-    p = sub.add_parser("reparam", help="build tau(t) and residuals")
-    common(p)
-    p.add_argument("--generalized-c", dest="generalized_c", type=float,
-                   default=None,
-                   help="run the generalized reparametrization with this c")
-    p.set_defaults(func=cmd_reparam)
-
-    p = sub.add_parser("solve", help="integrate the trajectory")
-    common(p)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("funnel", help="backward-reachability probe")
-    common(p)
-    p.set_defaults(func=cmd_funnel)
-
-    p = sub.add_parser("suite", help="matrix run over a problem corpus")
-    common(p, problem_required=False)
-    p.add_argument("--corpus", required=True, help="directory of *.json")
-    p.set_defaults(func=cmd_suite)
+    add("check", cmd_check, "run uniqueness criteria",
+        "--problem", "--T", "--n", "--eps-min", "--eps-max", "--criteria")
+    add("reparam", cmd_reparam, "build tau(t) and residuals",
+        "--problem", "--T", "--t-floor", "--format", "--generalized-c")
+    add("solve", cmd_solve, "integrate the trajectory",
+        "--problem", "--T", "--rtol", "--atol", "--t-floor",
+        "--t0", "--t1", "--x0")
+    add("funnel", cmd_funnel, "backward-reachability probe",
+        "--problem", "--T", "--rtol", "--atol", "--t-floor", "--n", n=201)
+    add("suite", cmd_suite, "matrix run over a problem corpus",
+        "--corpus", "--rtol", "--atol", "--n", "--eps-min", "--eps-max")
 
     return parser
 

@@ -68,17 +68,19 @@ class ProblemValidationError(Exception):
 
 @dataclass(frozen=True)
 class CheckConfig:
+    """Fields: the grid settings the command line sets.  Class constants:
+    the fixed grid sizes and tolerances of the checks."""
     n_t: int = 200
-    t_min_factor: float = 1e-6      # t grid geometric from t_min_factor*T to T
-    n_x: int = 101                  # uniform on [-x_bound, x_bound]
-    n_eps: int = 25
     eps_min: float = 1e-6
     eps_max: float = 1e6
-    n_limit: int = 40               # limit sequence t_k = T * 2^-k, k = 1..n
-    tol: float = 1e-9               # inequality slack (scaled by eps in H2)
-    limit_threshold: float = 1e-6   # uniform-limit proxy: final sup below this
-    limit_tail: int = 10            # ... and non-increasing over this many tail steps
-    quad_tol: float = 1e-11
+    t_min_factor = 1e-6      # t grid geometric from t_min_factor*T to T
+    n_x = 101                # uniform on [-x_bound, x_bound]
+    n_eps = 25
+    n_limit = 40             # limit sequence t_k = T * 2^-k, k = 1..n
+    tol = 1e-9               # inequality slack (scaled by eps in H2)
+    limit_threshold = 1e-6   # uniform-limit proxy: final sup below this
+    limit_tail = 10          # ... and non-increasing over this many tail steps
+    quad_tol = 1e-11
 
     def t_grid(self, T: float) -> np.ndarray:
         return np.geomspace(self.t_min_factor * T, T, self.n_t)

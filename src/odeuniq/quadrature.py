@@ -58,6 +58,10 @@ DIVERGENCE_SUM_THRESHOLD = 1e12
 DIVERGENCE_PANEL_RUN = 60
 
 DEFAULT_BUDGET = 10_000
+# the improper-integral drivers stop after this many geometric panels and
+# integrate each panel they redo with at most this adaptive budget
+MAX_PANELS = 1200
+PANEL_BUDGET = 200
 
 
 class IntegrandError(Exception):
@@ -290,9 +294,7 @@ def _tail_driver(contribs_iter, tol: float, max_panels: int):
     return QuadResult(total, err_total, False, False, n)
 
 
-def integrate_singular_left(g, b: float, tol: float = 1e-10,
-                            budget: int = DEFAULT_BUDGET,
-                            max_panels: int = 1200) -> QuadResult:
+def integrate_singular_left(g, b: float, tol: float = 1e-10) -> QuadResult:
     """Integrate g over (0, b] where g may blow up as w -> 0+.
 
     Uses geometric panels [b*2^-(k+1), b*2^-k]; converges when the
@@ -303,8 +305,7 @@ def integrate_singular_left(g, b: float, tol: float = 1e-10,
     if not (b > 0.0):
         raise ValueError(f"integrate_singular_left requires b > 0, got {b!r}")
     sweeps = sweep_singular_left(lambda x, _members: _sample(g, x)[None],
-                                 [b], [tol], budget=budget,
-                                 max_panels=max_panels)
+                                 [b], [tol])
     return next(sweeps).base
 
 
@@ -331,8 +332,7 @@ _FIRST_CHUNK = 64
 _BLOCK_SAMPLES = 1 << 16
 
 
-def sweep_singular_left(family, grid, tols, budget: int = DEFAULT_BUDGET,
-                        max_panels: int = 1200):
+def sweep_singular_left(family, grid, tols):
     """Integrate every member of a family from 0+ to every grid point.
 
     ``family(x, members)`` samples the members listed by the index array
@@ -375,8 +375,8 @@ def sweep_singular_left(family, grid, tols, budget: int = DEFAULT_BUDGET,
 
     def base_panels(i, alone):
         start, size = 0, _FIRST_CHUNK
-        while start < max_panels:
-            stop = min(start + size, max_panels)
+        while start < MAX_PANELS:
+            stop = min(start + size, MAX_PANELS)
             while len(edges) <= stop:
                 edges.append(edges[-1] * 0.5)
             hi = np.array(edges[start:stop])
@@ -392,13 +392,13 @@ def sweep_singular_left(family, grid, tols, budget: int = DEFAULT_BUDGET,
                 else:
                     res = integrate(alone, edges[start + j + 1],
                                     edges[start + j], tol=float(ptol[j]),
-                                    budget=min(budget, 200))
+                                    budget=PANEL_BUDGET)
                     yield res.value, res.abs_error_estimate
             start, size = stop, 2 * size
 
     for i in range(n_members):
         tol, alone = float(tols[i]), member(i)
-        base = _tail_driver(base_panels(i, alone), tol, max_panels)
+        base = _tail_driver(base_panels(i, alone), tol, MAX_PANELS)
         values = np.full(grid.size, math.nan)
         converged = np.zeros(grid.size, dtype=bool)
         values[0], converged[0] = base.value, base.converged
@@ -408,7 +408,7 @@ def sweep_singular_left(family, grid, tols, budget: int = DEFAULT_BUDGET,
             ok = _accepted(k, err, finite, tol)
             for j in np.flatnonzero(~ok).tolist():
                 res = integrate(alone, float(grid[j]),
-                                float(grid[j + 1]), tol=tol, budget=budget)
+                                float(grid[j + 1]), tol=tol)
                 seg[j], ok[j] = res.value, res.converged
             values[1:] = seg
             converged[1:] = ok
@@ -437,20 +437,18 @@ def _accepted(k, err, finite, tol):
     return finite & (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
 
 
-def integrate_to_infinity(g, a: float, tol: float = 1e-10,
-                          budget: int = DEFAULT_BUDGET,
-                          max_panels: int = 1200) -> QuadResult:
+def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
     """Integrate g over [a, +inf) with doubling panels and tail detection."""
 
     def panels():
         lo = a
         width = 1.0
-        for k in range(max_panels):
+        for k in range(MAX_PANELS):
             hi = lo + width
             ptol = 0.5 * tol / ((k + 1) * (k + 2))
-            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=min(budget, 200))
+            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=PANEL_BUDGET)
             yield res.value, res.abs_error_estimate
             lo = hi
             width *= 2.0
 
-    return _tail_driver(panels(), tol, max_panels)
+    return _tail_driver(panels(), tol, MAX_PANELS)

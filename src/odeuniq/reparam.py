@@ -344,7 +344,7 @@ def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
     lam_fn = lam.lambdify(("t",))
     left = integrate(lambda s: v_fn(rep.t_of_tau(s)), float(tau),
                      rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
-    t_at = rep.t_of_tau(float(tau), refine=rep.lam is not None)
+    t_at = rep.t_of_tau(float(tau), refine=True)
     right = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), t_at,
                                     tol=1e-11)
     if left.diverged or right.diverged:
@@ -364,7 +364,7 @@ def exp_reparam_check(u: Expression, rep: Reparametrization,
         c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
     tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
-    ts = rep.t_of_tau(taus, refine=rep.lam is not None)
+    ts = rep.t_of_tau(taus, refine=True)
     exact = [c * math.exp(-tau + rep.tau_minus) * math.exp(-rep.tau_minus)
              for tau in taus.tolist()]
     return float(np.max(np.abs(u.lambdify(("t",))(ts) - exact)))

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 NOMINAL_ORDER = 5  # local extrapolation of the 5th-order solution
+ATOL_REACH = 1e-6  # funnel_probe: |x| below this counts as reaching zero
 
 # Dormand-Prince 4(5) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -336,13 +337,12 @@ class FunnelReport:
 
 def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
                  rtol: float = 1e-6, atol: float = 1e-9,
-                 x_bound: float = 1.0, atol_reach: float = 1e-6,
-                 spread_levels: int = 8) -> FunnelReport:
+                 x_bound: float = 1.0, spread_levels: int = 8) -> FunnelReport:
     """Integrate backward from (T, x_T) over a symmetric terminal grid and
-    measure the set that reaches |x| < atol_reach near the singular
+    measure the set that reaches |x| < ATOL_REACH near the singular
     endpoint.
 
-    A sample is marked as reaching zero when |x| dips below atol_reach at
+    A sample is marked as reaching zero when |x| dips below ATOL_REACH at
     any accepted step, or when the path changes sign (by continuity it
     crossed zero between samples).  The crossing test matters for
     square-root-type fields: after touching x = 0 the integrator peels
@@ -375,7 +375,7 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         statuses.append(traj.status)
         if traj.status in ("completed", "stopped_at_singularity"):
             xs = traj.x
-            touched = bool(np.min(np.abs(xs)) < atol_reach)
+            touched = bool(np.min(np.abs(xs)) < ATOL_REACH)
             crossed = bool(np.any(np.signbit(xs[1:]) != np.signbit(xs[:-1])))
             reaches[i] = touched or crossed
     basin = spacing * int(np.count_nonzero(reaches))
@@ -392,7 +392,7 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         basin_width=basin,
         grid_spacing=spacing,
         t_floor=t_floor,
-        atol_reach=atol_reach,
+        atol_reach=ATOL_REACH,
         spread_curve=spread_curve,
         statuses=statuses,
         failures=failures,

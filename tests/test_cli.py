@@ -38,7 +38,7 @@ def test_check_pass_exit_zero(problem_file, tmp_path, capsys):
     assert code == 0
     assert "nagumo: pass" in capsys.readouterr().out
     payload = json.loads(open(out).read())
-    assert payload["schema_version"] == "1.0"
+    assert payload["schema_version"] == "1.1"
     assert payload["reports"][0]["overall"] is True
 
 
@@ -209,14 +209,13 @@ def test_reparam_no_gauge_exit_two(problem_file, capsys):
 def test_solve_csv(problem_file, tmp_path):
     out = str(tmp_path / "traj.csv")
     code = main(["solve", "--problem", problem_file(LINEAR),
-                 "--t0", "0", "--x0", "1", "--t1", "1",
-                 "--format", "csv", "--out", out])
+                 "--t0", "0.5", "--x0", "1", "--t1", "1", "--out", out])
     assert code == 0
     lines = open(out).read().splitlines()
     assert lines[0] == "t,x,xdot,step_error"
     last = [float(s) for s in lines[-1].split(",")]
     assert last[0] == pytest.approx(1.0)
-    assert last[1] == pytest.approx(math.exp(-1.0), rel=1e-5)
+    assert last[1] == pytest.approx(math.exp(-0.5), rel=1e-5)
 
 
 def test_funnel_json(problem_file, tmp_path):
@@ -233,6 +232,11 @@ def test_funnel_json(problem_file, tmp_path):
 @pytest.mark.parametrize("command,flags,message", [
     ("solve", ["--rtol", "0"], "solve: rtol and atol must be positive"),
     ("funnel", ["--n", "2"], "funnel: need n >= 3 and 0 < t-floor < T"),
+    ("solve", ["--t-floor", "-1"], "solve: need 0 < t-floor < T"),
+    ("solve", ["--t-floor", "0"], "solve: need 0 < t-floor < T"),
+    ("solve", ["--t-floor", "2"], "solve: need 0 < t-floor < T"),
+    ("solve", ["--t0", "0"], "solve: need t0 > 0 and t1 > 0"),
+    ("solve", ["--t1", "-1"], "solve: need t0 > 0 and t1 > 0"),
 ])
 def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
                                      message):
@@ -241,6 +245,44 @@ def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# options
+
+@pytest.mark.parametrize("command,keys", [
+    ("check", "T criteria eps_max eps_min n problem problem_name"),
+    ("reparam", "T format generalized_c problem problem_name t_floor"),
+    ("funnel", "T atol n problem problem_name rtol t_floor"),
+    ("suite", "atol corpus eps_max eps_min n rtol"),
+])
+def test_config_records_flags_read(tmp_path, command, keys):
+    # config holds the flags the subcommand reads, static defaults filled in
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "tx.json").write_text(json.dumps(TX))
+    target = (["--corpus", str(corpus)] if command == "suite"
+              else ["--problem", str(corpus / "tx.json")])
+    out = tmp_path / "report.json"
+    main([command, *target, "--out", str(out)])
+    config = json.loads(out.read_text())["config"]
+    assert sorted(config) == sorted(keys.split() + ["schema_version"])
+    assert all(config[k] is not None
+               for k in ("n", "eps_min", "eps_max") if k in config)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("check", ["--rtol", "1e-6"]), ("reparam", ["--n", "10"]),
+    ("solve", ["--format", "csv"]), ("funnel", ["--eps-min", "1e-6"]),
+    ("suite", ["--T", "0.5"]),
+])
+def test_flag_not_read_exit_two(problem_file, capsys, command, flag):
+    target = (["--corpus", "corpus"] if command == "suite"
+              else ["--problem", problem_file(TX)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
