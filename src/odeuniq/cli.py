@@ -11,7 +11,8 @@ funnel   backward-reachability probe of the zero solution, emit JSON
 suite    run checks + funnel over a corpus directory, combined matrix
 
 Each subcommand takes --out and exactly the flags it reads; any other
-flag is an argparse usage error (exit 2).
+flag is an argparse usage error (exit 2).  Summary lines go to stdout when
+--out holds the report, else to stderr, so stdout is one document.
 
 Problem files are JSON with string expression fields, e.g.
 {"f": "t*x", "u": "t", "omega": "r", "T": 1.0, "x_bound": 1.0}.
@@ -49,7 +50,6 @@ CRITERIA = {
     "theorem1": (("v", "lam", "omega"),
                  lambda p, c: criteria.check_theorem_main(p, c)),
 }
-CRITERION_NAMES = tuple(CRITERIA)
 
 
 class ConfigError(Exception):
@@ -125,10 +125,20 @@ def load_problem(path, T_override=None) -> ProblemSpec:
 
 def _build_config(args) -> CheckConfig:
     if not (0 < args.eps_min < args.eps_max < math.inf):
-        raise ConfigError("check: require 0 < eps-min < eps-max < inf")
+        raise ConfigError(f"{args.command}: require 0 < eps-min < eps-max < inf")
     if args.n < 2:
-        raise ConfigError("check: grid size n must be at least 2")
+        raise ConfigError(f"{args.command}: grid size n must be at least 2")
     return CheckConfig(n_t=args.n, eps_min=args.eps_min, eps_max=args.eps_max)
+
+
+def _check_tolerances(args) -> None:
+    if not (0 < args.rtol < math.inf and 0 < args.atol < math.inf):
+        # a positive real: nan and inf are rejected too
+        raise ConfigError(f"{args.command}: rtol and atol must be positive")
+
+
+def _summary(args, line: str) -> None:
+    print(line, file=sys.stdout if args.out else sys.stderr)
 
 
 def _config_dict(args, extra=None):
@@ -162,9 +172,6 @@ def run_checks(problem: ProblemSpec, names, config: CheckConfig):
     """Shared by cmd_check and cmd_suite so their reports agree exactly."""
     reports = []
     for name in names:
-        if name not in CRITERIA:
-            raise ConfigError(f"criteria: unknown criterion {name!r} "
-                              f"(expected one of {', '.join(CRITERION_NAMES)})")
         rep = CRITERIA[name][1](problem, config)
         rep.criterion = name
         reports.append(rep)
@@ -191,9 +198,7 @@ def cmd_check(args) -> int:
                 problems.append(f"criteria: {name} requires {_GAUGE_ROLE[g]} "
                                 f"missing from {args.problem}")
     if problems:
-        for msg in problems:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
+        raise ConfigError(problems)
     reports = run_checks(problem, names, config)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -202,7 +207,7 @@ def cmd_check(args) -> int:
     }
     _write_json(args.out, payload)
     for r in reports:
-        print(f"{r.criterion}: {'pass' if r.overall else 'fail'}")
+        _summary(args, f"{r.criterion}: {'pass' if r.overall else 'fail'}")
     return 0 if all(r.overall for r in reports) else 1
 
 
@@ -257,7 +262,7 @@ def cmd_reparam(args) -> int:
         rows = list(zip(rep.t_table.tolist(), rep.tau_table.tolist()))
         _write_csv(args.out, ("t", "tau"), rows)
         for k, v_ in diagnostics.items():
-            print(f"{k}: {v_}")
+            _summary(args, f"{k}: {v_}")
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -285,14 +290,13 @@ def cmd_solve(args) -> int:
     # the solver never evaluates the singular endpoint t = 0
     if not (t0 > 0 and t1 > 0):
         raise ConfigError("solve: need t0 > 0 and t1 > 0")
-    if args.rtol <= 0 or args.atol <= 0:
-        raise ConfigError("solve: rtol and atol must be positive")
+    _check_tolerances(args)
     traj = solver_mod.integrate_ivp(problem.f, t0, args.x0, t1,
                                     rtol=args.rtol, atol=args.atol)
     rows = list(zip(traj.t.tolist(), traj.x.tolist(), traj.xdot.tolist(),
                     traj.step_errors.tolist()))
     _write_csv(args.out, ("t", "x", "xdot", "step_error"), rows)
-    print(f"status: {traj.status}")
+    _summary(args, f"status: {traj.status}")
     return 0
 
 
@@ -301,6 +305,7 @@ def cmd_funnel(args) -> int:
     t_floor = args.t_floor if args.t_floor is not None else 1e-6 * problem.T
     if args.n < 3 or not (0 < t_floor < problem.T):
         raise ConfigError("funnel: need n >= 3 and 0 < t-floor < T")
+    _check_tolerances(args)
     rep = solver_mod.funnel_probe(problem.f, problem.T, n=args.n,
                                   t_floor=t_floor,
                                   rtol=args.rtol, atol=args.atol,
@@ -311,7 +316,7 @@ def cmd_funnel(args) -> int:
         "reports": [funnel_report_dict(rep)],
     }
     _write_json(args.out, payload)
-    print(f"basin_width: {rep.basin_width}")
+    _summary(args, f"basin_width: {rep.basin_width}")
     return 0
 
 
@@ -400,6 +405,7 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9):
 
 
 def cmd_suite(args) -> int:
+    _check_tolerances(args)
     rows, alarms = run_suite(args.corpus, _build_config(args),
                              rtol=args.rtol, atol=args.atol)
     payload = {
@@ -411,7 +417,7 @@ def cmd_suite(args) -> int:
     _write_json(args.out, payload)
     for row in rows:
         checks = " ".join(f"{k}={v}" for k, v in sorted(row["checks"].items()))
-        print(f"{row['file']}: {row['status']} {checks}")
+        _summary(args, f"{row['file']}: {row['status']} {checks}")
     if alarms:
         for a in alarms:
             print(f"contradiction alarm: {a['file']} basin_width="
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-min": dict(type=float, default=CheckConfig.eps_min),
         "--eps-max": dict(type=float, default=CheckConfig.eps_max),
         "--criteria": dict(default="nagumo", help="comma list of "
-                           f"{', '.join(CRITERION_NAMES)}"),
+                           f"{', '.join(CRITERIA)}"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--generalized-c": dict(type=float, help="run the generalized "
                                 "reparametrization with this c"),

@@ -15,6 +15,10 @@ at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
 integrator replaced.  Tests require the batched code to reproduce them bit
 for bit.
 
+``pairwise_bound`` is the all-pairs loop of the Nagumo and Athanassov
+sweeps: at each t it builds the n_x x n_x pair margins and takes their
+minimum.  Tests compare the running-maximum sweep with it.
+
 ``evaluate`` is the strict tree-walker that ``Expression.evaluate`` was
 before it became the compiled kernel at one point.  It computes in ``math``,
 so tests require agreement to rounding, and the same domain errors.
@@ -24,6 +28,7 @@ import math
 
 import numpy as np
 
+from odeuniq.criteria import Hypothesis, _first_nonfinite_witness
 from odeuniq.expr import (
     Bin, Call, EvalDomainError, Expression, MissingBindingError, Neg, Node,
     Num, Var, _serialize)
@@ -499,6 +504,43 @@ def forward_spread(f, t0: float, delta: float, T: float,
                 f"forward leg did not complete ({traj.status})", t0, x0)
         ends.append(traj.x_end)
     return max(abs(a - b) for a in ends for b in ends)
+
+
+# ---------------------------------------------------------------------------
+# all-pairs Lipschitz sweep
+
+def pairwise_bound(name, f_vals, coeff, tgrid, xgrid, tol) -> Hypothesis:
+    """Check |f(t,x1) - f(t,x2)| <= coeff(t)*|x1 - x2| + tol over all x
+    pairs, one t at a time; ties go to the least t, then x1, then x2."""
+    w = _first_nonfinite_witness(f_vals, tgrid, xgrid)
+    if w is not None:
+        return Hypothesis(name, False, float("nan"), w,
+                          notes="non-finite sample treated as failure")
+    dx = np.abs(xgrid[:, None] - xgrid[None, :])
+    upper = np.triu(np.ones((len(xgrid), len(xgrid)), dtype=bool), k=1)
+    worst = math.inf
+    witness: dict = {}
+    for it, t in enumerate(tgrid):
+        if not np.isfinite(coeff[it]):
+            return Hypothesis(name, False, float("nan"),
+                              {"kind": "domain_error", "t": float(t), "x": 0.0},
+                              notes="non-finite coefficient treated as failure")
+        lhs = np.abs(f_vals[it][:, None] - f_vals[it][None, :])
+        margins = np.where(upper, coeff[it] * dx - lhs, math.inf)
+        flat = int(np.argmin(margins.ravel()))
+        i, j = np.unravel_index(flat, margins.shape)
+        m = float(margins[i, j])
+        if m < worst:
+            worst = m
+            witness = {
+                "kind": "pair_ineq",
+                "t": float(t),
+                "x1": float(xgrid[i]),
+                "x2": float(xgrid[j]),
+                "lhs": float(lhs[i, j]),
+                "rhs": float(coeff[it] * dx[i, j]),
+            }
+    return Hypothesis(name, worst >= -tol, worst, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,65 @@ def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
     assert captured.err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "funnel", "suite"])
+@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tolerance_error_exit_two(problem_file, capsys, command, flag, value):
+    target = (["--corpus", "corpus"] if command == "suite"
+              else ["--problem", problem_file(TX)])
+    code = main([command, *target, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"config error: {command}: rtol and atol must be "
+                            "positive\n")
+
+
 # ---------------------------------------------------------------------------
 # options
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+@pytest.mark.parametrize("flags,message", [
+    (["--eps-min", "0"], "require 0 < eps-min < eps-max < inf"),
+    (["--n", "1"], "grid size n must be at least 2"),
+])
+def test_grid_error_names_subcommand(problem_file, capsys, command, flags,
+                                     message):
+    target = (["--corpus", "corpus"] if command == "suite"
+              else ["--problem", problem_file(TX)])
+    code = main([command, *target, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: {command}: {message}\n"
+
+
+@pytest.mark.parametrize("argv,document,summary", [
+    (["check"], "json", "nagumo: pass"),
+    (["reparam"], "json", None),
+    (["reparam", "--format", "csv"], "csv", "tau_plus: "),
+    (["solve"], "csv", "status: "),
+    (["funnel", "--n", "3"], "json", "basin_width: "),
+    (["suite"], "json", "tx.json: ok"),
+])
+def test_stdout_is_one_document_without_out(tmp_path, capsys, argv, document,
+                                            summary):
+    # summary lines go to stderr unless --out holds the report
+    (tmp_path / "tx.json").write_text(json.dumps(TX))
+    target = (["--corpus", str(tmp_path)] if argv[0] == "suite"
+              else ["--problem", str(tmp_path / "tx.json")])
+    assert main([*argv, *target]) == 0
+    captured = capsys.readouterr()
+    if document == "csv":
+        lines = captured.out.splitlines()
+        widths = {len(line.split(",")) for line in lines}
+        assert len(widths) == 1 and len(lines) > 1
+        assert all(math.isfinite(float(v)) for v in lines[-1].split(","))
+    else:
+        assert isinstance(json.loads(captured.out), dict)
+    if summary is None:
+        assert captured.err == ""
+    else:
+        assert summary in captured.err
 
 @pytest.mark.parametrize("command,keys", [
     ("check", "T criteria eps_max eps_min n problem problem_name"),

@@ -118,6 +118,75 @@ def test_athanassov_underflowing_gauge_reports_invalidity():
 
 
 # ---------------------------------------------------------------------------
+# pairwise sweep against the all-pairs loop
+
+@st.composite
+def _pair_samples(draw):
+    """(f_vals, coeff, tgrid, xgrid) on small grids: linear fields, where
+    every pair with the same |dx| ties, values rounded to one decimal, and
+    a non-finite f or coeff."""
+    n_t, n_x = draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    tgrid = np.geomspace(1e-3, 1.0, n_t)
+    xgrid = draw(st.sampled_from([0.5, 1.0, 3.0])) * np.linspace(-1.0, 1.0, n_x)
+    floats = st.floats(-4.0, 4.0, allow_nan=False)
+    coeff = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=n_t,
+                                   max_size=n_t)))
+    kind = draw(st.sampled_from(["linear", "rounded", "non-finite"]))
+    if kind == "linear":
+        # slope = +-coeff ties every pair at margin 0 on one sign
+        slope = coeff * draw(st.sampled_from([1.0, -1.0, 0.5]))
+        if draw(st.booleans()):
+            slope = np.array(draw(st.lists(floats, min_size=n_t, max_size=n_t)))
+        return slope[:, None] * xgrid, coeff, tgrid, xgrid
+    f_vals = np.array(draw(st.lists(floats, min_size=n_t * n_x,
+                                    max_size=n_t * n_x))).reshape(n_t, n_x)
+    if kind == "rounded":
+        return np.round(f_vals, 1), np.round(coeff, 1), tgrid, xgrid
+    for target in draw(st.sampled_from([["f"], ["coeff"], ["f", "coeff"]])):
+        vals = f_vals if target == "f" else coeff
+        vals.flat[draw(st.integers(0, vals.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return f_vals, coeff, tgrid, xgrid
+
+
+@given(_pair_samples())
+@settings(max_examples=300, deadline=None)
+def test_pairwise_sweep_matches_all_pairs(sample):
+    f_vals, coeff, tgrid, xgrid = sample
+    h = criteria._pairwise_bound_hypothesis("pair", *sample, CFG.tol)
+    ref = scalar_reference.pairwise_bound("pair", *sample, CFG.tol)
+    if ref.witness["kind"] == "domain_error":
+        assert h.to_dict() == ref.to_dict()
+        return
+    # g = coeff*x -+ f is rounded at this scale before the running maximum
+    band = 2e-15 * (np.max(np.abs(coeff)) * np.max(np.abs(xgrid))
+                    + np.max(np.abs(f_vals)))
+    assert h.worst_margin == pytest.approx(ref.worst_margin, abs=band)
+    if abs(ref.worst_margin + CFG.tol) > band:
+        assert h.passed == ref.passed
+    w = h.witness
+    it = list(tgrid).index(w["t"])
+    i, j = list(xgrid).index(w["x1"]), list(xgrid).index(w["x2"])
+    assert i < j
+    assert w["lhs"] == abs(f_vals[it, i] - f_vals[it, j])
+    assert w["rhs"] == coeff[it] * abs(xgrid[i] - xgrid[j])
+    assert h.worst_margin == w["rhs"] - w["lhs"]
+
+
+def test_pairwise_sweep_tie_rule():
+    # f = coeff*x ties every pair at margin 0 at t[1] and t[2]; t[0] has
+    # slack 0.5*|dx|: the least tied t wins, then the least x2, then x1
+    tgrid, xgrid = np.array([0.25, 0.5, 1.0]), np.arange(-2.0, 3.0)
+    coeff = np.array([1.5, 2.0, 2.0])
+    f_vals = np.array([1.0, 2.0, 2.0])[:, None] * xgrid
+    h = criteria._pairwise_bound_hypothesis("pair", f_vals, coeff, tgrid,
+                                            xgrid, CFG.tol)
+    assert h.passed and h.worst_margin == 0.0
+    assert h.witness == {"kind": "pair_ineq", "t": 0.5, "x1": -2.0, "x2": -1.0,
+                         "lhs": 2.0, "rhs": 2.0}
+
+
+# ---------------------------------------------------------------------------
 # comparison function gate
 
 def test_comparison_fn_identity_margin_zero():
