@@ -5,7 +5,8 @@ t = 0 maps to tau_plus (finite iff 1/lambda is integrable at 0+).  Three
 independent identities validate the construction:
 
   1. the fixed point      t(tau) = int_tau^tau_plus lambda(t(s)) ds
-  2. the weight identity  int_tau^tau_plus alpha = int_0^t(tau) v/lambda
+  2. the weight identity  int_tau^tau_horizon alpha = int_t_min^t(tau) v/lambda
+     (both sides stop at the table's horizon, where t = t_min)
   3. the exponential form u(t(tau)) = c e^{-tau} when lambda = u/u'
 """
 import math

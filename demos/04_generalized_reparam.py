@@ -39,7 +39,7 @@ for c in (1.0, 10.0):
     mono = bool(np.all(np.diff(rep.t_table) > 0)
                 and np.all(np.diff(rep.tau_table) < 0))
     print(f"  c = {c:5.1f}: tau domain [{rep.tau_minus:.6f}, "
-          f"{grep.tau_rhs_zero:.6f}], strictly monotone = {mono}")
+          f"{rep.tau_plus:.6f}], strictly monotone = {mono}")
     # the defining identity holds at every table node
     worst = max(abs(grep.rhs(float(tau)) - float(t))
                 for t, tau in zip(rep.t_table, rep.tau_table))

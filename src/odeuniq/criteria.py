@@ -773,6 +773,30 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
 # ---------------------------------------------------------------------------
 # Athanassov <-> Nagumo change of variables
 
+def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
+    """t in [t_lo, T] with u(t) = target for each of the array ``targets``
+    (same shape): one lane bisection of the compiled increasing gauge u.
+    A target outside [u(t_lo), u(T)] raises ValueError, a non-finite u met
+    by the bisection EvalDomainError."""
+    flat = np.asarray(targets, dtype=np.float64).ravel()
+    u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
+    for target in flat.tolist():
+        if not (u_lo <= target <= u_hi):
+            raise ValueError(f"u-value {target!r} outside the gauge range")
+
+    def residual(ts, lanes):
+        # u(t_lo) - target <= 0 <= u(T) - target: every bracket holds a root
+        r = (u_fn(np.array(ts)) - flat[lanes]).tolist()
+        bad = [ti for ri, ti in zip(r, ts) if not math.isfinite(ri)]
+        if bad:
+            raise EvalDomainError(f"u is not finite at t={bad[0]!r}")
+        return r
+
+    n = flat.size
+    return np.reshape(_bisect_lanes(residual, [t_lo] * n, [T] * n, rtol),
+                      np.shape(targets))
+
+
 def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
     """Transform f under the change of variables y(u(t)) = x(t).
 
@@ -782,11 +806,10 @@ def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
     transformed equation.
 
     g is an array function: s and x broadcast, and every t(s) is one lane
-    of a lane bisection of the compiled u, so an array call equals the
-    per-point calls bit for bit; a scalar call returns a float.  Where f
-    or u' is not finite, g is nan or inf, as a compiled expression is.  An
-    s outside u_range raises ValueError, and a non-finite u met by the
-    bisection raises EvalDomainError.
+    of ``_invert_gauge``'s lane bisection, so an array call equals the
+    per-point calls bit for bit; a scalar call returns a float, and the
+    errors are ``_invert_gauge``'s.  Where f or u' is not finite, g is nan
+    or inf, as a compiled expression is.
     """
     u_fn, f_fn = u.lambdify(("t",)), f.lambdify(("t", "x"))
     du_fn = u.diff("t").lambdify(("t",))
@@ -796,21 +819,7 @@ def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
     def g(s, x):
         s, x = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
                                    np.asarray(x, dtype=np.float64))
-        targets = s.ravel()
-        for target in targets.tolist():
-            if not (u_lo <= target <= u_hi):
-                raise ValueError(f"u-value {target!r} outside the gauge range")
-
-        def residual(ts, lanes):
-            # u(t_lo) - s <= 0 <= u(T) - s: every bracket holds a root
-            r = (u_fn(np.array(ts)) - targets[lanes]).tolist()
-            bad = [ti for ri, ti in zip(r, ts) if not math.isfinite(ri)]
-            if bad:
-                raise EvalDomainError(f"u is not finite at t={bad[0]!r}")
-            return r
-
-        n = targets.size
-        t = np.reshape(_bisect_lanes(residual, [t_lo] * n, [T] * n), s.shape)
+        t = _invert_gauge(u_fn, s, t_lo, T, rtol=1e-12)
         with np.errstate(all="ignore"):
             out = f_fn(t, x) / du_fn(t)
         return float(out) if out.ndim == 0 else out

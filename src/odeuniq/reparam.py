@@ -13,9 +13,10 @@ depend on scipy.
 tau_plus = +inf is represented by an explicit marker plus a finite horizon
 (the tau value at the smallest tabulated t); verification integrals are
 truncated there.  The fixed-point residual misses exactly t at the
-horizon, t_min (T*1e-8 unless a floor is given).  The L1 identity misses
-int_0+^t_min v/lambda, which t_min does not bound: it is 1e-2 for the
-gauge u = t^0.25*exp(t) and 1e-4 for u = sqrt(t) at t_min = 1e-8.
+horizon, t_min (T*1e-8 unless a floor is given).  The L1 identity is
+truncated on both sides, at the horizon in tau and at t_min in t, so its
+residual measures the table, not the tail int_0+^t_min v/lambda (1e-2 for
+the gauge u = t^0.25*exp(t) at t_min = 1e-8).
 
 The table's segment integrals, the fixed-point integrals and the refined
 inverse run as lanes: ``build_tau`` integrates all its segments as one
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import (CheckConfig, CriterionReport, Hypothesis, ProblemSpec,
-                       _grid_bound_hypothesis)
-from .expr import Expression
+                       _grid_bound_hypothesis, _invert_gauge)
+from .expr import EvalDomainError, Expression
 from .quadrature import (IntegrandError, _integrate_lanes, integrate,
                          integrate_singular_left)
 from .rootfind import _bisect_lanes, bisect
@@ -339,14 +340,15 @@ def transform(f: Expression, v: Expression, lam: Expression,
 
 def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
                    tau: float, tol: float = 1e-9) -> float:
-    """Residual of int_tau^tau_plus alpha(s) ds = int_0+^t(tau) v(w)/lambda(w) dw."""
+    """Residual of int_tau^tau_horizon alpha(s) ds = int_t_min^t(tau) v/lambda:
+    both sides stop at the table's horizon, which w = t(s) maps to t_min."""
     v_fn = v.lambdify(("t",))
     lam_fn = lam.lambdify(("t",))
     left = integrate(lambda s: v_fn(rep.t_of_tau(s)), float(tau),
                      rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
     t_at = rep.t_of_tau(float(tau), refine=True)
-    right = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), t_at,
-                                    tol=1e-11)
+    right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
+                      tol=1e-11)
     if left.diverged or right.diverged:
         raise ReparamError("divergent side in the L1 identity check")
     return abs(left.value - right.value)
@@ -391,85 +393,78 @@ def solve_tau_exp_root(c: float) -> float:
     return bisect(fn, lo, hi, rtol=1e-14)
 
 
+_GENERALIZED_NODES = 300   # nodes of the generalized table
+
+
 @dataclass
 class GeneralizedReparam:
     """Reparametrization extracted from u(t(tau)) = c*exp(-tau) - 1/tau."""
 
-    rep: Reparametrization
+    rep: Reparametrization   # tau_plus is the zero of rhs, where t -> 0
     u: Expression
     c: float
-    tau_plus_root: float     # root of tau*exp(tau) = 1/c
-    tau_rhs_zero: float      # right end of the valid branch, where the rhs -> 0
 
     def rhs(self, tau: float) -> float:
+        """h(tau) = c*exp(-tau) - 1/tau, the value of u at t(tau)."""
         return self.c * math.exp(-tau) - 1.0 / tau
 
 
-def generalized_reparam(u: Expression, c: float, T: float = 1.0,
-                        n_nodes: int = 300) -> GeneralizedReparam:
-    """Extract t(tau) = u^{-1}(c*exp(-tau) - 1/tau) on the monotone-decreasing
-    sub-domain where the right-hand side is positive and within u's range.
-
-    The right-hand side h(tau) is positive only when c > e; for smaller c
-    the construction is degenerate and an error is raised.  The table
-    covers the decreasing branch of h ending where h crosses 0, which is
-    where t(tau) -> 0.
+def generalized_reparam(u: Expression, c: float,
+                        T: float = 1.0) -> GeneralizedReparam:
+    """Extract t(tau) = u^{-1}(h(tau)), h = ``GeneralizedReparam.rhs``, on the
+    branch where h decreases from min(u(T), max h) to its zero tau_end, where
+    t -> 0; for c <= e (h never positive) or an empty branch it raises
+    DegenerateReparamError.  The nodes are geometric in the distance to
+    tau_end and stop where h falls to the larger of 2*u(1e-12*T) and 1e3
+    ulps of 1/tau_end, below which h is rounding; their t's are one lane
+    inversion of u on [1e-12*T, T].  A u that is not finite at either end or
+    inside the inversion raises ReparamError.
     """
-    root = solve_tau_exp_root(c)
-
-    def h(tau):
-        return c * math.exp(-tau) - 1.0 / tau
-
+    grep = GeneralizedReparam(rep=None, u=u, c=float(c))
+    h = grep.rhs
     scan = np.geomspace(1e-4, 1e4, 4096)
     h_vals = c * np.exp(-scan) - 1.0 / scan
-    pos = np.flatnonzero(h_vals > 0.0)
-    if pos.size == 0:
+    k_max = int(np.argmax(h_vals))
+    if not (h_vals[k_max] > 0.0):
         raise DegenerateReparamError(
             f"degenerate generalized reparametrization: "
             f"c*exp(-tau) - 1/tau is never positive for c={c!r} "
             f"(requires c > e)")
-    i0, i1 = int(pos[0]), int(pos[-1])
-    # decreasing branch: from the max of h down to the right zero crossing
-    k_max = i0 + int(np.argmax(h_vals[i0:i1 + 1]))
-    tau_end = bisect(h, float(scan[i1]), float(scan[min(i1 + 1, len(scan) - 1)]),
-                     rtol=1e-14)
-    u_fn = u.evaluate
-    u_max = u_fn({"t": T})
-    h_at_peak = float(h_vals[k_max])
-    if h_at_peak > u_max:
+    # h < 0 at scan[-1]: the last positive sample is followed by another
+    i1 = int(np.flatnonzero(h_vals > 0.0)[-1])
+    tau_end = bisect(h, float(scan[i1]), float(scan[i1 + 1]), rtol=1e-14)
+    t_floor = 1e-12 * T
+    u_fn = u.lambdify(("t",))
+    u_lo, u_max = u_fn(np.array([t_floor, T])).tolist()
+    for where, t, value in (("t_floor", t_floor, u_lo), ("T", T, u_max)):
+        if not math.isfinite(value):
+            raise ReparamError(f"gauge u = {u.serialize()} is not finite at "
+                               f"{where} = {t!r}")
+    if h(float(scan[k_max])) > u_max:
         tau_lo = bisect(lambda s: h(s) - u_max, float(scan[k_max]), tau_end,
                         rtol=1e-14)
     else:
-        tau_lo = float(scan[k_max])
-    if not (tau_lo < tau_end):
+        # h peaks within one scan step of scan[k_max], before scan[k_max + 1]
+        tau_lo = float(scan[k_max + 1])
+    level = max(2.0 * u_lo, 1e3 * math.ulp(1.0 / tau_end))
+    if not (h(tau_lo) > level):
         raise DegenerateReparamError(
             "degenerate generalized reparametrization: empty valid tau-domain")
-
-    t_floor = 1e-12 * T
-    u_lo = u_fn({"t": t_floor})
-    # u^-1(h(tau_lo)), clamped against the last-bit overshoot of the tau_lo
-    # bisection
-    target = min(max(h(tau_lo), u_lo), u_max)
-    if target >= u_max:
-        t_start = T
-    elif target <= u_lo:
-        t_start = t_floor
-    else:
-        t_start = bisect(lambda t: u_fn({"t": t}) - target, t_floor, T,
-                         rtol=1e-13)
-    t_targets = np.geomspace(t_start, t_start * 1e-8, n_nodes)
-    taus = np.empty_like(t_targets)
-    for i, target_h in enumerate(u.lambdify(("t",))(t_targets).tolist()):
-        taus[i] = bisect(lambda s, g=target_h: h(s) - g, tau_lo, tau_end,
-                         rtol=1e-14)
-    taus[0] = tau_lo
-    rep = Reparametrization(T=float(t_start), tau_minus=float(tau_lo),
-                            tau_plus=float(tau_end),
-                            t_table=t_targets[::-1].copy(),
-                            tau_table=taus[::-1].copy(), lam=None)
-    return GeneralizedReparam(rep=rep, u=u, c=float(c),
-                              tau_plus_root=float(root),
-                              tau_rhs_zero=float(tau_end))
+    tau_last = bisect(lambda s: h(s) - level, tau_lo, tau_end, rtol=1e-14)
+    d = tau_end - tau_lo
+    taus = tau_lo + (d - np.geomspace(d, tau_end - tau_last,
+                                      _GENERALIZED_NODES))
+    # h(tau_lo) = u(T) may overshoot by the last bit of its bisection
+    targets = np.minimum([h(s) for s in taus.tolist()], u_max)
+    try:
+        ts = _invert_gauge(u_fn, targets, t_floor, T, rtol=1e-13)
+    except EvalDomainError as exc:
+        raise ReparamError(f"gauge u = {u.serialize()} is not finite inside "
+                           f"the inversion: {exc}") from exc
+    grep.rep = Reparametrization(T=float(ts[0]), tau_minus=tau_lo,
+                                 tau_plus=tau_end, t_table=ts[::-1].copy(),
+                                 tau_table=taus[::-1].copy(), lam=None)
+    return grep
 
 
 def check_relaxed_bound(p: ProblemSpec, grep: GeneralizedReparam,
@@ -499,23 +494,15 @@ def check_relaxed_bound(p: ProblemSpec, grep: GeneralizedReparam,
 
     hyps = []
     # contiguous runs of constant denominator sign
-    boundaries = np.flatnonzero(np.diff(signs) != 0) + 1
-    runs = np.split(np.arange(len(tg)), boundaries)
-    domain_id = 0
-    excluded = 0
-    for run in runs:
-        if run.size == 0:
+    for idx in np.split(np.arange(len(tg)),
+                        np.flatnonzero(np.diff(signs) != 0) + 1):
+        if signs[idx[0]] <= 0:
             continue
-        if signs[run[0]] <= 0:
-            excluded += run.size
-            continue
-        idx = run
         rhs = (du_vals[idx] / denom[idx])[:, None] * om_abs[None, :]
-        hyp = _grid_bound_hypothesis(
-            f"relaxed_bound_domain{domain_id}", f_abs[idx], rhs,
-            tg[idx], xg, c.tol)
-        hyps.append(hyp)
-        domain_id += 1
+        hyps.append(_grid_bound_hypothesis(
+            f"relaxed_bound_domain{len(hyps)}", f_abs[idx], rhs, tg[idx], xg,
+            c.tol))
+    excluded = int(np.count_nonzero(signs <= 0))
     if not hyps:
         hyps.append(Hypothesis(
             "relaxed_bound_domain0", False, float("nan"),

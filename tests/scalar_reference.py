@@ -253,8 +253,8 @@ def alpha_l1_check(rep, v, lam, tau, tol=1e-9):
     left = integrate(alpha_fn, float(tau), rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
     t_at = t_of_tau(rep, float(tau)) if rep.lam is not None \
         else rep.t_of_tau(float(tau))
-    right = integrate_singular_left(lambda w: v_fn(w) / lam_fn(w), t_at,
-                                    tol=1e-11)
+    right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
+                      tol=1e-11)
     if left.diverged or right.diverged:
         raise ReparamError("divergent side in the L1 identity check")
     return abs(left.value - right.value)

@@ -207,8 +207,8 @@ def test_generalized_reparam_monotone_for_large_c():
     # table satisfies u(t(tau)) = c*exp(-tau) - 1/tau at every node
     for t, tau in zip(rep.t_table[::25], rep.tau_table[::25]):
         assert grep.rhs(float(tau)) == pytest.approx(float(t), rel=1e-10)
-    # tau_plus of the table is the rhs zero, near but below the c-root scale
-    assert grep.rhs(grep.tau_rhs_zero) == pytest.approx(0.0, abs=1e-10)
+    # tau_plus of the table is the rhs zero
+    assert grep.rhs(rep.tau_plus) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_generalized_reparam_degenerate_small_c():
@@ -217,6 +217,51 @@ def test_generalized_reparam_degenerate_small_c():
         generalized_reparam(parse("t", {"t"}), c=1.0)
     with pytest.raises(DegenerateReparamError):
         generalized_reparam(parse("t", {"t"}), c=math.e * 0.99)
+
+
+@pytest.mark.parametrize("u_src,where", [
+    ("t + 0*exp(1/t)", "at t_floor = 1e-12"),
+    ("t + 0*sqrt(0.9 - t)", "at T = 1.0"),
+    # nan on (0.4, 0.6), where the inversion's first midpoint lies
+    ("t + 0*sqrt(abs(t - 0.5) - 0.1)",
+     "inside the inversion: u is not finite at t=0.5000000000005"),
+])
+def test_generalized_reparam_nonfinite_gauge(u_src, where):
+    u = parse(u_src, {"t"})
+    with pytest.raises(ReparamError) as got:
+        generalized_reparam(u, c=10.0)
+    assert str(got.value) == f"gauge u = {u.serialize()} is not finite {where}"
+
+
+def _h_peak(c):
+    # the maximum of h = c*exp(-tau) - 1/tau lies in (0.1, 1] for c in (e, 100]
+    tau = np.linspace(0.05, 1.05, 100_001)
+    return float(np.max(c * np.exp(-tau) - 1.0 / tau))
+
+
+@given(st.floats(min_value=0.25, max_value=2.0), st.booleans(),
+       st.floats(min_value=math.e, max_value=100.0, exclude_min=True))
+@example(2.0, False, 10.0).via("power_gauge")
+@example(2.0, False, 7.0).via("power_gauge")
+@example(1.0, False, 4.841).via("direct_gauges")
+@settings(max_examples=40, deadline=None)
+def test_generalized_reparam_tau_nodes(q, exp_factor, c):
+    u = parse(f"t^{q!r}" + ("*exp(t)" if exp_factor else ""), {"t"})
+    u_fn = u.lambdify(("t",))
+    try:
+        grep = generalized_reparam(u, c)
+    except DegenerateReparamError:
+        # h peaks at most the drop over one step of the 4096-point scan
+        # (2.5e-6 near c = e) above the table end 2*u(1e-12)
+        assert _h_peak(c) <= 2.0 * float(u_fn(np.array(1e-12))) + 1e-5
+        return
+    rep = grep.rep
+    assert np.all(np.diff(rep.t_table) > 0)
+    assert np.all(np.diff(rep.tau_table) < 0)
+    assert 1e-12 <= rep.t_table[0] and rep.t_table[-1] <= 1.0
+    rhs = np.array([grep.rhs(tau) for tau in rep.tau_table.tolist()])
+    assert np.max(np.abs(rhs - u_fn(rep.t_table))) <= \
+        1e-12 * float(u_fn(np.array(1.0)))
 
 
 def test_relaxed_bound_zero_field_passes():
