@@ -37,7 +37,6 @@ from .reparam import (
     TransformedField,
     alpha_l1_check,
     build_tau,
-    check_relaxed_bound,
     exp_reparam_check,
     generalized_reparam,
     solve_tau_exp_root,
@@ -69,8 +68,8 @@ __all__ = [
     "integrate_to_infinity",
     "DegenerateReparamError", "GeneralizedReparam", "Reparametrization",
     "ReparamError", "TransformedField", "alpha_l1_check", "build_tau",
-    "check_relaxed_bound", "exp_reparam_check", "generalized_reparam",
-    "solve_tau_exp_root", "transform", "verify_fixed_point",
+    "exp_reparam_check", "generalized_reparam", "solve_tau_exp_root",
+    "transform", "verify_fixed_point",
     "FunnelReport", "SupRatioReport", "Trajectory", "convergence_order",
     "forward_spread", "funnel_probe", "integrate_ivp",
     "sup_ratio_diagnostic",

@@ -218,6 +218,8 @@ def cmd_reparam(args) -> int:
     problem = load_problem(args.problem, args.T)
     if args.t_floor is not None and not (0 < args.t_floor < problem.T):
         raise ConfigError("reparam: need 0 < t-floor < T")
+    if args.generalized_c is not None and not 0 < args.generalized_c < math.inf:
+        raise ConfigError("reparam: need 0 < generalized-c < inf")
     if problem.lam is not None:
         v, lam = problem.v, problem.lam
     elif problem.u is not None:

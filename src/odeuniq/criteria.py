@@ -524,8 +524,14 @@ def _osgood_hypothesis(d: _Gate, c: CheckConfig, name="osgood_integral",
                        notes="") -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
     rg = c.r_grid()
-    sweep = next(sweep_singular_left(
-        lambda s, _members: d.integrand(s, None)[None], rg, [d.tol(c, None)]))
+    try:
+        sweep = next(sweep_singular_left(
+            lambda s, _members: d.integrand(s, None)[None], rg,
+            [d.tol(c, None)]))
+    except IntegrandError as exc:
+        return Hypothesis(name, False, float("nan"),
+                          {"kind": "domain_error", "r": exc.where},
+                          notes="omega(s)/s is not finite at r")
     if sweep.base.diverged:
         return Hypothesis(name, False, float("-inf"),
                           {"kind": "divergent", "r": float(rg[0])},
@@ -632,20 +638,24 @@ def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> Criterio
 
 
 def _h1_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
-    """H1: integrability of v/lambda at 0+."""
+    """H1: integrability of v/lambda at 0+, over (0, T]."""
     d = HYPOTHESES["H1_integrability"](p)
-    res = integrate_singular_left(lambda w: d.integrand(w, None), 1.0,
-                                  tol=d.tol(c, None))
-    if res.diverged:
-        return Hypothesis("H1_integrability", False, float("-inf"),
-                          {"kind": "divergent", "t": 1.0},
-                          notes="int_0+^1 v/lambda diverges")
-    if not res.converged:
+    try:
+        with np.errstate(all="ignore"):
+            res = integrate_singular_left(lambda w: d.integrand(w, None), p.T,
+                                          tol=d.tol(c, None))
+    except IntegrandError as exc:
         return Hypothesis("H1_integrability", False, float("nan"),
-                          {"kind": "divergent", "t": 1.0},
-                          notes="quadrature budget exhausted")
+                          {"kind": "domain_error", "t": exc.where},
+                          notes="v/lambda is not finite at t")
+    if not res.converged:
+        return Hypothesis("H1_integrability", False,
+                          -math.inf if res.diverged else math.nan,
+                          {"kind": "divergent", "t": p.T},
+                          notes="int_0+^T v/lambda diverges" if res.diverged
+                          else "quadrature budget exhausted")
     return Hypothesis("H1_integrability", True, 0.0,
-                      {"kind": "quad_value", "t": 1.0, "integral": float(res.value)})
+                      {"kind": "quad_value", "t": p.T, "integral": float(res.value)})
 
 
 def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:

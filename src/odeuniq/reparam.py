@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (CheckConfig, CriterionReport, Hypothesis, ProblemSpec,
-                       _grid_bound_hypothesis, _invert_gauge)
+from .criteria import _invert_gauge
 from .expr import EvalDomainError, Expression
 from .quadrature import (IntegrandError, _integrate_lanes, integrate,
                          integrate_singular_left)
@@ -53,7 +52,6 @@ __all__ = [
     "exp_reparam_check",
     "solve_tau_exp_root",
     "generalized_reparam",
-    "check_relaxed_bound",
 ]
 
 
@@ -412,27 +410,27 @@ class GeneralizedReparam:
 def generalized_reparam(u: Expression, c: float,
                         T: float = 1.0) -> GeneralizedReparam:
     """Extract t(tau) = u^{-1}(h(tau)), h = ``GeneralizedReparam.rhs``, on the
-    branch where h decreases from min(u(T), max h) to its zero tau_end, where
-    t -> 0; for c <= e (h never positive) or an empty branch it raises
-    DegenerateReparamError.  The nodes are geometric in the distance to
-    tau_end and stop where h falls to the larger of 2*u(1e-12*T) and 1e3
-    ulps of 1/tau_end, below which h is rounding; their t's are one lane
-    inversion of u on [1e-12*T, T].  A u that is not finite at either end or
-    inside the inversion raises ReparamError.
+    branch where h decreases from min(u(T), h(tau_1)) to its zero tau_end,
+    where t -> 0.  Since h' = 1/tau^2 - c*exp(-tau), h rises to one peak
+    tau_1 < 1, where tau_1^2*exp(-tau_1) = 1/c, then falls through one zero
+    tau_end in (tau_1, 2*ln(c) + 2); the peak is positive exactly when
+    c > e.  For c <= e, or a branch that is empty or flat within h's
+    rounding, it raises DegenerateReparamError.  The nodes are geometric in
+    the distance to tau_end and stop where h falls to the larger of
+    2*u(1e-12*T) and 1e3 ulps of 1/tau_end, below which h is rounding;
+    their t's are one lane inversion of u on [1e-12*T, T].  A u that is not
+    finite at either end or inside the inversion raises ReparamError.
     """
-    grep = GeneralizedReparam(rep=None, u=u, c=float(c))
-    h = grep.rhs
-    scan = np.geomspace(1e-4, 1e4, 4096)
-    h_vals = c * np.exp(-scan) - 1.0 / scan
-    k_max = int(np.argmax(h_vals))
-    if not (h_vals[k_max] > 0.0):
+    if not c > math.e:
         raise DegenerateReparamError(
             f"degenerate generalized reparametrization: "
             f"c*exp(-tau) - 1/tau is never positive for c={c!r} "
             f"(requires c > e)")
-    # h < 0 at scan[-1]: the last positive sample is followed by another
-    i1 = int(np.flatnonzero(h_vals > 0.0)[-1])
-    tau_end = bisect(h, float(scan[i1]), float(scan[i1 + 1]), rtol=1e-14)
+    grep = GeneralizedReparam(rep=None, u=u, c=float(c))
+    h = grep.rhs
+    tau_1 = bisect(lambda s: s * s * math.exp(-s) - 1.0 / c, 0.0, 1.0,
+                   rtol=1e-14)
+    tau_end = bisect(h, tau_1, 2.0 * math.log(c) + 2.0, rtol=1e-14)
     t_floor = 1e-12 * T
     u_fn = u.lambdify(("t",))
     u_lo, u_max = u_fn(np.array([t_floor, T])).tolist()
@@ -440,12 +438,9 @@ def generalized_reparam(u: Expression, c: float,
         if not math.isfinite(value):
             raise ReparamError(f"gauge u = {u.serialize()} is not finite at "
                                f"{where} = {t!r}")
-    if h(float(scan[k_max])) > u_max:
-        tau_lo = bisect(lambda s: h(s) - u_max, float(scan[k_max]), tau_end,
-                        rtol=1e-14)
-    else:
-        # h peaks within one scan step of scan[k_max], before scan[k_max + 1]
-        tau_lo = float(scan[k_max + 1])
+    tau_lo = tau_1
+    if h(tau_1) > u_max:
+        tau_lo = bisect(lambda s: h(s) - u_max, tau_1, tau_end, rtol=1e-14)
     level = max(2.0 * u_lo, 1e3 * math.ulp(1.0 / tau_end))
     if not (h(tau_lo) > level):
         raise DegenerateReparamError(
@@ -456,6 +451,11 @@ def generalized_reparam(u: Expression, c: float,
                                       _GENERALIZED_NODES))
     # h(tau_lo) = u(T) may overshoot by the last bit of its bisection
     targets = np.minimum([h(s) for s in taus.tolist()], u_max)
+    # a branch a few thousand ulps of h high is flat within rounding
+    if not np.all(np.diff(targets) < 0):
+        raise DegenerateReparamError(
+            "degenerate generalized reparametrization: h does not decrease "
+            "beyond rounding on the valid tau-domain")
     try:
         ts = _invert_gauge(u_fn, targets, t_floor, T, rtol=1e-13)
     except EvalDomainError as exc:
@@ -465,55 +465,3 @@ def generalized_reparam(u: Expression, c: float,
                                  tau_plus=tau_end, t_table=ts[::-1].copy(),
                                  tau_table=taus[::-1].copy(), lam=None)
     return grep
-
-
-def check_relaxed_bound(p: ProblemSpec, grep: GeneralizedReparam,
-                        c: CheckConfig | None = None) -> CriterionReport:
-    """Sampled check of |f(t,x)| <= u'(t)/(u(t) - 1/tau(t)^2) * omega(|x|)
-    on the generalized reparametrization's domain.
-
-    The denominator may change sign; the check is run per sign sub-domain
-    (the bound is vacuous where the denominator is non-positive, and those
-    samples are reported, not checked).  The report's data carries the
-    pointwise ratio between the relaxed bound and the classical u'/u bound.
-    """
-    c = c or CheckConfig()
-    if p.f is None or p.u is None or p.omega is None:
-        raise ValueError("relaxed-bound check requires f, u and omega")
-    rep = grep.rep
-    tg = np.geomspace(rep.t_min, rep.T, c.n_t)
-    xg = c.x_grid(p.x_bound)
-    tau_vals = np.asarray(rep.tau_of_t(tg))
-    u_vals = p.u.lambdify(("t",))(tg)
-    du_vals = p.u.diff("t").lambdify(("t",))(tg)
-    om_abs = p.omega.lambdify(("r",))(np.abs(xg))
-    denom = u_vals - 1.0 / tau_vals**2
-    signs = np.sign(denom)
-    f = p.f.lambdify(("t", "x"))
-    f_abs = np.abs(f(tg[:, None], xg[None, :]))
-
-    hyps = []
-    # contiguous runs of constant denominator sign
-    for idx in np.split(np.arange(len(tg)),
-                        np.flatnonzero(np.diff(signs) != 0) + 1):
-        if signs[idx[0]] <= 0:
-            continue
-        rhs = (du_vals[idx] / denom[idx])[:, None] * om_abs[None, :]
-        hyps.append(_grid_bound_hypothesis(
-            f"relaxed_bound_domain{len(hyps)}", f_abs[idx], rhs, tg[idx], xg,
-            c.tol))
-    excluded = int(np.count_nonzero(signs <= 0))
-    if not hyps:
-        hyps.append(Hypothesis(
-            "relaxed_bound_domain0", False, float("nan"),
-            {"kind": "domain_error", "t": float(tg[0]), "x": 0.0},
-            notes="denominator u - 1/tau^2 is non-positive on the whole domain"))
-    notes = (f"{excluded} of {len(tg)} t-samples excluded "
-             "(denominator u - 1/tau^2 <= 0; bound vacuous there)")
-    ratio = np.where(denom > 0, u_vals / denom, np.nan)
-    data = {
-        "t": [float(x) for x in tg],
-        "bound_ratio_relaxed_over_classical": [
-            None if not np.isfinite(r) else float(r) for r in ratio],
-    }
-    return CriterionReport("relaxed_bound", hyps, notes=notes, data=data)

@@ -266,6 +266,9 @@ def test_funnel_json(problem_file, tmp_path):
     ("solve", ["--t-floor", "2"], "solve: need 0 < t-floor < T"),
     ("solve", ["--t0", "0"], "solve: need t0 > 0 and t1 > 0"),
     ("solve", ["--t1", "-1"], "solve: need t0 > 0 and t1 > 0"),
+    *(("reparam", ["--generalized-c", c],
+       "reparam: need 0 < generalized-c < inf")
+      for c in ("0", "-5", "nan", "inf")),
 ])
 def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
                                      message):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_reference
 from odeuniq import cli, criteria, quadrature
@@ -150,6 +150,12 @@ def _pair_samples(draw):
 
 
 @given(_pair_samples())
+# subnormal draws, where the rounding band below is under one ulp of 0.0
+@example((np.array([[-3.0, -2.0, 0.0, 2.0, 3.0]]) * 5e-324,
+          np.array([5e-324]), np.array([1e-3]), 3 * np.linspace(-1, 1, 5)))
+@example((np.array([[-0.0, -0.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, 0.0, 1.0]])
+          * 5e-324, np.array([0.0, 5e-324]), np.array([1e-3, 1.0]),
+          np.linspace(-1, 1, 5)))
 @settings(max_examples=300, deadline=None)
 def test_pairwise_sweep_matches_all_pairs(sample):
     f_vals, coeff, tgrid, xgrid = sample
@@ -158,9 +164,10 @@ def test_pairwise_sweep_matches_all_pairs(sample):
     if ref.witness["kind"] == "domain_error":
         assert h.to_dict() == ref.to_dict()
         return
-    # g = coeff*x -+ f is rounded at this scale before the running maximum
+    # g = coeff*x -+ f is rounded at this scale before the running maximum,
+    # and by a few ulps of 0.0 where the scale is subnormal
     band = 2e-15 * (np.max(np.abs(coeff)) * np.max(np.abs(xgrid))
-                    + np.max(np.abs(f_vals)))
+                    + np.max(np.abs(f_vals))) + 4 * math.ulp(0.0)
     assert h.worst_margin == pytest.approx(ref.worst_margin, abs=band)
     if abs(ref.worst_margin + CFG.tol) > band:
         assert h.passed == ref.passed
@@ -425,6 +432,42 @@ def test_h2_nonfinite_integrand_fails(spec):
     assert not h2.passed and math.isnan(h2.worst_margin)
     assert h2.witness["kind"] == "domain_error"
     assert set(h2.witness) == {"kind", "t", "eps"}
+    assert reverify(p, CFG, rep)
+
+
+def test_h1_integrates_up_to_horizon():
+    # v/lambda = 1/sqrt(0.5 - t) is nan past t = 0.5, beyond T = 0.4
+    p = ProblemSpec.from_dict({"f": "0", "v": "t", "lambda": "t*sqrt(0.5 - t)",
+                               "omega": "r", "T": 0.4})
+    rep = check_theorem_main(p, CFG)
+    h1 = rep.hypothesis("H1_integrability")
+    assert h1.passed and h1.witness["t"] == 0.4
+    exact = 2 * (math.sqrt(0.5) - math.sqrt(0.1))
+    assert h1.witness["integral"] == pytest.approx(exact, rel=1e-9)
+    assert not rep.hypothesis("H2_osgood_scaled").passed
+    assert reverify(p, CFG, rep)
+
+
+def test_h1_nonfinite_integrand_fails():
+    # lambda = t^1.99 underflows to 0 near 0+, where v/lambda = t/0
+    p = problem("0", u="t", v="t", lam="t^1.99", omega="r")
+    rep = check_theorem_main(p, CFG)
+    h1 = rep.hypothesis("H1_integrability")
+    assert not h1.passed and math.isnan(h1.worst_margin)
+    assert h1.witness["kind"] == "domain_error"
+    assert set(h1.witness) == {"kind", "t"} and 0.0 < h1.witness["t"] < 1e-150
+    assert reverify(p, CFG, rep)
+
+
+def test_osgood_nonfinite_integrand_fails():
+    # omega is nan on (0.299, 0.301), inside an r segment
+    p = problem("0", u="t", omega="r + 0*sqrt(abs(r - 0.3) - 0.001)")
+    h = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
+    assert not h.passed and math.isnan(h.worst_margin)
+    assert h.witness["kind"] == "domain_error"
+    assert set(h.witness) == {"kind", "r"} and 0.299 < h.witness["r"] < 0.301
+    rep = check_constantin(p, CFG)
+    assert not rep.hypothesis("comparison_function").passed
     assert reverify(p, CFG, rep)
 
 
