@@ -248,11 +248,11 @@ def cmd_reparam(args) -> int:
             problem.u, rep)
     if args.generalized_c is not None:
         c = args.generalized_c
-        root = reparam_mod.solve_tau_exp_root(c)
-        diagnostics["generalized_tau_plus"] = root
-        diagnostics["generalized_tau_plus_residual"] = abs(
-            root * math.exp(root) - 1.0 / c)
         try:
+            root = reparam_mod.solve_tau_exp_root(c)
+            diagnostics["generalized_tau_plus"] = root
+            diagnostics["generalized_tau_plus_residual"] = abs(
+                root * math.exp(root) - 1.0 / c)
             grep = reparam_mod.generalized_reparam(
                 problem.u if problem.u is not None else lam, c, T=problem.T)
             diagnostics["generalized_table_monotone"] = bool(

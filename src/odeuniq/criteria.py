@@ -2,10 +2,10 @@
 
 Each checker evaluates the hypotheses of one criterion (Nagumo-type
 Lipschitz bound, Athanassov gauge bound, Constantin comparison-function
-bound, and the main reparametrization-based theorem) on configurable
-sample grids and produces a structured report with margins and witness
-points.  A margin is always (right side - left side) of the checked
-inequality; negative means violation.
+bound, and the main reparametrization-based theorem) on sample grids and
+produces a structured report with margins and witness points.  A margin
+is always (right side - left side) of the checked inequality; negative
+means violation.
 
 These checks are sampled necessary-condition filters, not proofs: passing
 means no violation was found on the grids, with inequality slack ``tol``
@@ -15,6 +15,15 @@ Each hypothesis is defined once, in ``HYPOTHESES``, from the problem's
 expressions.  The checkers evaluate a definition on their grids and
 ``reverify`` evaluates the same definition at a failing witness, so every
 hypothesis of every criterion can be re-checked.
+
+The three integrals at 0+ (H1, H2 and the Osgood gate of the comparison
+function) run through one sweep and fail one way.  With var the grid
+variable (t or r), and the failing eps in the witness when the hypothesis
+has an eps grid: a non-finite integrand sample gives margin nan and
+``{"kind": "domain_error", var: where}``; a divergent first piece
+(0, grid[0]] margin -inf and ``{"kind": "divergent", var: grid[0]}``; the
+first unconverged piece j margin nan and ``{"kind": "divergent", var:
+grid[j]}``, plus ``var + "0": grid[j-1]`` when j > 0.
 """
 from __future__ import annotations
 
@@ -112,7 +121,7 @@ class ProblemSpec:
     name: str = ""
 
     @classmethod
-    def from_dict(cls, d: dict, validate: bool = True) -> "ProblemSpec":
+    def from_dict(cls, d: dict) -> "ProblemSpec":
         def opt(key, allowed):
             src = d.get(key)
             return None if src is None else parse(src, allowed_vars=allowed)
@@ -127,15 +136,15 @@ class ProblemSpec:
             x_bound=float(d.get("x_bound", 1.0)),
             name=str(d.get("name", "")),
         )
-        if validate:
-            problems = spec.validate()
-            if problems:
-                raise ProblemValidationError(problems)
+        problems = spec.validate()
+        if problems:
+            raise ProblemValidationError(problems)
         return spec
 
-    def validate(self, config: CheckConfig | None = None) -> list[str]:
-        """Invariant checks performed at load time; returns all violations."""
-        c = config or CheckConfig()
+    def validate(self) -> list[str]:
+        """Invariant checks performed at load time, on the default grids;
+        returns all violations."""
+        c = CheckConfig()
         msgs = []
         if not (0.0 < self.T <= 1.0):
             msgs.append(f"T must lie in (0, 1], got {self.T!r}")
@@ -361,9 +370,11 @@ class _Integral(NamedTuple):
     """int_0^t integrand(w, eps) dw <= eps*bound(t), integrated at the
     quadrature tolerance tol(c, eps).  eps is the H2 scale, a float or an
     array of scales that broadcasts against w; the other integrals ignore
-    it.  H1 asks only for convergence and has no bound."""
+    it.  H1 asks only for convergence and has no bound.  label names the
+    integrand in the notes of a failure."""
     integrand: Callable
     tol: Callable
+    label: str
     bound: Callable | None = None
 
     def at(self, w):
@@ -372,18 +383,20 @@ class _Integral(NamedTuple):
 
 class _Gate(NamedTuple):
     """The comparison-function gate: omega(0+) = 0, omega increasing, and
-    the Osgood integral int_0^r omega(s)/s ds <= r, whose integrand, tol
-    and bound are read as an _Integral's."""
+    the Osgood integral int_0^r omega(s)/s ds <= r, whose integrand, tol,
+    label and bound are read as an _Integral's."""
     omega: Callable
     integrand: Callable
     tol: Callable
+    label: str
     bound: Callable
 
     def ratio(self, r, _x):
         return self.omega(r)  # omega(0+) = 0 as a limit that ignores x
 
     def at(self, w):
-        return (self.omega(w["r"] if "r" in w else w["t"]),)
+        r = w["r"] if "r" in w else w["t"]
+        return self.omega(r), self.integrand(r, None)
 
 
 def _quad_tol(c: CheckConfig, _eps) -> float:
@@ -392,7 +405,8 @@ def _quad_tol(c: CheckConfig, _eps) -> float:
 
 def _gate(omega: Expression) -> _Gate:
     om = omega.lambdify(("r",))
-    return _Gate(om, lambda s, _eps: om(s) / s, _quad_tol, lambda r: r)
+    return _Gate(om, lambda s, _eps: om(s) / s, _quad_tol, "omega(s)/s",
+                 lambda r: r)
 
 
 def _compiled(node) -> Callable:
@@ -415,7 +429,7 @@ def _constantin_bound(p: ProblemSpec) -> _Bound:
 def _h1(p: ProblemSpec) -> _Integral:
     """v/lambda is integrable at 0+."""
     v, lam = p.v.lambdify(("t",)), p.lam.lambdify(("t",))
-    return _Integral(lambda w, _eps: v(w) / lam(w), _quad_tol)
+    return _Integral(lambda w, _eps: v(w) / lam(w), _quad_tol, "v/lambda")
 
 
 def _h2(p: ProblemSpec) -> _Integral:
@@ -428,11 +442,8 @@ def _h2(p: ProblemSpec) -> _Integral:
         vmax = float(np.max(np.abs(v(c.t_grid(p.T)))))
         return np.maximum(1e-12 * eps * max(vmax, 1.0), 1e-300)
 
-    def integrand(w, eps):
-        with np.errstate(all="ignore"):
-            return om(eps * v(w)) / lam(w)
-
-    return _Integral(integrand, tol, v)
+    return _Integral(lambda w, eps: om(eps * v(w)) / lam(w), tol,
+                     "omega(eps*v)/lambda", v)
 
 
 def _h3(p: ProblemSpec) -> _Bound:
@@ -520,38 +531,60 @@ def check_athanassov(p: ProblemSpec, c: CheckConfig | None = None) -> CriterionR
         _sweep("uniform_limit_f_over_uprime", p, c)])
 
 
-def _osgood_hypothesis(d: _Gate, c: CheckConfig, name="osgood_integral",
-                       notes="") -> Hypothesis:
+def _integral_sweep(name: str, d, grid, c: CheckConfig, var: str, eps=None):
+    """Integrate d's integrand from 0+ to every point of ``grid``, one sweep
+    member per scale of the eps grid ``eps`` (one member of scale 1 when
+    the hypothesis has no eps grid).  Returns the (grid x scale) array of
+    integral/scale, or the failing Hypothesis of the first member that
+    fails, by the module's failure convention."""
+    scales = np.ones(1) if eps is None else eps
+
+    def family(w, members):
+        shape = (len(members),) + w.shape
+        y = d.integrand(w, scales[members].reshape((-1,) + (1,) * w.ndim))
+        return y if np.shape(y) == shape else np.broadcast_to(y, shape)
+
+    out = np.empty((len(grid), len(scales)))
+    with np.errstate(all="ignore"):
+        sweeps = sweep_singular_left(
+            family, grid, np.broadcast_to(d.tol(c, scales), scales.shape))
+        for ie, scale in enumerate(scales.tolist()):
+            at = {} if eps is None else {"eps": scale}
+            try:
+                sweep = next(sweeps)
+            except IntegrandError as exc:
+                return Hypothesis(name, False, math.nan, {
+                    "kind": "domain_error", **at, var: exc.where},
+                    notes=f"{d.label} is not finite at {var}")
+            if sweep.base.diverged:
+                return Hypothesis(name, False, -math.inf, {
+                    "kind": "divergent", **at, var: float(grid[0])},
+                    notes=f"int_0+ {d.label} diverges")
+            bad = np.flatnonzero(~sweep.converged)
+            if bad.size:
+                j = int(bad[0])
+                lo = {var + "0": float(grid[j - 1])} if j else {}
+                return Hypothesis(name, False, math.nan, {
+                    "kind": "divergent", **at, **lo, var: float(grid[j])},
+                    notes=f"quadrature of {d.label} did not converge " +
+                          (f"on ({var}0, {var}]" if j else "near 0+"))
+            out[:, ie] = sweep.values / scale
+    return out
+
+
+def _osgood_hypothesis(d: _Gate, c: CheckConfig) -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
     rg = c.r_grid()
-    try:
-        sweep = next(sweep_singular_left(
-            lambda s, _members: d.integrand(s, None)[None], rg,
-            [d.tol(c, None)]))
-    except IntegrandError as exc:
-        return Hypothesis(name, False, float("nan"),
-                          {"kind": "domain_error", "r": exc.where},
-                          notes="omega(s)/s is not finite at r")
-    if sweep.base.diverged:
-        return Hypothesis(name, False, float("-inf"),
-                          {"kind": "divergent", "r": float(rg[0])},
-                          notes="int_0+ omega(s)/s ds diverges")
-    bad = np.flatnonzero(~sweep.converged)
-    if bad.size:
-        j = int(bad[0])
-        witness = {"kind": "divergent", "r": float(rg[j])}
-        if j:
-            witness["r0"] = float(rg[j - 1])
-        return Hypothesis(name, False, float("nan"), witness,
-                          notes="quadrature did not converge near 0+" if j == 0
-                          else "quadrature did not converge on (r0, r]")
-    margins = d.bound(rg) - sweep.values
+    integrals = _integral_sweep("osgood_integral", d, rg, c, "r")
+    if isinstance(integrals, Hypothesis):
+        return integrals
+    margins = d.bound(rg) - integrals[:, 0]
     j = int(np.argmin(margins))  # ties: smallest r
     r = float(rg[j])
-    witness = {"kind": "quad_ineq", "r": r, "integral": float(sweep.values[j]),
+    witness = {"kind": "quad_ineq", "r": r, "integral": float(integrals[j, 0]),
                "bound": r}
-    return Hypothesis(name, float(margins[j]) >= -c.tol, float(margins[j]),
-                      witness, notes=notes)
+    return Hypothesis("osgood_integral", float(margins[j]) >= -c.tol,
+                      float(margins[j]), witness)
 
 
 def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> CriterionReport:
@@ -639,74 +672,37 @@ def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> Criterio
 
 def _h1_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
     """H1: integrability of v/lambda at 0+, over (0, T]."""
-    d = HYPOTHESES["H1_integrability"](p)
-    try:
-        with np.errstate(all="ignore"):
-            res = integrate_singular_left(lambda w: d.integrand(w, None), p.T,
-                                          tol=d.tol(c, None))
-    except IntegrandError as exc:
-        return Hypothesis("H1_integrability", False, float("nan"),
-                          {"kind": "domain_error", "t": exc.where},
-                          notes="v/lambda is not finite at t")
-    if not res.converged:
-        return Hypothesis("H1_integrability", False,
-                          -math.inf if res.diverged else math.nan,
-                          {"kind": "divergent", "t": p.T},
-                          notes="int_0+^T v/lambda diverges" if res.diverged
-                          else "quadrature budget exhausted")
-    return Hypothesis("H1_integrability", True, 0.0,
-                      {"kind": "quad_value", "t": p.T, "integral": float(res.value)})
+    name = "H1_integrability"
+    integral = _integral_sweep(name, HYPOTHESES[name](p), np.array([p.T]), c, "t")
+    if isinstance(integral, Hypothesis):
+        return integral
+    return Hypothesis(name, True, 0.0, {"kind": "quad_value", "t": p.T,
+                                        "integral": float(integral[0, 0])})
 
 
 def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
     """H2: int_0^t omega(eps*v(w))/lambda(w) dw <= eps*v(t), margins scaled
     by eps."""
-    d = HYPOTHESES["H2_osgood_scaled"](p)
+    name = "H2_osgood_scaled"
+    d = HYPOTHESES[name](p)
     tg, eg = c.t_grid(p.T), c.eps_grid()
+    scaled = _integral_sweep(name, d, tg, c, "t", eg)
+    if isinstance(scaled, Hypothesis):
+        return scaled
     vt = d.bound(tg)
-
-    def family(w, members):
-        # one column of scales: v and lambda are sampled once on the shared
-        # nodes, omega on the (eps x nodes) block
-        return d.integrand(w, eg[members].reshape((-1,) + (1,) * w.ndim))
-
-    margins = np.empty((len(tg), len(eg)))
-    sweeps = sweep_singular_left(family, tg, d.tol(c, eg))
-    for ie, eps in enumerate(eg.tolist()):
-        try:
-            sweep = next(sweeps)
-        except IntegrandError as exc:
-            return Hypothesis(
-                "H2_osgood_scaled", False, float("nan"),
-                {"kind": "domain_error", "t": exc.where, "eps": eps},
-                notes="omega(eps*v)/lambda is not finite at t")
-        if sweep.base.diverged:
-            return Hypothesis(
-                "H2_osgood_scaled", False, float("-inf"),
-                {"kind": "divergent", "eps": eps, "t": float(tg[0])},
-                notes="int_0+ omega(eps*v)/lambda diverges")
-        bad = np.flatnonzero(~sweep.converged)
-        if bad.size:
-            j = int(bad[0])
-            t0 = float(tg[j - 1]) if j else 0.0
-            return Hypothesis(
-                "H2_osgood_scaled", False, float("nan"),
-                {"kind": "divergent", "eps": eps, "t0": t0, "t": float(tg[j])},
-                notes="quadrature budget exhausted on (t0, t]")
-        margins[:, ie] = vt - sweep.values / eps
+    margins = vt[:, None] - scaled
     flat = int(np.argmin(margins.ravel()))  # ties: smallest t, then smallest eps
     it, ie = np.unravel_index(flat, margins.shape)
     worst = float(margins[it, ie])
-    eps_w, t_w = float(eg[ie]), float(tg[it])
     witness = {
         "kind": "quad_ineq_eps",
-        "eps": eps_w,
-        "t": t_w,
+        "eps": float(eg[ie]),
+        "t": float(tg[it]),
         "scaled_integral": float(vt[it]) - worst,
         "v_t": float(vt[it]),
         "max_margin": float(np.max(margins)),  # margin spread over the grid
     }
-    return Hypothesis("H2_osgood_scaled", worst >= -c.tol, worst, witness,
+    return Hypothesis(name, worst >= -c.tol, worst, witness,
                       notes="margins scaled by eps")
 
 

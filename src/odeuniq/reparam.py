@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+_TAU_NODES = 400   # nodes of the tau(t) table
+_CHECK_TOL = 1e-9  # slack of the checks; their integrals run at 1e-2 of it
+
+
 class ReparamError(Exception):
     pass
 
@@ -211,8 +215,7 @@ def _inv_lam_fn(lam: Expression):
     return lambda t: 1.0 / lam_v(t)
 
 
-def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
-              tol: float = 1e-12, n_nodes: int = 400,
+def build_tau(lam: Expression, T: float, tau_minus: float = 0.0, tol: float = 1e-12,
               t_min: float | None = None) -> Reparametrization:
     """Tabulate tau(t) = tau_minus + int_t^T ds/lambda(s) on a geometric grid.
 
@@ -221,7 +224,7 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
     """
     if t_min is None:
         t_min = T * 1e-8
-    t_nodes = np.geomspace(t_min, T, n_nodes)
+    t_nodes = np.geomspace(t_min, T, _TAU_NODES)
     lam_vals = lam.lambdify(("t",))(t_nodes)
     if not np.all(np.isfinite(lam_vals)):
         bad = float(t_nodes[np.flatnonzero(~np.isfinite(lam_vals))[0]])
@@ -230,7 +233,7 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
         bad = float(t_nodes[np.flatnonzero(~(lam_vals > 0.0))[0]])
         raise ReparamError(f"lambda vanishes or is negative at t={bad!r}")
     inv_lam = _inv_lam_fn(lam)
-    seg_tol = max(tol / n_nodes, 1e-15)
+    seg_tol = max(tol / _TAU_NODES, 1e-15)
     segs = _integrate_lanes(inv_lam, t_nodes[:-1].tolist(),
                             t_nodes[1:].tolist(), tol=seg_tol)
     # the table is filled from T down: the top segment's failure is reported
@@ -263,7 +266,7 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
 
 
 def verify_fixed_point(rep: Reparametrization, lam: Expression,
-                       tol: float = 1e-9, n_tau: int = 50) -> float:
+                       n_tau: int = 50) -> float:
     """Max residual of t(tau) = int_tau^tau_plus lambda(t(s)) ds on a tau grid.
 
     Integrals are truncated at the tabulated horizon; the missing tail is
@@ -273,7 +276,7 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
     lam_v = lam.lambdify(("t",))
     quads = _integrate_lanes(lambda s: lam_v(rep.t_of_tau(s)), taus.tolist(),
-                             [tau_hi] * n_tau, tol=min(tol * 1e-2, 1e-9))
+                             [tau_hi] * n_tau, tol=_CHECK_TOL * 1e-2)
     worst = 0.0
     for res, t in zip(quads, rep.t_of_tau(taus).tolist()):
         if isinstance(res, IntegrandError):
@@ -312,14 +315,13 @@ class TransformedField:
 
 
 def transform(f: Expression, v: Expression, lam: Expression,
-              rep: Reparametrization, x_bound: float = 1.0,
-              n_tau: int = 80, n_y: int = 41, tol: float = 1e-9) -> TransformedField:
+              rep: Reparametrization) -> TransformedField:
     """Build the transformed field and validate |F(tau, y)| <= alpha(tau)
-    on a (tau, y) grid; a violation indicates the source problem breaks
-    the domination hypothesis."""
+    on an 80 x 41 grid of (tau, y), y in [-1, 1]; a violation indicates
+    the source problem breaks the domination hypothesis."""
     field = TransformedField(rep=rep, f=f, v=v, lam=lam)
-    taus = np.linspace(rep.tau_minus, rep.tau_horizon, n_tau)
-    ys = np.linspace(-x_bound, x_bound, n_y)
+    taus = np.linspace(rep.tau_minus, rep.tau_horizon, 80)
+    ys = np.linspace(-1.0, 1.0, 41)
     t_vals = rep.t_of_tau(taus)
     lam_vals = lam.lambdify(("t",))(t_vals)
     alpha_vals = v.lambdify(("t",))(t_vals)
@@ -328,7 +330,7 @@ def transform(f: Expression, v: Expression, lam: Expression,
     flat = int(np.argmin(margins.ravel()))
     i, j = np.unravel_index(flat, margins.shape)
     field.worst_margin = float(margins[i, j])
-    field.bound_ok = bool(field.worst_margin >= -tol)
+    field.bound_ok = bool(field.worst_margin >= -_CHECK_TOL)
     if not field.bound_ok:
         field.witness = {"tau": float(taus[i]), "y": float(ys[j]),
                          "F": float(-lam_vals[i] * f_vals[i, j]),
@@ -337,13 +339,13 @@ def transform(f: Expression, v: Expression, lam: Expression,
 
 
 def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
-                   tau: float, tol: float = 1e-9) -> float:
+                   tau: float) -> float:
     """Residual of int_tau^tau_horizon alpha(s) ds = int_t_min^t(tau) v/lambda:
     both sides stop at the table's horizon, which w = t(s) maps to t_min."""
     v_fn = v.lambdify(("t",))
     lam_fn = lam.lambdify(("t",))
     left = integrate(lambda s: v_fn(rep.t_of_tau(s)), float(tau),
-                     rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
+                     rep.tau_horizon, tol=_CHECK_TOL * 1e-2)
     t_at = rep.t_of_tau(float(tau), refine=True)
     right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
                       tol=1e-11)
@@ -352,18 +354,16 @@ def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
     return abs(left.value - right.value)
 
 
-def exp_reparam_check(u: Expression, rep: Reparametrization,
-                      c: float | None = None, n_tau: int = 50) -> float:
-    """Max residual of u(t(tau)) = c * exp(-tau) on a tau grid.
+def exp_reparam_check(u: Expression, rep: Reparametrization) -> float:
+    """Max residual of u(t(tau)) = c * exp(-tau) on a 50-point tau grid.
 
     With lambda = u/u' the reparametrization is exactly exponential in the
-    u-values; c defaults to u(T)*exp(tau_minus), which makes the identity
-    exact at tau = tau_minus.
+    u-values; c = u(T)*exp(tau_minus) makes the identity exact at
+    tau = tau_minus.
     """
-    if c is None:
-        c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
+    c = u.evaluate({"t": rep.T}) * math.exp(rep.tau_minus)
     tau_hi = min(rep.tau_horizon, rep.tau_minus + 40.0)
-    taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+    taus = np.linspace(rep.tau_minus, tau_hi, 50)
     ts = rep.t_of_tau(taus, refine=True)
     exact = [c * math.exp(-tau + rep.tau_minus) * math.exp(-rep.tau_minus)
              for tau in taus.tolist()]
@@ -374,7 +374,8 @@ def exp_reparam_check(u: Expression, rep: Reparametrization,
 # generalized reparametrization u(t(tau)) = c*exp(-tau) - 1/tau
 
 def solve_tau_exp_root(c: float) -> float:
-    """The positive root of tau * exp(tau) = 1/c (bracketing bisection)."""
+    """The positive root of tau * exp(tau) = 1/c (bracketing bisection);
+    ReparamError when no bracket within [1e-300, 709] holds it."""
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c!r}")
     target = 1.0 / c
@@ -382,12 +383,12 @@ def solve_tau_exp_root(c: float) -> float:
     def fn(tau):
         return tau * math.exp(tau) - target
 
-    lo = 1e-300
-    hi = 1.0
-    while fn(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ReparamError("no root of tau*exp(tau) = 1/c in range")
+    lo, hi = 1e-300, 1.0
+    while fn(hi) < 0.0 and hi < 709.0:  # math.exp is finite up to 709
+        hi = min(2.0 * hi, 709.0)
+    if not fn(lo) < 0.0 <= fn(hi):
+        raise ReparamError(f"no root of tau*exp(tau) = 1/c in [{lo!r}, {hi!r}] "
+                           f"for c={c!r}")
     return bisect(fn, lo, hi, rtol=1e-14)
 
 

@@ -194,16 +194,27 @@ def test_reparam_generalized_table_built(tmp_path, stem, c):
 
 
 def test_reparam_generalized_nonfinite_gauge_reported(problem_file, tmp_path):
-    # u is 0*inf = nan at the inversion's floor t = 1e-12
+    rows = [
+        # u is 0*inf = nan at the inversion's floor t = 1e-12
+        ({"f": "0", "u": "t + 0*exp(1/t)", "v": "t", "lambda": "t"}, "10",
+         "gauge u = (t+(0.0*exp((1.0/t)))) is not finite at t_floor = 1e-12"),
+        # the root of tau*exp(tau) = 1/c, 684.2, lies past the bracket's
+        # doubling to 1024, where exp overflows
+        ({"f": "0", "u": "t"}, "1e-300",
+         "degenerate generalized reparametrization: c*exp(-tau) - 1/tau is "
+         "never positive for c=1e-300 (requires c > e)"),
+        # ... and 1e-308 below the bracket's lower end 1e-300
+        ({"f": "0", "u": "t"}, "1e308",
+         "no root of tau*exp(tau) = 1/c in [1e-300, 1.0] for c=1e+308"),
+    ]
     out = str(tmp_path / "rep.json")
-    code = main(["reparam", "--problem", problem_file(
-        {"f": "0", "u": "t + 0*exp(1/t)", "v": "t", "lambda": "t"}),
-        "--generalized-c", "10", "--out", out])
-    assert code == 0
-    d = json.loads(open(out).read())["reports"][0]["diagnostics"]
-    assert d["generalized_error"] == (
-        "gauge u = (t+(0.0*exp((1.0/t)))) is not finite at t_floor = 1e-12")
-    assert "generalized_table_monotone" not in d
+    for spec, c, error in rows:
+        code = main(["reparam", "--problem", problem_file(spec),
+                     "--generalized-c", c, "--out", out])
+        assert code == 0
+        d = json.loads(open(out).read())["reports"][0]["diagnostics"]
+        assert d["generalized_error"] == error
+        assert "generalized_table_monotone" not in d
 
 
 @pytest.mark.parametrize("stem", ["linear", "sqrt_gauge"])

@@ -257,15 +257,6 @@ def test_theorem_equality_case_h2_margin_zero_everywhere():
     assert abs(h2.witness["max_margin"]) <= 1e-7
 
 
-def test_theorem_h1_divergence_detected():
-    # v=t, lambda=t^2: v/lambda = 1/t not integrable at 0+
-    p = problem("0", v="t", lam="t^2", omega="r")
-    rep = check_theorem_main(p, CFG)
-    assert not rep.hypothesis("H1_integrability").passed
-    h2 = rep.hypothesis("H2_osgood_scaled")
-    assert not h2.passed and h2.witness["kind"] == "divergent"
-
-
 def test_theorem_h5_violation_witnessed():
     # lambda*f = t * x/t = x, v = t: |x| <= t fails for small t
     p = problem("x/t", v="t", lam="t", omega="r")
@@ -415,26 +406,6 @@ def test_omega_domain_witness_reverifies():
     assert reverify(p, CFG, rep)
 
 
-@pytest.mark.parametrize("spec", [
-    # lambda underflows to 0 near 0+: omega(eps*v)/lambda = r/0
-    pytest.param({"f": "0", "v": "t", "lambda": "exp(-1/t)", "omega": "r"},
-                 id="v=t-lambda=exp(-1/t)-r"),
-    # the reduced pair of u = t: omega(eps*t) is nan below eps*t = 2^-30
-    pytest.param({"f": "0", "u": "t", "omega": "r*sqrt(r - 2^-30)"},
-                 id="reduced-t-r*sqrt(r - 2^-30)"),
-])
-def test_h2_nonfinite_integrand_fails(spec):
-    p = ProblemSpec.from_dict(spec)
-    if p.u is not None:
-        p = reduce_problem(p)
-    rep = check_theorem_main(p, CFG)
-    h2 = rep.hypothesis("H2_osgood_scaled")
-    assert not h2.passed and math.isnan(h2.worst_margin)
-    assert h2.witness["kind"] == "domain_error"
-    assert set(h2.witness) == {"kind", "t", "eps"}
-    assert reverify(p, CFG, rep)
-
-
 def test_h1_integrates_up_to_horizon():
     # v/lambda = 1/sqrt(0.5 - t) is nan past t = 0.5, beyond T = 0.4
     p = ProblemSpec.from_dict({"f": "0", "v": "t", "lambda": "t*sqrt(0.5 - t)",
@@ -445,29 +416,6 @@ def test_h1_integrates_up_to_horizon():
     exact = 2 * (math.sqrt(0.5) - math.sqrt(0.1))
     assert h1.witness["integral"] == pytest.approx(exact, rel=1e-9)
     assert not rep.hypothesis("H2_osgood_scaled").passed
-    assert reverify(p, CFG, rep)
-
-
-def test_h1_nonfinite_integrand_fails():
-    # lambda = t^1.99 underflows to 0 near 0+, where v/lambda = t/0
-    p = problem("0", u="t", v="t", lam="t^1.99", omega="r")
-    rep = check_theorem_main(p, CFG)
-    h1 = rep.hypothesis("H1_integrability")
-    assert not h1.passed and math.isnan(h1.worst_margin)
-    assert h1.witness["kind"] == "domain_error"
-    assert set(h1.witness) == {"kind", "t"} and 0.0 < h1.witness["t"] < 1e-150
-    assert reverify(p, CFG, rep)
-
-
-def test_osgood_nonfinite_integrand_fails():
-    # omega is nan on (0.299, 0.301), inside an r segment
-    p = problem("0", u="t", omega="r + 0*sqrt(abs(r - 0.3) - 0.001)")
-    h = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
-    assert not h.passed and math.isnan(h.worst_margin)
-    assert h.witness["kind"] == "domain_error"
-    assert set(h.witness) == {"kind", "r"} and 0.299 < h.witness["r"] < 0.301
-    rep = check_constantin(p, CFG)
-    assert not rep.hypothesis("comparison_function").passed
     assert reverify(p, CFG, rep)
 
 
@@ -491,7 +439,7 @@ def test_every_emitted_hypothesis_has_a_definition():
 
 
 # ---------------------------------------------------------------------------
-# unconverged integrals fail their hypothesis
+# the integrals at 0+ (H1, H2 and the Osgood gate) fail one way
 
 def _one_panel_fallback(monkeypatch):
     """Limit the adaptive integrals that redo rejected panels, and those of
@@ -505,34 +453,101 @@ def _one_panel_fallback(monkeypatch):
     monkeypatch.setattr(criteria, "integrate", one_panel)
 
 
-def test_h2_unconverged_segment_fails(monkeypatch):
+def _unvalidated(f="0", **gauges):
+    """A ProblemSpec without the load-time checks, so omega(0) may be 1."""
+    allowed = {"u": {"t"}, "v": {"t"}, "lam": {"t"}, "omega": {"r"}}
+    return ProblemSpec(parse(f, {"t", "x"}),
+                       **{k: parse(src, allowed[k]) for k, src in gauges.items()})
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# hypothesis, gauges, one-panel fallback, witness kind, margin, the
+# witness's keys besides kind, and where it sits
+INTEGRAL_FAILURES = [
+    # lambda = t^1.99 underflows to 0 near 0+, where v/lambda = t/0
+    pytest.param("H1_integrability", dict(v="t", lam="t^1.99", omega="r"), False,
+                 "domain_error", math.nan, "t", lambda w: 0.0 < w["t"] < 1e-150,
+                 id="H1-domain_error"),
+    # v/lambda = 1/t is not integrable at 0+
+    pytest.param("H1_integrability", dict(v="t", lam="t^2", omega="r"), False,
+                 "divergent", -math.inf, "t", lambda w: w["t"] == 1.0,
+                 id="H1-divergent"),
+    # v/lambda has a kink at t = 0.3, inside a geometric panel; lambda(0) > 0
+    # keeps the samples at t = 0, where the panels end, finite
+    pytest.param("H1_integrability",
+                 dict(v="t*min(1, t/0.3)", lam="t + 1e-300", omega="r"), True,
+                 "divergent", math.nan, "t", lambda w: w["t"] == 1.0,
+                 id="H1-unconverged"),
+    # lambda underflows to 0 near 0+: omega(eps*v)/lambda = r/0
+    pytest.param("H2_osgood_scaled", dict(v="t", lam="exp(-1/t)", omega="r"),
+                 False, "domain_error", math.nan, "t eps", lambda w: True,
+                 id="H2-domain_error-v=t-lambda=exp(-1/t)-r"),
+    # the reduced pair of u = t: omega(eps*t) is nan below eps*t = 2^-30
+    pytest.param("H2_osgood_scaled", dict(u="t", omega="r*sqrt(r - 2^-30)"),
+                 False, "domain_error", math.nan, "t eps", lambda w: True,
+                 id="H2-domain_error-reduced-t-r*sqrt(r - 2^-30)"),
+    pytest.param("H2_osgood_scaled", dict(v="t", lam="t^2", omega="r"), False,
+                 "divergent", -math.inf, "t eps",
+                 lambda w: w["t"] == CFG.t_grid(1.0)[0] and w["eps"] == CFG.eps_min,
+                 id="H2-divergent"),
     # omega has a kink at eps*t = 1/2, inside a t segment for eps = 1
-    p = problem("0", v="t", lam="t", omega="min(r, (r + 1/2)/2)")
-    assert check_theorem_main(p, CFG).hypothesis("H2_osgood_scaled").passed
-    _one_panel_fallback(monkeypatch)
-    rep = check_theorem_main(p, CFG)
-    h2 = rep.hypothesis("H2_osgood_scaled")
-    assert not h2.passed and math.isnan(h2.worst_margin)
-    w = h2.witness
-    assert w["kind"] == "divergent" and w["eps"] == 1.0
-    assert 0.0 < w["t0"] < 0.5 < w["t"]
-    assert reverify(p, CFG, rep)
-
-
-def test_osgood_unconverged_segment_fails(monkeypatch):
+    pytest.param("H2_osgood_scaled",
+                 dict(v="t", lam="t", omega="min(r, (r + 1/2)/2)"), True,
+                 "divergent", math.nan, "t eps t0",
+                 lambda w: w["eps"] == 1.0 and 0.0 < w["t0"] < 0.5 < w["t"],
+                 id="H2-unconverged"),
+    # omega is nan on (0.299, 0.301), inside an r segment
+    pytest.param("osgood_integral",
+                 dict(u="t", omega="r + 0*sqrt(abs(r - 0.3) - 0.001)"), False,
+                 "domain_error", math.nan, "r", lambda w: 0.299 < w["r"] < 0.301,
+                 id="gate-domain_error"),
+    # omega(s)/s overflows at a subnormal s, where omega itself is finite
+    pytest.param("osgood_integral", dict(u="t", omega="-1/log(r)"), False,
+                 "domain_error", math.nan, "r", lambda w: 0.0 < w["r"] < 1e-300,
+                 id="gate-domain_error-subnormal"),
+    # omega(s)/s = 1/s is not integrable at 0+
+    pytest.param("osgood_integral", dict(u="t", omega="1"), False,
+                 "divergent", -math.inf, "r", lambda w: w["r"] == CFG.r_grid()[0],
+                 id="gate-divergent"),
     # the kink of omega at r = 0.505 lies inside an r segment
-    p = problem("0", u="t", omega="min(r, (r + 0.505)/2)")
-    assert check_constantin(p, CFG).overall
-    _one_panel_fallback(monkeypatch)
-    h = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
-    assert not h.passed and math.isnan(h.worst_margin)
-    assert h.witness["kind"] == "divergent"
-    assert h.witness["r0"] < 0.505 < h.witness["r"]
-    rep = check_constantin(p, CFG)
-    agg = rep.hypothesis("comparison_function")
-    assert not agg.passed and math.isnan(agg.worst_margin)
-    assert agg.witness == h.witness
-    assert reverify(p, CFG, rep)
+    pytest.param("osgood_integral", dict(u="t", omega="min(r, (r + 0.505)/2)"),
+                 True, "divergent", math.nan, "r r0",
+                 lambda w: w["r0"] < 0.505 < w["r"], id="gate-unconverged"),
+]
+
+
+@pytest.mark.parametrize("name,gauges,one_panel,kind,margin,keys,where",
+                         INTEGRAL_FAILURES)
+def test_integral_failure_convention(monkeypatch, name, gauges, one_panel, kind,
+                                     margin, keys, where):
+    p = _unvalidated(**gauges)
+    gate = name == "osgood_integral"
+    if not gate and p.v is None:
+        p = reduce_problem(p)
+
+    def reports():
+        if gate:
+            return [check_comparison_fn(p.omega, CFG), check_constantin(p, CFG)]
+        return [check_theorem_main(p, CFG)]
+
+    if one_panel:
+        assert all(rep.overall for rep in reports())
+        _one_panel_fallback(monkeypatch)
+    reps = reports()
+    h = reps[0].hypothesis(name)
+    assert not h.passed and _same(h.worst_margin, margin)
+    assert h.witness["kind"] == kind and set(h.witness) == {"kind", *keys.split()}
+    assert where(h.witness)
+    assert all(reverify(p, CFG, rep) for rep in reps)
+    if gate:
+        # the aggregate keeps a nan margin and the first failing witness
+        agg = reps[1].hypothesis("comparison_function")
+        first = next(x for x in reps[0].hypotheses if not x.passed)
+        assert not agg.passed and _same(agg.worst_margin, margin)
+        assert agg.witness == first.witness
 
 
 # ---------------------------------------------------------------------------

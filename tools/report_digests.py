@@ -1,0 +1,108 @@
+"""Digest every report of a fixed command matrix, to compare two versions.
+
+Usage: python tools/report_digests.py OUT.json
+
+Runs ``odeuniq.cli.main`` in process, from whichever ``odeuniq`` is on
+PYTHONPATH, over the checked-in corpus and the seeded problems of
+``perfbench/inputs.py --seed 1, 2, 3``.  For each invocation it records
+the exit code (or the name of an escaping exception) and the sha256 of
+stdout, stderr and the ``--out`` file, and writes them to OUT.json.  Run
+it once with each version's ``src`` on PYTHONPATH and diff the two files:
+equal digests mean byte-identical reports.  All inputs and reports live
+in a temporary directory, addressed by paths relative to it, so that the
+paths echoed in the reports are the same on every run.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from odeuniq import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+GENERALIZED_C = ("1", "3.5", "4.841", "7", "10", "50")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> dict:
+    """One in-process invocation with ``--out out``: exit code and digests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--out", "out"])
+        except Exception as exc:  # a traceback at one version is a result
+            code = type(exc).__name__
+    written = Path("out")
+    record = {"exit": code,
+              "stdout": _digest(out.getvalue().encode()),
+              "stderr": _digest(err.getvalue().encode()),
+              "out": _digest(written.read_bytes()) if written.exists() else None}
+    written.unlink(missing_ok=True)
+    return record
+
+
+def matrix(dirs: list[str]) -> list[list[str]]:
+    """The invocations over the problem files of ``dirs``: the corpus copy
+    in full, and of each seed directory the files the corpus lacks."""
+    corpus = {p.name for p in (ROOT / "corpus").glob("*.json")}
+    files = sorted(str(p) for p in Path(dirs[0]).glob("*.json"))
+    for d in dirs[1:]:
+        files += sorted(str(p) for p in Path(d).glob("*.json")
+                        if p.name not in corpus)
+    runs = []
+    for f in files:
+        runs += [["check", "--problem", f, "--criteria", name]
+                 for name in cli.CRITERIA]
+        runs += [["funnel", "--problem", f], ["solve", "--problem", f],
+                 ["reparam", "--problem", f],
+                 ["reparam", "--problem", f, "--format", "csv"]]
+        runs += [["reparam", "--problem", f, "--generalized-c", c]
+                 for c in GENERALIZED_C]
+    return runs + [["suite", "--corpus", d] for d in dirs]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    dest = Path(argv[0]).resolve()
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "corpus", Path(tmp) / "corpus")
+        dirs = ["corpus"]
+        for seed in SEEDS:
+            # inputs.py writes one directory per problem; suite reads one flat
+            raw, flat = Path(tmp) / f"raw{seed}", Path(tmp) / f"seed{seed}"
+            subprocess.run([sys.executable, str(ROOT / "perfbench" / "inputs.py"),
+                            "--seed", str(seed), "--dest", str(raw)], check=True)
+            flat.mkdir()
+            for f in raw.glob("*/*.json"):
+                shutil.copy(f, flat / f.name)
+            dirs.append(flat.name)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv_ in matrix(dirs):
+                results[" ".join(argv_)] = run(argv_)
+        finally:
+            os.chdir(cwd)
+    dest.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} invocations -> {dest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
