@@ -33,7 +33,7 @@ import numpy as np
 from . import criteria, reparam as reparam_mod, solver as solver_mod
 from .criteria import CheckConfig, ProblemSpec, ProblemValidationError
 from .expr import ExprError
-from .rootfind import BracketError
+from .rootfind import BracketError, ConvergenceError
 
 SCHEMA_VERSION = "1.1"
 
@@ -257,7 +257,8 @@ def cmd_reparam(args) -> int:
                 problem.u if problem.u is not None else lam, c, T=problem.T)
             diagnostics["generalized_table_monotone"] = bool(
                 np.all(np.diff(grep.rep.t_table) > 0))
-        except (reparam_mod.ReparamError, BracketError) as exc:
+        except (reparam_mod.ReparamError, BracketError,
+                ConvergenceError) as exc:
             diagnostics["generalized_error"] = str(exc)
 
     if args.format == "csv":

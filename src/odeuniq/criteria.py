@@ -783,7 +783,8 @@ def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
     """t in [t_lo, T] with u(t) = target for each of the array ``targets``
     (same shape): one lane bisection of the compiled increasing gauge u.
     A target outside [u(t_lo), u(T)] raises ValueError, a non-finite u met
-    by the bisection EvalDomainError."""
+    by the bisection EvalDomainError, a lane that runs out of halvings
+    ConvergenceError."""
     flat = np.asarray(targets, dtype=np.float64).ravel()
     u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
     for target in flat.tolist():
@@ -799,8 +800,11 @@ def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
         return r
 
     n = flat.size
-    return np.reshape(_bisect_lanes(residual, [t_lo] * n, [T] * n, rtol),
-                      np.shape(targets))
+    roots = _bisect_lanes(residual, [t_lo] * n, [T] * n, rtol)
+    failed = next((r for r in roots if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
+    return np.reshape(roots, np.shape(targets))
 
 
 def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):

@@ -12,19 +12,25 @@ Cumulative sweeps (``sweep_singular_left``) integrate a family of
 integrands from 0+ to every point of a grid, as GK15 panels sampled in
 batches, one family call per block of panels.  A panel is accepted when
 its samples are finite and its Kronrod-Gauss difference is within the
-member's panel tolerance; any other panel is redone by the adaptive
-``integrate`` on that member alone, so values, errors and flags are those
-of a panel-by-panel loop.  ``integrate_singular_left`` is the one-member
-case.
+member's panel tolerance.  The geometric base panels a chunk rejects are
+redone as one lane batch of the adaptive integrator on that member alone,
+each with its own panel tolerance; a rejected segment is redone by
+``integrate``.  Values, errors and flags are those of a panel-by-panel
+loop, and a redone panel's ``IntegrandError`` surfaces only when
+``_tail_driver`` asks for that panel.  ``integrate_singular_left`` is the
+one-member case.
 
-The adaptive integrator runs independent integrals as lanes in lockstep,
-one integrand call per round for the next panels of all running lanes;
-``integrate`` is the one-lane case.  Every lane keeps the one-interval
-loop's heap, freeze rule, budget, termination test (the ``sum`` over the
-heap) and left-ordered reduction, and reproduces it bit for bit: each
-panel's rule is reduced with ``np.vecdot``, which gives the bits of
-``np.dot(W, y)`` per row (the sweep's ``y @ W`` does not), and a
-non-finite sample ends its lane with the loop's ``IntegrandError``.
+The adaptive integrator runs independent integrals as lanes in lockstep;
+``integrate`` is the one-lane case.  The whole-interval panels of all
+lanes are sampled in one integrand call, and a lane that meets its
+tolerance there (most do) ends at once.  The others run as coroutines,
+one integrand call per round for the next panels of all running lanes.
+Every lane keeps the one-interval loop's heap, freeze rule, budget,
+termination test (the ``sum`` over the heap) and left-ordered reduction,
+and reproduces it bit for bit: each panel's rule is reduced with
+``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row (the
+sweep's ``y @ W`` does not), and a non-finite sample ends its lane with
+the loop's ``IntegrandError``.
 
 Integrands are array functions: ``g(x)`` maps an array of points to an
 array of x's shape, or to a value that broadcasts to it.
@@ -145,16 +151,20 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
     return res
 
 
-def _integrate_lanes(g, a, b, tol: float = 1e-10,
+def _integrate_lanes(g, a, b, tol=1e-10,
                      budget: int = DEFAULT_BUDGET) -> list:
     """Adaptive quadrature of g on independent intervals [a[i], b[i]]
-    (sequences of floats) in lockstep.  Returns, per lane, its QuadResult,
+    (sequences of floats) in lockstep, with the tolerance ``tol``, or
+    ``tol[i]`` when it is a sequence.  Returns, per lane, its QuadResult,
     or the IntegrandError of its first non-finite sample.
 
-    Every lane runs ``integrate``'s adaptive loop (``_adapt``) on its own
-    heap.  Each round evaluates the panels every running lane asks for
-    next, its whole interval first and then the two halves of the panel it
-    splits, in one call of the array function g (``_gk15_panels``).
+    Every lane runs ``integrate``'s adaptive loop on its own interval.
+    All lanes' whole-interval panels are sampled in one call of the array
+    function g (``_gk15_panels``); a lane whose first panel meets its
+    tolerance, or whose budget is one panel, ends there with the loop's
+    arithmetic.  The other lanes continue as ``_adapt`` coroutines, each
+    round evaluating the two halves of the panel every running lane
+    splits, again in one call of g.
 
     A nan or infinite endpoint raises ValueError before any lane starts.
     """
@@ -164,8 +174,28 @@ def _integrate_lanes(g, a, b, tol: float = 1e-10,
                          if not math.isfinite(end))
         raise ValueError(
             f"non-finite integration endpoint {name}={float(end)!r}")
-    return _lockstep([_adapt(ai, bi, tol, budget) for ai, bi in zip(a, b)],
-                     lambda asks, _ids: _gk15_panels(g, asks))
+    tols = [tol] * len(a) if np.ndim(tol) == 0 else list(map(float, tol))
+    out = [QuadResult(0.0, 0.0, True, False, 0)] * len(a)
+    # a reversed interval is integrated forward and its value negated
+    lanes = [(i, ai, bi, False) if ai < bi else (i, bi, ai, True)
+             for i, (ai, bi) in enumerate(zip(a, b)) if ai != bi]
+    firsts = _gk15_panels(g, [((lo, hi),) for _, lo, hi, _ in lanes]) \
+        if lanes else []
+    adapting, coroutines = [], []
+    for (i, lo, hi, flip), first in zip(lanes, firsts):
+        if isinstance(first, IntegrandError):
+            out[i] = first
+            continue
+        ((val, err),) = first
+        if budget <= 1 or err <= tols[i]:
+            out[i] = _reduce((val,), (err,), tols[i], 1, flip)
+        else:
+            adapting.append(i)
+            coroutines.append(_adapt(lo, hi, tols[i], budget, val, err, flip))
+    for i, res in zip(adapting, _lockstep(
+            coroutines, lambda asks, _ids: _gk15_panels(g, asks))):
+        out[i] = res
+    return out
 
 
 def _gk15_panels(g, asks: list) -> list:
@@ -208,18 +238,12 @@ def _gk15_panels(g, asks: list) -> list:
     return replies
 
 
-def _adapt(a: float, b: float, tol: float, budget: int):
-    """``integrate``'s adaptive loop on one lane, as a coroutine: it yields
-    the panels it needs, receives their (value, error) pairs and returns
-    the QuadResult.  A reversed interval is integrated forward and its
-    value negated."""
-    if not (a < b):
-        if a == b:
-            return QuadResult(0.0, 0.0, True, False, 0)
-        res = yield from _adapt(b, a, tol, budget)
-        return QuadResult(-res.value, res.abs_error_estimate, res.converged,
-                          res.diverged, res.subdivisions)
-    ((val, err),) = yield ((a, b),)
+def _adapt(a: float, b: float, tol: float, budget: int, val: float,
+           err: float, flip: bool):
+    """``integrate``'s adaptive loop on one lane a < b whose whole-interval
+    panel gave (val, err), as a coroutine: it yields the panels it splits
+    into, receives their (value, error) pairs and returns the QuadResult,
+    its value negated if ``flip``."""
     # heap of (-err, insertion counter, a, b, val, err); counter keeps the
     # ordering deterministic when error estimates tie
     heap = [(-err, 0, a, b, val, err)]
@@ -245,11 +269,21 @@ def _adapt(a: float, b: float, tol: float, budget: int):
         n_panels += 1
     # deterministic reduction: sum panels ordered by left endpoint
     panels = sorted(heap, key=lambda item: item[2])
-    value = float(sum(p[4] for p in panels))
-    err_total = float(sum(p[5] for p in panels))
+    return _reduce([p[4] for p in panels], [p[5] for p in panels], tol,
+                   n_panels, flip)
+
+
+def _reduce(values, errors, tol: float, n_panels: int,
+            flip: bool) -> QuadResult:
+    """The loop's QuadResult from its panels' values and errors, summed in
+    order from int 0 (so a lone -0.0 panel gives 0.0); ``flip`` negates
+    the value of a reversed interval."""
+    value = float(sum(values))
+    err_total = float(sum(errors))
     diverged = abs(value) > DIVERGENCE_SUM_THRESHOLD
     converged = (err_total <= tol) and not diverged
-    return QuadResult(value, err_total, converged, diverged, n_panels)
+    return QuadResult(-value if flip else value, err_total, converged,
+                      diverged, n_panels)
 
 
 def _tail_driver(contribs_iter, tol: float, max_panels: int):
@@ -340,8 +374,9 @@ def sweep_singular_left(family, grid, tols):
     shape ``(len(members),) + x.shape``.  Member i has the tolerance
     ``tols[i]`` for the base integral over (0, grid[0]] and for each
     segment of ``grid``, which is strictly increasing with grid[0] > 0.
-    A panel the batch does not accept is redone by ``integrate`` on
-    ``family(x, [i])[0]``.
+    A panel the batch does not accept is redone by the adaptive
+    integrator on ``family(x, [i])[0]``: the rejected base panels of a
+    chunk as one lane batch, a rejected segment alone.
 
     Yields one ``Sweep`` per member of ``tols``, in order, with the
     values, flags and ``IntegrandError`` of the panel-by-panel loop.  The
@@ -385,14 +420,19 @@ def sweep_singular_left(family, grid, tols):
             ks = np.arange(start, stop)
             ptol = np.maximum(0.5 * tols[i] / ((ks + 1) * (ks + 2)), 1e-300)
             ok = _accepted(k, err, finite, ptol)
-            for j, (kj, ej, okj) in enumerate(zip(k.tolist(), err.tolist(),
-                                                  ok.tolist())):
-                if okj:
+            # the chunk's rejected panels, redone as one lane batch; an
+            # IntegrandError surfaces only if _tail_driver asks for it
+            bad = np.flatnonzero(~ok)
+            redo = dict(zip(bad.tolist(), _integrate_lanes(
+                alone, (0.5 * hi[bad]).tolist(), hi[bad].tolist(),
+                ptol[bad], PANEL_BUDGET)))
+            for j, (kj, ej) in enumerate(zip(k.tolist(), err.tolist())):
+                res = redo.get(j)
+                if res is None:
                     yield kj, ej
+                elif isinstance(res, IntegrandError):
+                    raise res
                 else:
-                    res = integrate(alone, edges[start + j + 1],
-                                    edges[start + j], tol=float(ptol[j]),
-                                    budget=PANEL_BUDGET)
                     yield res.value, res.abs_error_estimate
             start, size = stop, 2 * size
 

@@ -12,19 +12,24 @@ depend on scipy.
 
 tau_plus = +inf is represented by an explicit marker plus a finite horizon
 (the tau value at the smallest tabulated t); verification integrals are
-truncated there.  The fixed-point residual misses exactly t at the
-horizon, t_min (T*1e-8 unless a floor is given).  The L1 identity is
-truncated on both sides, at the horizon in tau and at t_min in t, so its
-residual measures the table, not the tail int_0+^t_min v/lambda (1e-2 for
-the gauge u = t^0.25*exp(t) at t_min = 1e-8).
+truncated there.  The fixed-point integral misses exactly t at the
+horizon, t_min (T*1e-8 unless a floor is given), and adds that tail back,
+so its residual measures the table, not the truncation (1e-8 of the
+1.6e-8 it read for lambda = t).  The L1 identity is truncated on both
+sides, at the horizon in tau and at t_min in t, so its residual measures
+the table, not the tail int_0+^t_min v/lambda (1e-2 for the gauge
+u = t^0.25*exp(t) at t_min = 1e-8).
 
 The table's segment integrals, the fixed-point integrals and the refined
 inverse run as lanes: ``build_tau`` integrates all its segments as one
-lane batch of the quadrature, ``verify_fixed_point`` all its integrals,
-and ``t_of_tau(refine=True)`` on an array is one lane bisection whose
+lane batch of the quadrature, and sums them from T down;
+``verify_fixed_point`` integrates each segment of its tau grid once, as
+one lane batch, and sums them from the horizon down;
+``t_of_tau(refine=True)`` on an array is one lane bisection whose
 residuals at each round are one lane integral.  Lanes reproduce the
-one-at-a-time loops bit for bit, and failures surface in the loops'
-order: the top table segment first, the first tau of a grid first.
+one-at-a-time loops of ``tests/scalar_reference.py`` bit for bit, and
+failures surface in the loops' order: the top table segment first, the
+first tau of a grid first.
 """
 from __future__ import annotations
 
@@ -269,23 +274,29 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
                        n_tau: int = 50) -> float:
     """Max residual of t(tau) = int_tau^tau_plus lambda(t(s)) ds on a tau grid.
 
-    Integrals are truncated at the tabulated horizon; the missing tail is
-    exactly t at the horizon, t_min.
+    The integral is truncated at the tabulated horizon, and the missing
+    tail, exactly t at the horizon, t_min, is added back, so the residual
+    measures the table.  Each segment between grid points is integrated
+    once, at 1/(n_tau - 1) of the check's tolerance, and the integrals are
+    summed from the horizon down.
     """
-    tau_hi = rep.tau_horizon
-    taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+    if n_tau < 2:
+        raise ValueError(f"n_tau must be at least 2, got {n_tau!r}")
+    taus = np.linspace(rep.tau_minus, rep.tau_horizon, n_tau)
     lam_v = lam.lambdify(("t",))
-    quads = _integrate_lanes(lambda s: lam_v(rep.t_of_tau(s)), taus.tolist(),
-                             [tau_hi] * n_tau, tol=_CHECK_TOL * 1e-2)
-    worst = 0.0
-    for res, t in zip(quads, rep.t_of_tau(taus).tolist()):
-        if isinstance(res, IntegrandError):
-            raise res
-        if res.diverged:
+    segs = _integrate_lanes(lambda s: lam_v(rep.t_of_tau(s)),
+                            taus[:-1].tolist(), taus[1:].tolist(),
+                            tol=_CHECK_TOL * 1e-2 / (n_tau - 1))
+    for seg in segs:
+        if isinstance(seg, IntegrandError):
+            raise seg
+        if seg.diverged:
             raise ReparamError("divergent verification integral: "
                                "broken reparametrization")
-        worst = max(worst, abs(t - res.value))
-    return worst
+    # tails[k] = tails[k + 1] + seg[k], summed from the horizon down
+    tails = np.add.accumulate(
+        [rep.t_min] + [seg.value for seg in reversed(segs)])[::-1]
+    return float(np.max(np.abs(rep.t_of_tau(taus) - tails)))
 
 
 @dataclass
@@ -375,7 +386,10 @@ def exp_reparam_check(u: Expression, rep: Reparametrization) -> float:
 
 def solve_tau_exp_root(c: float) -> float:
     """The positive root of tau * exp(tau) = 1/c (bracketing bisection);
-    ReparamError when no bracket within [1e-300, 709] holds it."""
+    ReparamError when no bracket within [min(1e-300, 1/(4c)), 709] holds
+    it.  The root lies above 1/(c*e^(1/c)) >= 1/(4c) once c >= 1, and
+    1100 halvings narrow [1/(4c), 1] to 1e-14 of it for every c up to
+    1e300; ConvergenceError when they do not."""
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c!r}")
     target = 1.0 / c
@@ -383,13 +397,13 @@ def solve_tau_exp_root(c: float) -> float:
     def fn(tau):
         return tau * math.exp(tau) - target
 
-    lo, hi = 1e-300, 1.0
+    lo, hi = min(1e-300, 0.25 * target), 1.0
     while fn(hi) < 0.0 and hi < 709.0:  # math.exp is finite up to 709
         hi = min(2.0 * hi, 709.0)
     if not fn(lo) < 0.0 <= fn(hi):
         raise ReparamError(f"no root of tau*exp(tau) = 1/c in [{lo!r}, {hi!r}] "
                            f"for c={c!r}")
-    return bisect(fn, lo, hi, rtol=1e-14)
+    return bisect(fn, lo, hi, rtol=1e-14, max_iter=1100)
 
 
 _GENERALIZED_NODES = 300   # nodes of the generalized table

@@ -11,11 +11,15 @@ The lockstep loop, ``_lockstep``, also runs the quadrature's lanes.
 """
 from __future__ import annotations
 
-__all__ = ["bisect", "BracketError"]
+__all__ = ["bisect", "BracketError", "ConvergenceError"]
 
 
 class BracketError(ValueError):
     pass
+
+
+class ConvergenceError(ArithmeticError):
+    """``max_iter`` halvings ended before the bracket met ``rtol``."""
 
 
 def bisect(fn, lo: float, hi: float, rtol: float = 1e-12,
@@ -72,7 +76,9 @@ def _lockstep(lanes, evaluate) -> list:
 def _bisect_lane(lo, hi, flo, fhi, rtol: float, max_iter: int):
     """``bisect``'s loop on one bracket, as a coroutine: it yields the
     points it needs, receives their residuals and returns the root, or a
-    BracketError (returned, not raised, so that the caller raises it)."""
+    BracketError or ConvergenceError (returned, not raised, so that the
+    caller raises it).  A bracket narrowed to adjacent floats counts as
+    converged."""
     if flo is None:
         flo = yield lo
     if flo == 0.0:
@@ -97,4 +103,8 @@ def _bisect_lane(lo, hi, flo, fhi, rtol: float, max_iter: int):
             hi, fhi = mid, fmid
         if abs(hi - lo) <= rtol * max(abs(lo), abs(hi), 1e-300):
             break
+    else:
+        return ConvergenceError(
+            f"bisection did not reach rtol={rtol!r} in {max_iter} halvings: "
+            f"[{lo!r}, {hi!r}]")
     return 0.5 * (lo + hi)

@@ -36,7 +36,7 @@ from odeuniq.quadrature import (
     _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
     IntegrandError, QuadResult, _tail_driver, integrate_singular_left)
 from odeuniq.reparam import Reparametrization, ReparamError, _inv_lam_fn
-from odeuniq.rootfind import BracketError
+from odeuniq.rootfind import BracketError, ConvergenceError
 from odeuniq.solver import (
     _A, _B4, _B5, _C, FunnelReport, SolverDomainError, Trajectory)
 
@@ -148,6 +148,10 @@ def bisect(fn, lo: float, hi: float, rtol: float = 1e-12,
             hi, fhi = mid, fmid
         if abs(hi - lo) <= rtol * max(abs(lo), abs(hi), 1e-300):
             break
+    else:
+        raise ConvergenceError(
+            f"bisection did not reach rtol={rtol!r} in {max_iter} halvings: "
+            f"[{lo!r}, {hi!r}]")
     return 0.5 * (lo + hi)
 
 
@@ -225,6 +229,8 @@ def t_of_tau(rep, tau):
 
 
 def verify_fixed_point(rep, lam, tol=1e-9, n_tau=50):
+    """One adaptive integral per tau segment, summed from the horizon down
+    on top of the truncated tail t_min."""
     tau_hi = rep.tau_horizon
     taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
     lam_v = lam.lambdify(("t",))
@@ -232,13 +238,18 @@ def verify_fixed_point(rep, lam, tol=1e-9, n_tau=50):
     def integrand(s):
         return lam_v(rep.t_of_tau(s))
 
-    worst = 0.0
-    for tau in taus:
-        res = integrate(integrand, float(tau), tau_hi, tol=min(tol * 1e-2, 1e-9))
+    tail = [rep.t_min]
+    for lo, hi in reversed(list(zip(taus[:-1], taus[1:]))):
+        res = integrate(integrand, float(lo), float(hi),
+                        tol=min(tol * 1e-2, 1e-9) / (n_tau - 1))
         if res.diverged:
             raise ReparamError("divergent verification integral: "
                                "broken reparametrization")
-        residual = abs(rep.t_of_tau(float(tau)) - res.value)
+        tail.append(res.value)
+    tails = np.add.accumulate(tail)[::-1]
+    worst = 0.0
+    for tau, value in zip(taus, tails):
+        residual = abs(rep.t_of_tau(float(tau)) - float(value))
         worst = max(worst, residual)
     return worst
 

@@ -203,9 +203,11 @@ def test_reparam_generalized_nonfinite_gauge_reported(problem_file, tmp_path):
         ({"f": "0", "u": "t"}, "1e-300",
          "degenerate generalized reparametrization: c*exp(-tau) - 1/tau is "
          "never positive for c=1e-300 (requires c > e)"),
-        # ... and 1e-308 below the bracket's lower end 1e-300
+        # the root 1e-308 of tau*exp(tau) = 1/c is found, but the peak of
+        # h, near 1e-154, lies beyond 200 halvings of [0, 1]
         ({"f": "0", "u": "t"}, "1e308",
-         "no root of tau*exp(tau) = 1/c in [1e-300, 1.0] for c=1e+308"),
+         "bisection did not reach rtol=1e-14 in 200 halvings: "
+         "[0.0, 6.223015277861142e-61]"),
     ]
     out = str(tmp_path / "rep.json")
     for spec, c, error in rows:

@@ -443,12 +443,14 @@ def test_every_emitted_hypothesis_has_a_definition():
 
 def _one_panel_fallback(monkeypatch):
     """Limit the adaptive integrals that redo rejected panels, and those of
-    reverify, to their first GK15 panel."""
+    reverify, to their first GK15 panel: the sweep redoes base panels with
+    the budget PANEL_BUDGET and segments with ``integrate``."""
     real = quadrature.integrate
 
     def one_panel(g, a, b, tol=1e-10, budget=None):
         return real(g, a, b, tol=tol, budget=1)
 
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1)
     monkeypatch.setattr(quadrature, "integrate", one_panel)
     monkeypatch.setattr(criteria, "integrate", one_panel)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
+from odeuniq import quadrature
 from odeuniq.quadrature import (
     _W_GAUSS,
     _W_KRONROD,
@@ -214,6 +215,43 @@ def test_sweep_reports_in_member_order(order):
             next(sweeps)
 
 
+def test_rejected_panel_past_the_stop_does_not_raise():
+    # int_0+^1 of 1 converges after about 34 geometric panels; panels below
+    # w = 1e-14 (k >= 46, inside the first chunk of 64) have nan samples,
+    # so the batch rejects them and redoes them, but _tail_driver never
+    # asks for them, and neither did the panel-by-panel loop
+    def g(w):
+        return np.where(w < 1e-14, np.nan, 1.0)
+
+    res = integrate_singular_left(g, 1.0, tol=1e-10)
+    ref = scalar_reference.singular_left(g, 1.0, tol=1e-10)
+    assert res.converged and res.subdivisions < 46
+    assert res.subdivisions == ref.subdivisions
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
+    # GK15 never meets the panel tolerance on 1/w: every base panel is
+    # rejected, and the divergence run stops _tail_driver inside the first
+    # chunk, so its panels are redone by one lane call, not one per panel
+    calls = []
+    lanes = quadrature._integrate_lanes
+
+    def counted(g, a, b, tol=1e-10, budget=DEFAULT_BUDGET):
+        calls.append(len(a))
+        return lanes(g, a, b, tol, budget)
+
+    monkeypatch.setattr(quadrature, "_integrate_lanes", counted)
+    monkeypatch.setattr(quadrature, "integrate", None)  # no one-lane redo
+    g = DIVERGENT_CASES[0]
+    res = integrate_singular_left(g, 1.0, tol=1e-10)
+    ref = scalar_reference.singular_left(g, 1.0, tol=1e-10)
+    assert res.diverged and res.subdivisions == ref.subdivisions
+    # 63 of the chunk's 64 panels, where the loop redid 60 of its 61
+    (n_redone,) = calls
+    assert res.subdivisions - 1 <= n_redone <= quadrature._FIRST_CHUNK
+
+
 def test_sweep_rejects_bad_grid():
     family, _ = _power_family([0.5])
     for grid in ([0.0, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5]):
@@ -275,21 +313,29 @@ def _lane_interval(draw):
 
 
 @given(st.sampled_from(sorted(LANE_INTEGRANDS)),
-       st.lists(_lane_interval(), min_size=1, max_size=4),
+       st.lists(st.tuples(_lane_interval(),
+                          st.sampled_from([1e-1, 1e-3, 1e-6, 1e-10, 1e-14])),
+                min_size=1, max_size=6),
        st.one_of(st.sampled_from([1, 2]), st.integers(3, 40),
                  st.just(DEFAULT_BUDGET)),
-       st.sampled_from([1e-6, 1e-10, 1e-14]))
+       st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_lanes_match_scalar_integrate(name, intervals, budget, tol):
+def test_lanes_match_scalar_integrate(name, lanes, budget, own_tol):
+    # loose tolerances end lanes on their first panel and tight ones split
+    # them, in one batch; every lane has the bits of the one-interval loop
+    # at its tolerance (its own, or the first lane's for all)
     g = LANE_INTEGRANDS[name]
+    intervals, tols = zip(*lanes)
+    if not own_tol:
+        tols = (tols[0],) * len(tols)
     # 1/w does not converge on a panel that touches 0: keep the full
     # budget off those intervals, as each such lane takes 10^4 splits
     assume(not (name == "inv" and budget == DEFAULT_BUDGET
                 and any(min(a, b) <= 0.0 <= max(a, b) for a, b in intervals)))
     a, b = zip(*intervals)
     with np.errstate(all="ignore"):
-        lanes = _integrate_lanes(g, a, b, tol, budget)
-        for (ai, bi), res in zip(intervals, lanes):
+        got = _integrate_lanes(g, a, b, tols if own_tol else tols[0], budget)
+        for (ai, bi), tol, res in zip(intervals, tols, got):
             ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
             assert _lane_outcome(res) == ref
             assert _outcome(integrate, g, ai, bi, tol, budget) == ref

@@ -198,6 +198,14 @@ def test_tau_exp_root_residual(c):
     assert abs(root * math.exp(root) - 1.0 / c) <= 1e-10 / c + 1e-12
 
 
+@pytest.mark.parametrize("c", [1e46, 1e60, 1e200, 1e299, 1e300])
+def test_tau_exp_root_converges_for_large_c(c):
+    # the root is near 1/c: 200 halvings of [1e-300, 1] reached 6.7 % of it
+    # at c = 1e60 and answered 3.1e-61 at c = 1e299
+    root = solve_tau_exp_root(c)
+    assert abs(root * math.exp(root) * c - 1.0) <= 1e-13
+
+
 def test_generalized_reparam_monotone_for_large_c():
     grep = generalized_reparam(parse("t", {"t"}), c=10.0)
     rep = grep.rep

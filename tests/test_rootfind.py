@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from odeuniq.rootfind import BracketError, _bisect_lanes, bisect
+from odeuniq.rootfind import (BracketError, ConvergenceError, _bisect_lanes,
+                              bisect)
 
 LO = 0.25
 # (fn, lo, hi, max_iter): a root inside, a root at lo, a root at hi, no
@@ -29,8 +30,8 @@ CASES = [
 def _outcome(fn, *args, **kwargs):
     try:
         return ("root", fn(*args, **kwargs).hex())
-    except BracketError as exc:
-        return ("BracketError", str(exc))
+    except (BracketError, ConvergenceError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def _recording(fn, calls):
@@ -70,7 +71,7 @@ def test_lanes_match_scalar_loop():
         ref = _outcome(scalar_reference.bisect, _recording(f, ref_calls), a, b,
                        max_iter=3)
         res = got[i]
-        assert (("BracketError", str(res)) if isinstance(res, BracketError)
+        assert ((type(res).__name__, str(res)) if isinstance(res, Exception)
                 else ("root", res.hex())) == ref
         assert [t.hex() for t in calls[i]] == [t.hex() for t in ref_calls]
 
@@ -117,3 +118,15 @@ def test_bisect_property(lo, width, root, rtol, max_iter):
     assert _outcome(bisect, fn, lo, hi, rtol=rtol, max_iter=max_iter) == \
         _outcome(scalar_reference.bisect, fn, lo, hi, rtol=rtol,
                  max_iter=max_iter)
+
+
+def test_exhausted_halvings_raise():
+    # 3 halvings of [0, 5] leave a bracket 0.625 wide around ln 3
+    with pytest.raises(ConvergenceError, match="in 3 halvings"):
+        bisect(lambda t: math.exp(t) - 3.0, 0.0, 5.0, max_iter=3)
+    (res,) = _bisect_lanes(lambda ts, _: [math.exp(t) - 3.0 for t in ts],
+                           [0.0], [5.0], max_iter=3)
+    assert isinstance(res, ConvergenceError)
+    # a bracket of adjacent floats is converged, whatever max_iter is left
+    assert bisect(lambda t: -1.0 if t <= 0.5 else 1.0, 0.5,
+                  math.nextafter(0.5, 1.0), max_iter=1) == 0.5

@@ -1,6 +1,7 @@
 """Digest every report of a fixed command matrix, to compare two versions.
 
 Usage: python tools/report_digests.py OUT.json
+       python tools/report_digests.py --compare OLD.json NEW.json
 
 Runs ``odeuniq.cli.main`` in process, from whichever ``odeuniq`` is on
 PYTHONPATH, over the checked-in corpus and the seeded problems of
@@ -11,6 +12,10 @@ it once with each version's ``src`` on PYTHONPATH and diff the two files:
 equal digests mean byte-identical reports.  All inputs and reports live
 in a temporary directory, addressed by paths relative to it, so that the
 paths echoed in the reports are the same on every run.
+
+With ``--compare`` it reads two such files instead and prints each
+invocation whose exit code or any digest differs, or that only one file
+has; it exits 1 if any does, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -25,8 +30,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from odeuniq import cli
-
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 GENERALIZED_C = ("1", "3.5", "4.841", "7", "10", "50")
@@ -38,6 +41,7 @@ def _digest(data: bytes) -> str:
 
 def run(argv: list[str]) -> dict:
     """One in-process invocation with ``--out out``: exit code and digests."""
+    from odeuniq import cli  # only digesting needs the package
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -56,6 +60,7 @@ def run(argv: list[str]) -> dict:
 def matrix(dirs: list[str]) -> list[list[str]]:
     """The invocations over the problem files of ``dirs``: the corpus copy
     in full, and of each seed directory the files the corpus lacks."""
+    from odeuniq import cli
     corpus = {p.name for p in (ROOT / "corpus").glob("*.json")}
     files = sorted(str(p) for p in Path(dirs[0]).glob("*.json"))
     for d in dirs[1:]:
@@ -73,9 +78,29 @@ def matrix(dirs: list[str]) -> list[list[str]]:
     return runs + [["suite", "--corpus", d] for d in dirs]
 
 
+def compare(old_path: str, new_path: str) -> int:
+    """Print every invocation whose record differs between two digest
+    files, with the fields that differ; 1 if any does."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    differ = 0
+    for argv_ in sorted(old.keys() | new.keys()):
+        a, b = old.get(argv_), new.get(argv_)
+        if a == b:
+            continue
+        differ += 1
+        fields = ("only in one file" if a is None or b is None else
+                  ", ".join(k for k in sorted(a.keys() | b.keys())
+                            if a.get(k) != b.get(k)))
+        print(f"{argv_}: {fields}")
+    print(f"{differ} of {len(old.keys() | new.keys())} invocations differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     dest = Path(argv[0]).resolve()
