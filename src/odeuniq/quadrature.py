@@ -8,17 +8,21 @@ singular endpoint (left) or doubling panels toward infinity (right), with
 geometric tail extrapolation for the convergence decision and an explicit,
 documented divergence heuristic.
 
+Every panel goes through one GK15 step (``_gk15``): samples taken under
+``np.errstate(all="ignore")`` and both rule sums reduced per row with
+``np.vecdot``, which gives the bits of the one-panel ``np.dot(W, y)``, so
+a panel in any batch has the bits ``integrate`` gives it alone.
+
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
-integrands from 0+ to every point of a grid, as GK15 panels sampled in
-batches, one family call per block of panels.  A panel is accepted when
-its samples are finite and its Kronrod-Gauss difference is within the
-member's panel tolerance.  The geometric base panels a chunk rejects are
-redone as one lane batch of the adaptive integrator on that member alone,
-each with its own panel tolerance; a rejected segment is redone by
-``integrate``.  Values, errors and flags are those of a panel-by-panel
-loop, and a redone panel's ``IntegrandError`` surfaces only when
-``_tail_driver`` asks for that panel.  ``integrate_singular_left`` is the
-one-member case.
+integrands from 0+ to every point of a grid, one family call per block
+of GK15 panels.  A panel is accepted when one GK15 step of ``integrate``
+converges on it; the others are redone as one lane batch of the adaptive
+integrator on that member alone, per chunk of geometric base panels and
+for all of a member's rejected segments.  So values, errors and flags
+are the panel-by-panel loop's, bit for bit, and a redone base panel's
+``IntegrandError`` surfaces only when ``_tail_driver`` asks for it.
+``integrate_singular_left`` is the one-member case, and
+``integrate_to_infinity`` runs its doubling panels the same way.
 
 The adaptive integrator runs independent integrals as lanes in lockstep;
 ``integrate`` is the one-lane case.  The whole-interval panels of all
@@ -27,10 +31,8 @@ tolerance there (most do) ends at once.  The others run as coroutines,
 one integrand call per round for the next panels of all running lanes.
 Every lane keeps the one-interval loop's heap, freeze rule, budget,
 termination test (the ``sum`` over the heap) and left-ordered reduction,
-and reproduces it bit for bit: each panel's rule is reduced with
-``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row (the
-sweep's ``y @ W`` does not), and a non-finite sample ends its lane with
-the loop's ``IntegrandError``.
+and reproduces it bit for bit; a non-finite sample ends its lane with the
+loop's ``IntegrandError``.
 
 Integrands are array functions: ``g(x)`` maps an array of points to an
 array of x's shape, or to a value that broadcasts to it.
@@ -153,20 +155,13 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
 
 def _integrate_lanes(g, a, b, tol=1e-10,
                      budget: int = DEFAULT_BUDGET) -> list:
-    """Adaptive quadrature of g on independent intervals [a[i], b[i]]
+    """``integrate``'s adaptive loop on independent intervals [a[i], b[i]]
     (sequences of floats) in lockstep, with the tolerance ``tol``, or
     ``tol[i]`` when it is a sequence.  Returns, per lane, its QuadResult,
-    or the IntegrandError of its first non-finite sample.
-
-    Every lane runs ``integrate``'s adaptive loop on its own interval.
-    All lanes' whole-interval panels are sampled in one call of the array
-    function g (``_gk15_panels``); a lane whose first panel meets its
-    tolerance, or whose budget is one panel, ends there with the loop's
-    arithmetic.  The other lanes continue as ``_adapt`` coroutines, each
-    round evaluating the two halves of the panel every running lane
-    splits, again in one call of g.
-
-    A nan or infinite endpoint raises ValueError before any lane starts.
+    or the IntegrandError of its first non-finite sample.  A lane whose
+    whole-interval panel meets its tolerance, or whose budget is one
+    panel, ends there; the others continue as ``_adapt`` coroutines.  A
+    nan or infinite endpoint raises ValueError before any lane starts.
     """
     if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
         name, end = next((name, end) for ai, bi in zip(a, b)
@@ -174,7 +169,9 @@ def _integrate_lanes(g, a, b, tol=1e-10,
                          if not math.isfinite(end))
         raise ValueError(
             f"non-finite integration endpoint {name}={float(end)!r}")
-    tols = [tol] * len(a) if np.ndim(tol) == 0 else list(map(float, tol))
+    # test for a float first: np.ndim on one takes about 1 us
+    scalar = isinstance(tol, float) or np.ndim(tol) == 0
+    tols = [tol] * len(a) if scalar else list(map(float, tol))
     out = [QuadResult(0.0, 0.0, True, False, 0)] * len(a)
     # a reversed interval is integrated forward and its value negated
     lanes = [(i, ai, bi, False) if ai < bi else (i, bi, ai, True)
@@ -198,27 +195,30 @@ def _integrate_lanes(g, a, b, tol=1e-10,
     return out
 
 
+def _gk15(sample, mid: np.ndarray, half: np.ndarray):
+    """The GK15 step on the panels mid +- half (1-d arrays): nodes x of
+    shape (panels, 15), samples y = sample(x) of shape (...,) + x.shape and
+    the rule sums (dot(W_K, y), dot(W_G, y)) per panel, unscaled by half."""
+    x = mid[:, None] + half[:, None] * _NODES
+    with np.errstate(all="ignore"):
+        y = sample(x)
+        return x, y, np.vecdot(y[..., None, :], _W_PAIR)
+
+
 def _gk15_panels(g, asks: list) -> list:
     """The GK15 rule on every panel the lanes ask for (``asks``, one tuple
-    of panels per lane), sampled in one call of g on an array of shape
-    (panels, 15).  Returns, per lane, its panels' (Kronrod value, error
-    estimate) pairs, or the IntegrandError of its first panel with a
-    non-finite sample, naming the first such node.
-
-    Each panel repeats the one-panel rule's arithmetic: nodes
-    mid + half*x_k, then half*dot(W, y) for both weight vectors, reduced
-    with ``np.vecdot``, which gives the bits of ``np.dot(W, y)`` per row
-    (``y @ W`` does not).
-    """
+    of panels per lane), sampled in one call of g.  Returns, per lane, its
+    panels' (Kronrod value, error estimate) pairs, as ``_gk15_rule`` gives
+    them, or the IntegrandError of its first panel with a non-finite
+    sample, naming the first such node."""
     mids, halves = [], []
     for panels in asks:
         for a, b in panels:
             mids.append(0.5 * (a + b))
             halves.append(0.5 * (b - a))
-    x = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
-    y = _sample(g, x)
-    with np.errstate(all="ignore"):
-        dots = np.vecdot(y[:, None], _W_PAIR).tolist()
+    x, y, dots = _gk15(lambda x: _sample(g, x), np.array(mids),
+                       np.array(halves))
+    dots = dots.tolist()
     replies = []
     p = 0
     for panels in asks:
@@ -286,11 +286,11 @@ def _reduce(values, errors, tol: float, n_panels: int,
                       diverged, n_panels)
 
 
-def _tail_driver(contribs_iter, tol: float, max_panels: int):
+def _tail_driver(contribs_iter, tol: float):
     """Shared convergence/divergence logic for improper-integral drivers.
 
-    ``contribs_iter`` yields (contribution, error_estimate) per geometric
-    panel, ordered toward the improper endpoint.
+    ``contribs_iter`` yields (contribution, error_estimate) per panel toward
+    the improper endpoint; the result is unconverged where it ends.
     """
     total = 0.0
     err_total = 0.0
@@ -323,8 +323,6 @@ def _tail_driver(contribs_iter, tol: float, max_panels: int):
             if err_total <= tol:
                 return QuadResult(total, err_total, True, False, n)
         prev = contrib
-        if n >= max_panels:
-            break
     return QuadResult(total, err_total, False, False, n)
 
 
@@ -359,9 +357,8 @@ class Sweep:
     converged: np.ndarray
 
 
-# Geometric base panels are evaluated in chunks of 64, 128, 256, ...
-# panels, and one family call samples at most _BLOCK_SAMPLES points, so a
-# wide family is split into groups of members.
+# Geometric panels come in chunks of 64, 128, 256, ...; one family call
+# samples at most _BLOCK_SAMPLES points, splitting a wide family.
 _FIRST_CHUNK = 64
 _BLOCK_SAMPLES = 1 << 16
 
@@ -374,9 +371,9 @@ def sweep_singular_left(family, grid, tols):
     shape ``(len(members),) + x.shape``.  Member i has the tolerance
     ``tols[i]`` for the base integral over (0, grid[0]] and for each
     segment of ``grid``, which is strictly increasing with grid[0] > 0.
-    A panel the batch does not accept is redone by the adaptive
-    integrator on ``family(x, [i])[0]``: the rejected base panels of a
-    chunk as one lane batch, a rejected segment alone.
+    The panels the batch does not accept are redone by the adaptive
+    integrator on ``family(x, [i])[0]``, as one lane batch: per chunk of
+    base panels, and for all rejected segments of a member.
 
     Yields one ``Sweep`` per member of ``tols``, in order, with the
     values, flags and ``IntegrandError`` of the panel-by-panel loop.  The
@@ -389,106 +386,106 @@ def sweep_singular_left(family, grid, tols):
         raise ValueError("sweep grid must be strictly increasing with grid[0] > 0")
     tols = np.asarray(tols, dtype=np.float64)
     n_members = len(tols)
-    edges = [float(grid[0])]  # base panel k is [edges[k+1], edges[k]]
+    # base panel k is [edges[k+1], edges[k]], halved one step at a time
+    edges = np.multiply.accumulate(np.r_[grid[0], np.full(MAX_PANELS, 0.5)])
     blocks: dict = {}
 
     def block(key, lo, hi, i):
-        """GK15 (values, errors, all-samples-finite) of panels [lo, hi] for
-        member i, sampled in one family call with the members after it."""
+        """GK15 values and error estimates of panels [lo, hi] for member
+        i, sampled in one family call with the members after it."""
         hit = blocks.get(key)
         if hit is None or not hit[0] <= i < hit[1]:
             group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
             stop = min(i + group, n_members)
-            hit = blocks[key] = (i, stop) + _gk15_block(
-                family, np.arange(i, stop), lo, hi)
-        first, _, k, err, finite = hit
-        return k[i - first], err[i - first], finite[i - first]
+            members = np.arange(i, stop)
+            hit = blocks[key] = (i, stop) + _gk15_rule(
+                lambda x: np.asarray(family(x, members), dtype=np.float64),
+                lo, hi)
+        first, _, k, err = hit
+        return k[i - first], err[i - first]
 
     def member(i):
         idx = np.array([i])
         return lambda x: family(x, idx)[0]
 
-    def base_panels(i, alone):
-        start, size = 0, _FIRST_CHUNK
-        while start < MAX_PANELS:
-            stop = min(start + size, MAX_PANELS)
-            while len(edges) <= stop:
-                edges.append(edges[-1] * 0.5)
-            hi = np.array(edges[start:stop])
-            k, err, finite = block(("base", start), 0.5 * hi, hi, i)
-            # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
-            ks = np.arange(start, stop)
-            ptol = np.maximum(0.5 * tols[i] / ((ks + 1) * (ks + 2)), 1e-300)
-            ok = _accepted(k, err, finite, ptol)
-            # the chunk's rejected panels, redone as one lane batch; an
-            # IntegrandError surfaces only if _tail_driver asks for it
-            bad = np.flatnonzero(~ok)
-            redo = dict(zip(bad.tolist(), _integrate_lanes(
-                alone, (0.5 * hi[bad]).tolist(), hi[bad].tolist(),
-                ptol[bad], PANEL_BUDGET)))
-            for j, (kj, ej) in enumerate(zip(k.tolist(), err.tolist())):
-                res = redo.get(j)
-                if res is None:
-                    yield kj, ej
-                elif isinstance(res, IntegrandError):
-                    raise res
-                else:
-                    yield res.value, res.abs_error_estimate
-            start, size = stop, 2 * size
-
     for i in range(n_members):
         tol, alone = float(tols[i]), member(i)
-        base = _tail_driver(base_panels(i, alone), tol, MAX_PANELS)
+        base = _tail_driver(_geometric_panels(
+            lambda start, lo, hi: block(("base", start), lo, hi, i), alone,
+            edges[1:], edges[:-1], tol), tol)
         values = np.full(grid.size, math.nan)
         converged = np.zeros(grid.size, dtype=bool)
         values[0], converged[0] = base.value, base.converged
         if not base.diverged and grid.size > 1:
-            k, err, finite = block("segments", grid[:-1], grid[1:], i)
-            seg = k.copy()
-            ok = _accepted(k, err, finite, tol)
-            for j in np.flatnonzero(~ok).tolist():
-                res = integrate(alone, float(grid[j]),
-                                float(grid[j + 1]), tol=tol)
-                seg[j], ok[j] = res.value, res.converged
-            values[1:] = seg
-            converged[1:] = ok
+            k, err = block("segments", grid[:-1], grid[1:], i)
+            values[1:], converged[1:] = k, _accepted(k, err, tol)
+            bad = np.flatnonzero(~converged[1:])
+            for j, res in zip(bad.tolist(), _integrate_lanes(
+                    alone, grid[bad].tolist(), grid[bad + 1].tolist(), tol,
+                    DEFAULT_BUDGET)):
+                if isinstance(res, IntegrandError):
+                    raise res
+                values[j + 1], converged[j + 1] = res.value, res.converged
             values = np.cumsum(values)
         yield Sweep(base, values, converged)
 
 
-def _gk15_block(family, members, lo: np.ndarray, hi: np.ndarray):
-    """GK15 panels [lo[p], hi[p]] for the listed members in one family
-    call: Kronrod values, error estimates and all-samples-finite flags,
-    each of shape (len(members), len(lo)).  Non-finite samples only clear
-    the flag; ``integrate`` raises on them if the panel is needed."""
-    mid = 0.5 * (lo + hi)
+def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
+    """GK15 values k = half*dot(W_K, y) and error estimates
+    |k - half*dot(W_G, y)| of the panels [lo, hi], shaped as ``sample``'s
+    output less its node axis; a non-finite sample makes them non-finite."""
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
+    _, _, dots = _gk15(sample, 0.5 * (lo + hi), half)
     with np.errstate(all="ignore"):
-        y = np.asarray(family(x, members), dtype=np.float64)
-        k = half * (y @ _W_KRONROD)
-        err = np.abs(k - half * (y @ _W_GAUSS))
-    return k, err, np.isfinite(y).all(axis=-1)
+        k = half * dots[..., 0]
+        return k, np.abs(k - half * dots[..., 1])
 
 
-def _accepted(k, err, finite, tol):
-    """Panels on which one GK15 step of ``integrate`` converges: finite
-    samples, error within tol and no divergence flag."""
-    return finite & (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+def _accepted(k, err, tol):
+    """Panels on which one GK15 step of ``integrate`` converges: error
+    within tol and no divergence flag (both fail on non-finite samples)."""
+    return (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+
+
+def _geometric_panels(rule, alone, lo: np.ndarray, hi: np.ndarray,
+                      tol: float):
+    """(value, error) of the panels [lo[k], hi[k]], in order, as
+    ``integrate`` gives them at the tolerance 0.5*tol/((k+1)(k+2)) and the
+    budget PANEL_BUDGET: per chunk, one ``rule(start, lo, hi)`` call and
+    one lane batch of ``alone`` for the panels ``_accepted`` rejects.  An
+    IntegrandError surfaces only when ``_tail_driver`` asks for its panel."""
+    start, size = 0, _FIRST_CHUNK
+    while start < lo.size:
+        stop = min(start + size, lo.size)
+        clo, chi = lo[start:stop], hi[start:stop]
+        k, err = rule(start, clo, chi)
+        # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
+        ks = np.arange(start, stop)
+        ptol = np.maximum(0.5 * tol / ((ks + 1) * (ks + 2)), 1e-300)
+        bad = np.flatnonzero(~_accepted(k, err, ptol))
+        pieces = list(zip(k.tolist(), err.tolist()))
+        for j, res in zip(bad.tolist(), _integrate_lanes(
+                alone, clo[bad].tolist(), chi[bad].tolist(), ptol[bad],
+                PANEL_BUDGET)):
+            pieces[j] = res if isinstance(res, IntegrandError) else (
+                res.value, res.abs_error_estimate)
+        for piece in pieces:
+            if isinstance(piece, IntegrandError):
+                raise piece
+            yield piece
+        start, size = stop, 2 * size
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
-    """Integrate g over [a, +inf) with doubling panels and tail detection."""
-
-    def panels():
-        lo = a
-        width = 1.0
-        for k in range(MAX_PANELS):
-            hi = lo + width
-            ptol = 0.5 * tol / ((k + 1) * (k + 2))
-            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=PANEL_BUDGET)
-            yield res.value, res.abs_error_estimate
-            lo = hi
-            width *= 2.0
-
-    return _tail_driver(panels(), tol, MAX_PANELS)
+    """Integrate g over [a, +inf) with doubling panels [a_k, a_k + 2^k],
+    a_0 = a, and tail detection.  The panels stop before the first whose
+    right end overflows (panel 1023 for a = 0); a result that has not
+    converged or diverged by then is unconverged."""
+    if not math.isfinite(a):
+        raise ValueError(f"non-finite integration endpoint a={float(a)!r}")
+    with np.errstate(over="ignore"):
+        ends = np.cumsum(np.r_[a, 2.0 ** np.arange(MAX_PANELS)])
+    ends = ends[np.isfinite(ends)]  # non-decreasing: a finite prefix
+    return _tail_driver(_geometric_panels(
+        lambda _start, lo, hi: _gk15_rule(lambda x: _sample(g, x), lo, hi),
+        g, ends[:-1], ends[1:], tol), tol)

@@ -431,10 +431,10 @@ def generalized_reparam(u: Expression, c: float,
     tau_end in (tau_1, 2*ln(c) + 2); the peak is positive exactly when
     c > e.  For c <= e, or a branch that is empty or flat within h's
     rounding, it raises DegenerateReparamError.  The nodes are geometric in
-    the distance to tau_end and stop where h falls to the larger of
-    2*u(1e-12*T) and 1e3 ulps of 1/tau_end, below which h is rounding;
-    their t's are one lane inversion of u on [1e-12*T, T].  A u that is not
-    finite at either end or inside the inversion raises ReparamError.
+    tau_end - tau and stop where h falls to the largest of 2*u(1e-12*T),
+    1e3 ulps of 1/tau_end and 2*|h(tau_end)| (rounding, tau_end's error);
+    their t's are one lane inversion of u on [1e-12*T, T].  A u that is
+    not finite at either end or inside the inversion raises ReparamError.
     """
     if not c > math.e:
         raise DegenerateReparamError(
@@ -443,8 +443,9 @@ def generalized_reparam(u: Expression, c: float,
             f"(requires c > e)")
     grep = GeneralizedReparam(rep=None, u=u, c=float(c))
     h = grep.rhs
-    tau_1 = bisect(lambda s: s * s * math.exp(-s) - 1.0 / c, 0.0, 1.0,
-                   rtol=1e-14)
+    # halving [0, 1] keeps [0, 2^k] while 2^k > sqrt(e/c) >= tau_1
+    tau_1 = bisect(lambda s: s * s * math.exp(-s) - 1.0 / c, 0.0,
+                   2.0 ** math.frexp(math.sqrt(math.e / c))[1], rtol=1e-14)
     tau_end = bisect(h, tau_1, 2.0 * math.log(c) + 2.0, rtol=1e-14)
     t_floor = 1e-12 * T
     u_fn = u.lambdify(("t",))
@@ -456,7 +457,8 @@ def generalized_reparam(u: Expression, c: float,
     tau_lo = tau_1
     if h(tau_1) > u_max:
         tau_lo = bisect(lambda s: h(s) - u_max, tau_1, tau_end, rtol=1e-14)
-    level = max(2.0 * u_lo, 1e3 * math.ulp(1.0 / tau_end))
+    level = max(2.0 * u_lo, 1e3 * math.ulp(1.0 / tau_end),
+                2.0 * abs(h(tau_end)))
     if not (h(tau_lo) > level):
         raise DegenerateReparamError(
             "degenerate generalized reparametrization: empty valid tau-domain")

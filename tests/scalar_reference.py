@@ -9,6 +9,8 @@ one-integral-at-a-time loops built on them.
 ``singular_left`` and ``sweep`` are the loops ``quadrature.sweep_singular_left``
 replaced: the geometric-panel loop of ``integrate_singular_left`` and the
 per-segment adaptive integrals of the H2 and Osgood sweeps.
+``to_infinity`` is the doubling-panel loop that ``integrate_to_infinity``
+was before it shared the sweep's batched panels.
 
 ``integrate_ivp``, ``funnel_probe`` and ``forward_spread`` are the one-leg-
 at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
@@ -302,7 +304,24 @@ def singular_left(g, b, tol, budget=10_000, max_panels=1200):
             yield res.value, res.abs_error_estimate
             hi = lo
 
-    return _tail_driver(panels(), tol, max_panels)
+    return _tail_driver(panels(), tol)
+
+
+def to_infinity(g, a, tol, max_panels=1200):
+    """int_a^inf g, one adaptive ``integrate`` call per doubling panel."""
+
+    def panels():
+        lo = a
+        width = 1.0
+        for k in range(max_panels):
+            hi = lo + width
+            ptol = 0.5 * tol / ((k + 1) * (k + 2))
+            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=200)
+            yield res.value, res.abs_error_estimate
+            lo = hi
+            width *= 2.0
+
+    return _tail_driver(panels(), tol)
 
 
 def sweep(g, grid, tol):

@@ -444,14 +444,15 @@ def test_every_emitted_hypothesis_has_a_definition():
 def _one_panel_fallback(monkeypatch):
     """Limit the adaptive integrals that redo rejected panels, and those of
     reverify, to their first GK15 panel: the sweep redoes base panels with
-    the budget PANEL_BUDGET and segments with ``integrate``."""
+    the budget PANEL_BUDGET and segments with DEFAULT_BUDGET, both read at
+    call time, and reverify calls ``integrate``."""
     real = quadrature.integrate
 
     def one_panel(g, a, b, tol=1e-10, budget=None):
         return real(g, a, b, tol=tol, budget=1)
 
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1)
-    monkeypatch.setattr(quadrature, "integrate", one_panel)
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 1)
     monkeypatch.setattr(criteria, "integrate", one_panel)
 
 
@@ -610,12 +611,13 @@ def test_batched_sweeps_match_panel_loops(p):
     rep = check_theorem_main(p, CFG)
     h2 = rep.hypothesis("H2_osgood_scaled")
     ref = _scalar_h2(p, CFG)
+    # every panel has the loop's bits, so the margins are equal
     assert h2.passed == (ref >= -CFG.tol)
-    assert h2.worst_margin == pytest.approx(ref, abs=1e-12, nan_ok=True)
+    assert _same(h2.worst_margin, ref)
     osg = check_comparison_fn(p.omega, CFG).hypothesis("osgood_integral")
     ref = _scalar_osgood(p.omega, CFG)
     assert osg.passed == (ref >= -CFG.tol)
-    assert osg.worst_margin == pytest.approx(ref, abs=1e-12)
+    assert osg.worst_margin == ref
 
 
 # ---------------------------------------------------------------------------

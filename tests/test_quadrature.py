@@ -1,6 +1,7 @@
 """Adaptive quadrature against closed-form oracles."""
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -146,12 +147,11 @@ def test_power_singularity_family(p):
                          + [(g, 1.0) for g in DIVERGENT_CASES])
 def test_singular_left_matches_panel_loop(g, b):
     # integrate_singular_left is the one-member sweep; the loop it replaced
-    # takes the same panels, so flags and panel counts agree exactly
+    # takes the same panels, and a panel the batch accepts has the bits of
+    # integrate on it, so the result agrees bit for bit
     res = integrate_singular_left(g, b, tol=1e-12)
     ref = scalar_reference.singular_left(g, b, tol=1e-12)
-    assert (res.converged, res.diverged, res.subdivisions) == \
-        (ref.converged, ref.diverged, ref.subdivisions)
-    assert res.value == pytest.approx(ref.value, rel=1e-13)
+    assert _bits(res) == _bits(ref)
 
 
 def _power_family(powers):
@@ -172,9 +172,9 @@ def test_sweep_matches_panel_loop():
     assert len(sweeps) == len(powers)
     for s, g, tol, p in zip(sweeps, members, tols, powers):
         base, values, converged = scalar_reference.sweep(g, grid, tol)
-        assert s.base.subdivisions == base.subdivisions
+        assert _bits(s.base) == _bits(base)
         np.testing.assert_array_equal(s.converged, converged)
-        np.testing.assert_allclose(s.values, values, rtol=1e-13)
+        assert s.values.tobytes() == values.tobytes()
         np.testing.assert_allclose(s.values, grid ** (1 - p) / (1 - p),
                                    rtol=1e-9)
 
@@ -250,6 +250,53 @@ def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
     # 63 of the chunk's 64 panels, where the loop redid 60 of its 61
     (n_redone,) = calls
     assert res.subdivisions - 1 <= n_redone <= quadrature._FIRST_CHUNK
+
+
+# (integrand, a): converged on the first chunk, divergent, redone panels,
+# a non-finite sample past the driver's stop and one that it reaches
+TAIL_CASES = [
+    (lambda s: np.exp(-s), 0.0),
+    (lambda s: s * np.exp(-s), 0.0),
+    (lambda s: 1.0 / s**2, 1.0),
+    (lambda s: s**-1.1, 1.0),
+    (lambda s: 1.0 / s, 1.0),
+    (lambda s: np.sin(s) * np.exp(-0.1 * s), -3.0),
+    (lambda s: np.where(s > 1e9, np.nan, np.exp(-s)), 0.0),
+    (lambda s: np.where(s > 100.0, np.nan, 1.0 / s), 1.0),
+]
+
+
+@pytest.mark.parametrize("g,a", TAIL_CASES)
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_to_infinity_matches_panel_loop(g, a, tol):
+    # the doubling panels run through the sweep's batch and lane redo; the
+    # result, or the error the loop met, has the loop's bits
+    assert _outcome(integrate_to_infinity, g, a, tol) == \
+        _outcome(scalar_reference.to_infinity, g, a, tol)
+
+
+def test_to_infinity_stops_where_the_panels_overflow():
+    # contributions 1, -2, 1, -2, ... neither converge nor diverge; panel
+    # 1023 would end at 2^1024, which overflows, so the driver stops before
+    # it, unconverged (the panel loop raised on the infinite endpoint)
+    def g(x):
+        k = np.floor(np.log2(x + 1.0))
+        return np.where(k % 2 == 0, 1.0, -2.0) * np.exp2(-k)
+
+    res = integrate_to_infinity(g, 0.0, tol=1e-3)
+    assert (res.converged, res.diverged, res.subdivisions) == \
+        (False, False, 1023)
+    assert res.value == pytest.approx(512 - 2 * 511, rel=1e-12)
+
+
+def test_slow_tail_raises_without_warning():
+    # x^-0.97 overflows near x = 1.3e-318, where the geometric panels reach;
+    # the sweep reports the non-finite sample, and no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandError) as exc:
+            integrate_singular_left(lambda x: x**-0.97, 1.0)
+    assert 0.0 < exc.value.where < 1e-317
 
 
 def test_sweep_rejects_bad_grid():

@@ -218,6 +218,26 @@ def test_generalized_reparam_monotone_for_large_c():
     assert grep.rhs(rep.tau_plus) == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("u_src", ["t", "t^2", "t^0.25*exp(t)"])
+@pytest.mark.parametrize("c", [1e100, 1e200, 1e300])
+def test_generalized_reparam_large_c(u_src, c):
+    # h's peak tau_1, near c^-1/2, lay beyond 200 halvings of [0, 1] from
+    # c = 3e92; and for u = t^2 the table end, 1e3 ulps of 1/tau_end, lay
+    # below h(tau_end), which is not 0 but tau_end's rtol of 1e-14 times
+    # |h'|, from c = 1e91, so the last node had no bracket
+    u = parse(u_src, {"t"})
+    u_fn = u.lambdify(("t",))
+    grep = generalized_reparam(u, c)
+    rep = grep.rep
+    assert np.all(np.diff(rep.t_table) > 0)
+    assert np.all(np.diff(rep.tau_table) < 0)
+    # h(tau_lo) = u(T) holds to tau_lo's bisection rtol of 1e-14 times
+    # |h'(tau_lo)|, about u(T) * tau_lo * 1e-14 here (tau_lo is 230 to 690)
+    rhs = np.array([grep.rhs(tau) for tau in rep.tau_table.tolist()])
+    assert np.max(np.abs(rhs - u_fn(rep.t_table))) <= \
+        (1e-12 + 1e-14 * rep.tau_minus) * float(u_fn(np.array(1.0)))
+
+
 def test_generalized_reparam_degenerate_small_c():
     # c*exp(-tau) - 1/tau is never positive for c <= e
     with pytest.raises(DegenerateReparamError):
