@@ -23,6 +23,7 @@ is null), and the problem name.  No timestamps: reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -143,9 +144,9 @@ def _summary(args, line: str) -> None:
 
 def _config_dict(args, extra=None):
     d = {"schema_version": SCHEMA_VERSION}
-    skip = {"func", "out", "command"}
+    skip = {"out", "command"}
     for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
+        if k in skip:
             continue
         d[k] = _sanitize(v)
     if extra:
@@ -464,32 +465,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--x0": dict(type=float, default=0.0),
     }
 
-    def add(name, func, summary, *names, **defaults):
+    def add(name, summary, *names, **defaults):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", help="output path (default: stdout)")
         for flag in names:
             p.add_argument(flag, **flags[flag])
-        p.set_defaults(func=func, **defaults)  # a keyword overrides a default
+        p.set_defaults(**defaults)  # a keyword overrides a default
 
-    add("check", cmd_check, "run uniqueness criteria",
+    add("check", "run uniqueness criteria",
         "--problem", "--T", "--n", "--eps-min", "--eps-max", "--criteria")
-    add("reparam", cmd_reparam, "build tau(t) and residuals",
+    add("reparam", "build tau(t) and residuals",
         "--problem", "--T", "--t-floor", "--format", "--generalized-c")
-    add("solve", cmd_solve, "integrate the trajectory",
+    add("solve", "integrate the trajectory",
         "--problem", "--T", "--rtol", "--atol", "--t-floor",
         "--t0", "--t1", "--x0")
-    add("funnel", cmd_funnel, "backward-reachability probe",
+    add("funnel", "backward-reachability probe",
         "--problem", "--T", "--rtol", "--atol", "--t-floor", "--n", n=201)
-    add("suite", cmd_suite, "matrix run over a problem corpus",
+    add("suite", "matrix run over a problem corpus",
         "--corpus", "--rtol", "--atol", "--n", "--eps-min", "--eps-max")
 
     return parser
 
 
+# built once per process: parse_args fills a fresh Namespace on every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call, so a patched cmd_<name> is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)

@@ -203,6 +203,9 @@ def build_tau(lam, T, tau_minus=0.0, tol=1e-12, n_nodes=400, t_min=None):
 
 
 def _refine_t(rep, target: float, guess: float) -> float:
+    """Newton steps t <- t + (tau(t) - target)*lambda(t) from ``guess``,
+    kept strictly inside the bracketing table nodes [t_lo, t_hi] (the
+    midpoint otherwise); a step within 1e-12*t ends at t + step."""
     if target <= rep.tau_minus:
         return rep.T
     k = int(np.searchsorted(-rep.tau_table, -target, side="right")) - 1
@@ -210,13 +213,43 @@ def _refine_t(rep, target: float, guess: float) -> float:
     t_lo, t_hi = float(rep.t_table[k]), float(rep.t_table[k + 1])
     tau_hi_node = float(rep.tau_table[k + 1])
     inv_lam = _inv_lam_fn(rep.lam)
+    lam_fn = rep.lam.lambdify(("t",))
 
     def residual(t):
-        return tau_hi_node + integrate(inv_lam, t, t_hi, tol=1e-14).value - target
+        r = tau_hi_node + integrate(inv_lam, t, t_hi, tol=1e-14).value - target
+        return r, r * float(lam_fn(np.array([t]))[0])
 
-    if residual(t_lo) * residual(t_hi) > 0:
+    f_lo, step = residual(t_lo)
+    if f_lo == 0.0:
+        return t_lo
+    if abs(step) <= 1e-12 * abs(t_lo):
+        return t_lo + step
+    f_hi = tau_hi_node - target
+    if (f_lo > 0.0) == (f_hi > 0.0):
         return guess
-    return bisect(residual, t_lo, t_hi, rtol=1e-12)
+    lo, hi, t = t_lo, t_hi, guess
+    for _ in range(200):
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if t == lo or t == hi:
+                break
+        r, step = residual(t)
+        if r == 0.0:
+            return t
+        if abs(step) <= 1e-12 * abs(t):
+            return t + step
+        if (r > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, r
+        else:
+            hi = t
+        if abs(hi - lo) <= 1e-12 * max(abs(lo), abs(hi), 1e-300):
+            break
+        t = t + step
+    else:
+        raise ConvergenceError(
+            f"bisection did not reach rtol=1e-12 in 200 halvings: "
+            f"[{lo!r}, {hi!r}]")
+    return 0.5 * (lo + hi)
 
 
 def t_of_tau(rep, tau):
@@ -263,14 +296,22 @@ def alpha_l1_check(rep, v, lam, tau, tol=1e-9):
     def alpha_fn(s):
         return v_fn(rep.t_of_tau(s))
 
-    left = integrate(alpha_fn, float(tau), rep.tau_horizon, tol=min(tol * 1e-2, 1e-9))
+    # one integral per piece between the tau nodes, summed exactly
+    pieces = [float(tau)]
+    for knot in rep.tau_table[::-1].tolist():
+        if float(tau) < knot < rep.tau_horizon:
+            pieces.append(knot)
+    pieces.append(rep.tau_horizon)
+    seg_tol = min(tol * 1e-2, 1e-9) / (len(pieces) - 1)
+    segs = [integrate(alpha_fn, lo, hi, tol=seg_tol)
+            for lo, hi in zip(pieces[:-1], pieces[1:])]
     t_at = t_of_tau(rep, float(tau)) if rep.lam is not None \
         else rep.t_of_tau(float(tau))
     right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
                       tol=1e-11)
-    if left.diverged or right.diverged:
+    if right.diverged or any(seg.diverged for seg in segs):
         raise ReparamError("divergent side in the L1 identity check")
-    return abs(left.value - right.value)
+    return abs(math.fsum(seg.value for seg in segs) - right.value)
 
 
 def exp_reparam_check(u, rep, c=None, n_tau=50):

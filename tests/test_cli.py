@@ -453,16 +453,44 @@ def test_suite_checks_each_criterion_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["check_constantin", "check_theorem_main"]
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency; a fresh interpreter shows what
-    # importing the command line interface pulls in
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this package."""
     src = str(Path(odeuniq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; a fresh interpreter shows what
+    # importing the command line interface pulls in
     code = ("import odeuniq.cli, sys; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_one_parser_per_process_leaks_no_defaults(problem_file, tmp_path):
+    # main reuses one parser: funnel's n = 201 default must not reach a
+    # later check, nor check's n a later funnel.  Each interpreter runs its
+    # argv lists in order; its last line holds the exit codes and reports.
+    prob = problem_file(TX)
+    funnel = ["funnel", "--problem", prob, "--out", str(tmp_path / "f.json")]
+    check = ["check", "--problem", prob, "--out", str(tmp_path / "c.json")]
+    code = ("import json, sys; from pathlib import Path; "
+            "from odeuniq.cli import main; "
+            "print(json.dumps([[main(a), Path(a[-1]).read_text()] "
+            "for a in json.loads(sys.argv[1])]))")
+
+    def run(*argvs):
+        return json.loads(
+            _fresh_python(code, json.dumps(argvs)).splitlines()[-1])
+
+    alone = run(funnel) + run(check)
+    assert run(funnel, check) == alone
+    assert run(check, funnel) == alone[::-1]
+    assert json.loads(alone[0][1])["config"]["n"] == 201
+    assert json.loads(alone[1][1])["config"]["n"] == CheckConfig.n_t

@@ -1,6 +1,8 @@
 """Reparametrization construction against closed-form maps."""
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 import scalar_reference
 from odeuniq.criteria import ProblemSpec, reduce_to_constantin
 from odeuniq.expr import parse
-from odeuniq.quadrature import IntegrandError
+from odeuniq.rootfind import bisect
+from odeuniq import reparam
+from odeuniq.quadrature import IntegrandError, integrate
 from odeuniq.reparam import (
     DegenerateReparamError,
     Reparametrization,
     ReparamError,
     _HermiteSpline,
+    _inv_lam_fn,
     alpha_l1_check,
     build_tau,
     exp_reparam_check,
@@ -361,7 +366,10 @@ def _same(x, y):
 
 
 def _gauges(path):
-    p = ProblemSpec.from_dict(json.loads(path.read_text()))
+    return _gauges_of(ProblemSpec.from_dict(json.loads(path.read_text())))
+
+
+def _gauges_of(p):
     if p.lam is not None:
         return p, p.v, p.lam
     if p.u is not None:
@@ -460,6 +468,100 @@ def test_refined_inverse_raises_first_failing_target():
         with pytest.raises(IntegrandError) as got:
             rep.t_of_tau(np.array(order), refine=True)
         assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the refined inverse: Newton steps from the spline guess
+
+def _seeded_specs():
+    """The seeded problems of the benchmark's inputs, seeds 1-3."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [prob.spec for seed in (1, 2, 3)
+            for prob in inputs.seeded_problems(seed)]
+
+
+REFINE_SPECS = [json.loads(path.read_text()) for path in CORPUS] + \
+    _seeded_specs()
+
+
+def _refine_table(spec):
+    """(problem, table) for a problem with u or lambda; the table stops at
+    1e-2 T where lambda is not finite lower (exp_gauge's u = exp(-1/t)
+    underflows)."""
+    p, _, lam = _gauges_of(ProblemSpec.from_dict(spec))
+    if lam is None:
+        pytest.skip("no gauge")
+    try:
+        return p, build_tau(lam, p.T)
+    except ReparamError:
+        return p, build_tau(lam, p.T, t_min=1e-2 * p.T)
+
+
+def _residual_rounds(monkeypatch, rep, tau):
+    """The value of rep.t_of_tau(tau, refine=True) and the number of lane
+    integrals, each one round of residuals, that it took."""
+    rounds = []
+    lanes = reparam._integrate_lanes
+
+    def counted(*args, **kwargs):
+        rounds.append(len(args[1]))
+        return lanes(*args, **kwargs)
+
+    monkeypatch.setattr(reparam, "_integrate_lanes", counted)
+    try:
+        return rep.t_of_tau(tau, refine=True), len(rounds)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec", REFINE_SPECS, ids=lambda s: s["name"])
+def test_refine_takes_few_rounds(spec, monkeypatch):
+    # exp_reparam_check's 50 taus, the horizon and an interior table node:
+    # bisection took 37 rounds, Newton from the spline guess at most 4
+    p, rep = _refine_table(spec)
+    taus = np.linspace(rep.tau_minus,
+                       min(rep.tau_horizon, rep.tau_minus + 40.0), 50)
+    _, rounds = _residual_rounds(monkeypatch, rep, taus)
+    assert rounds <= 4
+    for k in (0, 200):
+        t, rounds = _residual_rounds(monkeypatch, rep,
+                                     float(rep.tau_table[k]))
+        # a target on a node ends at the bracket end: one round, no halving
+        assert rounds == 1
+        assert t == pytest.approx(float(rep.t_table[k]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [s for s in REFINE_SPECS if "u" in s],
+                         ids=lambda s: s["name"])
+def test_exp_reparam_residual_at_rounding(spec):
+    p, rep = _refine_table(spec)
+    assert exp_reparam_check(p.u, rep) <= 1e-14
+
+
+@pytest.mark.parametrize("u_src", ["t", "t^0.25*exp(t)"])
+def test_refine_from_bad_starts(u_src):
+    # starts at either bracket end or outside the open bracket (and nan)
+    # still land within rtol of the root of the same residual, found by a
+    # 1e-16 quadrature and a 1e-15 bisection; the scalar loop agrees bit
+    # for bit
+    _, lam = reduce_to_constantin(parse(u_src, {"t"}))
+    rep = build_tau(lam, 1.0)
+    inv_lam = _inv_lam_fn(lam)
+    for k in (3, 150, 397):
+        t_lo, t_hi = float(rep.t_table[k]), float(rep.t_table[k + 1])
+        tau_hi_node = float(rep.tau_table[k + 1])
+        target = rep.tau_of_t(t_lo + 0.3 * (t_hi - t_lo))
+        exact = bisect(lambda t: tau_hi_node - target + integrate(
+            inv_lam, t, t_hi, tol=1e-16).value, t_lo, t_hi, rtol=1e-15)
+        starts = [t_lo, t_hi, 0.5 * t_lo, 2.0 * t_hi, math.nan]
+        got = np.array(starts)
+        rep._refine(np.full(len(starts), target), got)
+        assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+        assert _same(got, [scalar_reference._refine_t(rep, target, start)
+                           for start in starts])
 
 
 # ---------------------------------------------------------------------------
