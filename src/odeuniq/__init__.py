@@ -15,7 +15,6 @@ from .criteria import (
     check_nagumo,
     check_theorem_main,
     equivalence_suite,
-    nagumo_transform,
     reduce_problem,
     reduce_to_constantin,
     reverify,
@@ -45,13 +44,10 @@ from .reparam import (
 )
 from .solver import (
     FunnelReport,
-    SupRatioReport,
     Trajectory,
     convergence_order,
-    forward_spread,
     funnel_probe,
     integrate_ivp,
-    sup_ratio_diagnostic,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +57,7 @@ __all__ = [
     "ProblemSpec", "ProblemValidationError",
     "check_athanassov", "check_comparison_fn", "check_constantin",
     "check_nagumo", "check_theorem_main", "equivalence_suite",
-    "nagumo_transform", "reduce_problem", "reduce_to_constantin", "reverify",
+    "reduce_problem", "reduce_to_constantin", "reverify",
     "EvalDomainError", "Expression", "ExprError", "ExprSyntaxError",
     "parse", "substitute",
     "QuadResult", "integrate", "integrate_singular_left",
@@ -70,7 +66,6 @@ __all__ = [
     "ReparamError", "TransformedField", "alpha_l1_check", "build_tau",
     "exp_reparam_check", "generalized_reparam", "solve_tau_exp_root",
     "transform", "verify_fixed_point",
-    "FunnelReport", "SupRatioReport", "Trajectory", "convergence_order",
-    "forward_spread", "funnel_probe", "integrate_ivp",
-    "sup_ratio_diagnostic",
+    "FunnelReport", "Trajectory", "convergence_order",
+    "funnel_probe", "integrate_ivp",
 ]

@@ -53,7 +53,6 @@ __all__ = [
     "reduce_to_constantin",
     "reduce_problem",
     "equivalence_suite",
-    "nagumo_transform",
     "reverify",
 ]
 
@@ -777,7 +776,7 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Athanassov <-> Nagumo change of variables
+# inverting an increasing gauge
 
 def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
     """t in [t_lo, T] with u(t) = target for each of the array ``targets``
@@ -805,36 +804,6 @@ def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
     if failed is not None:
         raise failed
     return np.reshape(roots, np.shape(targets))
-
-
-def nagumo_transform(f: Expression, u: Expression, T: float = 1.0):
-    """Transform f under the change of variables y(u(t)) = x(t).
-
-    Returns (g, u_range) where g(s, x) = f(t(s), x)/u'(t(s)) with
-    t(s) the bisection inverse of the increasing gauge u; the bound
-    |g(s, x1) - g(s, x2)| <= |x1 - x2|/s is the Nagumo condition for the
-    transformed equation.
-
-    g is an array function: s and x broadcast, and every t(s) is one lane
-    of ``_invert_gauge``'s lane bisection, so an array call equals the
-    per-point calls bit for bit; a scalar call returns a float, and the
-    errors are ``_invert_gauge``'s.  Where f or u' is not finite, g is nan
-    or inf, as a compiled expression is.
-    """
-    u_fn, f_fn = u.lambdify(("t",)), f.lambdify(("t", "x"))
-    du_fn = u.diff("t").lambdify(("t",))
-    t_lo = 1e-12 * T
-    u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
-
-    def g(s, x):
-        s, x = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
-                                   np.asarray(x, dtype=np.float64))
-        t = _invert_gauge(u_fn, s, t_lo, T, rtol=1e-12)
-        with np.errstate(all="ignore"):
-            out = f_fn(t, x) / du_fn(t)
-        return float(out) if out.ndim == 0 else out
-
-    return g, (u_lo, u_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ a panel in any batch has the bits ``integrate`` gives it alone.
 
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
 integrands from 0+ to every point of a grid, one family call per block
-of GK15 panels.  A panel is accepted when one GK15 step of ``integrate``
-converges on it; the others are redone as one lane batch of the adaptive
-integrator on that member alone, per chunk of geometric base panels and
-for all of a member's rejected segments.  So values, errors and flags
-are the panel-by-panel loop's, bit for bit, and a redone base panel's
-``IntegrandError`` surfaces only when ``_tail_driver`` asks for it.
-``integrate_singular_left`` is the one-member case, and
+of GK15 panels.  One step, ``_segments``, finishes each chunk of
+geometric base panels and each member's segments: a panel on which one
+GK15 step of ``integrate`` converges is accepted, and the others are
+redone as one lane batch on that member alone.  So values, errors and
+flags are the panel-by-panel loop's, bit for bit, and a redone base
+panel's ``IntegrandError`` surfaces only when ``_tail_driver`` asks for
+it.  ``integrate_singular_left`` is the one-member case, and
 ``integrate_to_infinity`` runs its doubling panels the same way.
 
 The adaptive integrator runs independent integrals as lanes in lockstep;
@@ -371,9 +371,7 @@ def sweep_singular_left(family, grid, tols):
     shape ``(len(members),) + x.shape``.  Member i has the tolerance
     ``tols[i]`` for the base integral over (0, grid[0]] and for each
     segment of ``grid``, which is strictly increasing with grid[0] > 0.
-    The panels the batch does not accept are redone by the adaptive
-    integrator on ``family(x, [i])[0]``, as one lane batch: per chunk of
-    base panels, and for all rejected segments of a member.
+    ``_segments`` finishes each block on ``family(x, [i])[0]``.
 
     Yields one ``Sweep`` per member of ``tols``, in order, with the
     values, flags and ``IntegrandError`` of the panel-by-panel loop.  The
@@ -418,14 +416,10 @@ def sweep_singular_left(family, grid, tols):
         values[0], converged[0] = base.value, base.converged
         if not base.diverged and grid.size > 1:
             k, err = block("segments", grid[:-1], grid[1:], i)
-            values[1:], converged[1:] = k, _accepted(k, err, tol)
-            bad = np.flatnonzero(~converged[1:])
-            for j, res in zip(bad.tolist(), _integrate_lanes(
-                    alone, grid[bad].tolist(), grid[bad + 1].tolist(), tol,
-                    DEFAULT_BUDGET)):
-                if isinstance(res, IntegrandError):
-                    raise res
-                values[j + 1], converged[j + 1] = res.value, res.converged
+            values[1:], _, converged[1:], failed = _segments(
+                alone, grid[:-1], grid[1:], k, err, tol, DEFAULT_BUDGET)
+            if failed:
+                raise failed[min(failed)]
             values = np.cumsum(values)
         yield Sweep(base, values, converged)
 
@@ -441,19 +435,35 @@ def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
         return k, np.abs(k - half * dots[..., 1])
 
 
-def _accepted(k, err, tol):
-    """Panels on which one GK15 step of ``integrate`` converges: error
-    within tol and no divergence flag (both fail on non-finite samples)."""
-    return (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+def _segments(alone, lo, hi, k, err, tol, budget: int):
+    """``integrate`` at ``tol`` (a float or an array) and ``budget`` on the
+    segments [lo[j], hi[j]] whose GK15 panels gave (k[j], err[j]): those
+    that one step settles end there, the others are redone as one lane
+    batch of ``alone``.  Returns values, error estimates and flags as
+    arrays and, by index, the IntegrandError of each failed redo."""
+    value, error = k.astype(np.float64), err.astype(np.float64)
+    # error within tol, no divergence flag: both fail on non-finite samples
+    converged = (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+    bad = np.flatnonzero(~converged)
+    failed = {}
+    for j, res in zip(bad.tolist(), _integrate_lanes(
+            alone, lo[bad].tolist(), hi[bad].tolist(),
+            tol if np.ndim(tol) == 0 else tol[bad], budget)):
+        if isinstance(res, IntegrandError):
+            failed[j] = res
+        else:
+            value[j], error[j], converged[j] = (
+                res.value, res.abs_error_estimate, res.converged)
+    return value, error, converged, failed
 
 
 def _geometric_panels(rule, alone, lo: np.ndarray, hi: np.ndarray,
                       tol: float):
     """(value, error) of the panels [lo[k], hi[k]], in order, as
     ``integrate`` gives them at the tolerance 0.5*tol/((k+1)(k+2)) and the
-    budget PANEL_BUDGET: per chunk, one ``rule(start, lo, hi)`` call and
-    one lane batch of ``alone`` for the panels ``_accepted`` rejects.  An
-    IntegrandError surfaces only when ``_tail_driver`` asks for its panel."""
+    budget PANEL_BUDGET: per chunk, one ``rule(start, lo, hi)`` call that
+    ``_segments`` finishes.  An IntegrandError surfaces only when
+    ``_tail_driver`` asks for its panel."""
     start, size = 0, _FIRST_CHUNK
     while start < lo.size:
         stop = min(start + size, lo.size)
@@ -462,16 +472,11 @@ def _geometric_panels(rule, alone, lo: np.ndarray, hi: np.ndarray,
         # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
         ks = np.arange(start, stop)
         ptol = np.maximum(0.5 * tol / ((ks + 1) * (ks + 2)), 1e-300)
-        bad = np.flatnonzero(~_accepted(k, err, ptol))
-        pieces = list(zip(k.tolist(), err.tolist()))
-        for j, res in zip(bad.tolist(), _integrate_lanes(
-                alone, clo[bad].tolist(), chi[bad].tolist(), ptol[bad],
-                PANEL_BUDGET)):
-            pieces[j] = res if isinstance(res, IntegrandError) else (
-                res.value, res.abs_error_estimate)
-        for piece in pieces:
-            if isinstance(piece, IntegrandError):
-                raise piece
+        value, error, _, failed = _segments(alone, clo, chi, k, err, ptol,
+                                            PANEL_BUDGET)
+        for j, piece in enumerate(zip(value.tolist(), error.tolist())):
+            if j in failed:
+                raise failed[j]
             yield piece
         start, size = stop, 2 * size
 

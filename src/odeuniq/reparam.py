@@ -14,11 +14,10 @@ tau_plus = +inf is represented by an explicit marker plus a finite horizon
 (the tau value at the smallest tabulated t); verification integrals are
 truncated there.  The fixed-point integral misses exactly t at the
 horizon, t_min (T*1e-8 unless a floor is given), and adds that tail back,
-so its residual measures the table, not the truncation (1e-8 of the
-1.6e-8 it read for lambda = t).  The L1 identity is truncated on both
-sides, at the horizon in tau and at t_min in t, so its residual measures
-the table, not the tail int_0+^t_min v/lambda (1e-2 for the gauge
-u = t^0.25*exp(t) at t_min = 1e-8).
+so its residual measures the table, not the truncation.  The L1 identity
+is truncated on both sides, at the horizon in tau and at t_min in t, so
+its residual measures the table, not the tail int_0+^t_min v/lambda (1e-2
+for the gauge u = t^0.25*exp(t) at t_min = 1e-8).
 
 The refined inverse ``t_of_tau(refine=True)`` solves r(t) = tau(t) -
 target = 0 with tau(t) = tau(t_hi) + int_t^t_hi ds/lambda inside the table
@@ -29,20 +28,17 @@ dr/dt = -1/lambda.  It stops at t + r*lambda(t) once |r*lambda(t)| <=
 on a table node ends there.  Otherwise each residual shrinks the bracket,
 and a Newton point not strictly inside it is replaced by the midpoint.  A
 refine of the corpus tables takes three rounds of residuals (t_lo, the
-spline value, one Newton point), where bisection took 37.
+spline value, one Newton point).
 
-The table's segment integrals, the fixed-point and L1 integrals and the
-refined inverse run as lanes: ``build_tau`` integrates all its segments
-as one lane batch of the quadrature, and sums them from T down;
-``verify_fixed_point`` integrates each segment of its tau grid once, as
-one lane batch, and sums them from the horizon down; ``alpha_l1_check``
-splits its tau integral at the table's nodes, where the spline is only
-C1, and integrates the pieces as one lane batch; ``t_of_tau(refine=True)``
-on an array runs all targets as lanes, and each round's residuals are one
-lane integral and one call of lambda.  Lanes reproduce the one-at-a-time
-loops of ``tests/scalar_reference.py`` bit for bit, and failures surface
-in the loops' order: the top table segment first, the first tau of a
-grid first.
+Every integral over the table is a sum over segments, each integrated to a
+relative 1e-13 of its own first GK15 value (``_segment_integrals``): the
+table's segments, from T down; the fixed-point grid and the L1 identity's
+tau side, cut at the tau nodes, where the spline t(tau) is only C1; the L1
+identity's t side, cut at the t nodes; the refined inverse's [t, t_hi].  A
+non-finite sample raises its IntegrandError, a divergent or unconverged
+segment a ReparamError: the first failing segment in the integral's order,
+or each refined target's own.  ``tests/scalar_reference.py`` repeats the
+rule segment by segment, bit for bit.
 """
 from __future__ import annotations
 
@@ -53,8 +49,10 @@ import numpy as np
 
 from .criteria import _invert_gauge
 from .expr import EvalDomainError, Expression
-from .quadrature import (IntegrandError, _integrate_lanes, integrate,
-                         integrate_singular_left)
+# integrate is unused here but stays bound: the benchmark's tracer wraps it
+from .quadrature import (DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
+                         IntegrandError, _gk15_rule, _sample, _segments,
+                         integrate, integrate_singular_left)  # noqa: F401
 from .rootfind import BracketError, _bisect_lanes, bisect
 
 __all__ = [
@@ -74,7 +72,8 @@ __all__ = [
 
 
 _TAU_NODES = 400   # nodes of the tau(t) table
-_CHECK_TOL = 1e-9  # slack of the checks; their integrals run at 1e-2 of it
+_CHECK_TOL = 1e-9  # slack of transform's bound check
+_RTOL = 1e-13      # every segment integral, relative to its first GK15 value
 
 
 class ReparamError(Exception):
@@ -186,38 +185,32 @@ class Reparametrization:
         on tau(t) - target from ``out``, safeguarded by the bracketing
         table nodes (the module docstring states the rule).
 
-        All targets run as one lane search; each round's residuals are one
-        lane integral and one call of lambda.  A target whose bracket
-        residuals have the same sign keeps its interpolated value.  The
-        first target (in order) whose residual fails raises its error.
+        All targets run as one lane search; a round's residuals are one
+        segment integral per target and one call of lambda.  A target whose
+        bracket residuals have the same sign keeps its interpolated value.
+        The first target (in order) whose residual fails raises its error.
         """
         todo = np.flatnonzero(~(targets <= self.tau_minus))
         target = targets[todo]
         k = np.searchsorted(-self.tau_table, -target, side="right") - 1
         k = np.clip(k, 0, len(self.t_table) - 2)
-        t_lo, t_hi = self.t_table[k].tolist(), self.t_table[k + 1].tolist()
-        tau_hi_node, target = self.tau_table[k + 1].tolist(), target.tolist()
+        t_hi, tau_hi = self.t_table[k + 1], self.tau_table[k + 1]
         lam_fn = self.lam.lambdify(("t",))
         inv_lam = _inv_lam_fn(self.lam)
 
-        def newton(r, lam):
-            return r, r * lam   # dtau/dt = -1/lambda
-
         def residual(ts, lanes):
-            """(tau(t) - target, its Newton step) for the listed targets, or
-            the quadrature's IntegrandError."""
-            quads = _integrate_lanes(inv_lam, ts, [t_hi[i] for i in lanes],
-                                     tol=1e-14)
-            return [q if isinstance(q, IntegrandError)
-                    else newton(tau_hi_node[i] + q.value - target[i], lam)
-                    for q, i, lam in zip(quads, lanes,
-                                         lam_fn(np.array(ts)).tolist())]
+            """(r, r*lambda(t)), r = tau(t) - target, for the listed targets,
+            or the failure of the segment [t, t_hi]."""
+            ts = np.array(ts)
+            quads, failed = _segment_integrals(inv_lam, ts, t_hi[lanes])
+            r = (tau_hi[lanes] + quads - target[lanes]).tolist()
+            return [failed.get(j) or (rj, rj * lam) for j, (rj, lam)
+                    in enumerate(zip(r, lam_fn(ts).tolist()))]
 
         # tau(t_hi) is the table node: its residual needs no integral
         roots = _bisect_lanes(
-            residual, t_lo, t_hi, rtol=1e-12,
-            fhi=[node - tau for node, tau in zip(tau_hi_node, target)],
-            start=out[todo].tolist())
+            residual, self.t_table[k].tolist(), t_hi.tolist(), rtol=1e-12,
+            fhi=(tau_hi - target).tolist(), start=out[todo].tolist())
         failed = next((root for root in roots if isinstance(root, Exception)
                        and not isinstance(root, BracketError)), None)
         if failed is not None:
@@ -232,7 +225,29 @@ def _inv_lam_fn(lam: Expression):
     return lambda t: 1.0 / lam_v(t)
 
 
-def build_tau(lam: Expression, T: float, tau_minus: float = 0.0, tol: float = 1e-12,
+def _segment_integrals(g, lo: np.ndarray, hi: np.ndarray):
+    """The integrals of g over the segments [lo[j], hi[j]] under the
+    module's rule, and by index each failing segment's exception."""
+    k, err = _gk15_rule(lambda x: _sample(g, x), lo, hi)
+    value, _, converged, failed = _segments(g, lo, hi, k, err,
+                                            _RTOL * np.abs(k), DEFAULT_BUDGET)
+    for j in np.flatnonzero(~converged).tolist():
+        kind = "divergent" if abs(value[j]) > DIVERGENCE_SUM_THRESHOLD \
+            else "unconverged"
+        failed.setdefault(j, ReparamError(
+            f"{kind} quadrature on {[float(lo[j]), float(hi[j])]}"))
+    return value, failed
+
+
+def _integrals(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_segment_integrals``'s values; the first failing segment raises."""
+    value, failed = _segment_integrals(g, lo, hi)
+    if failed:
+        raise failed[min(failed)]
+    return value
+
+
+def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
               t_min: float | None = None) -> Reparametrization:
     """Tabulate tau(t) = tau_minus + int_t^T ds/lambda(s) on a geometric grid.
 
@@ -250,19 +265,13 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0, tol: float = 1e
         bad = float(t_nodes[np.flatnonzero(~(lam_vals > 0.0))[0]])
         raise ReparamError(f"lambda vanishes or is negative at t={bad!r}")
     inv_lam = _inv_lam_fn(lam)
-    seg_tol = max(tol / _TAU_NODES, 1e-15)
-    segs = _integrate_lanes(inv_lam, t_nodes[:-1].tolist(),
-                            t_nodes[1:].tolist(), tol=seg_tol)
-    # the table is filled from T down: the top segment's failure is reported
-    for seg in reversed(segs):
-        if isinstance(seg, IntegrandError):
-            raise ReparamError(f"quadrature failed on panel: {seg}") from seg
-        if seg.diverged:
-            raise ReparamError("divergent quadrature at an interior panel")
+    try:
+        # the segments from T down, so the top failing one is reported
+        segs = _integrals(inv_lam, t_nodes[-2::-1], t_nodes[:0:-1])
+    except IntegrandError as exc:
+        raise ReparamError(f"quadrature failed on panel: {exc}") from exc
     # taus[k] = taus[k + 1] + seg[k], summed one segment at a time from T
-    taus = np.add.accumulate(
-        [float(tau_minus)] + [seg.value for seg in reversed(segs)])
-    taus = taus[::-1].copy()
+    taus = np.add.accumulate(np.r_[float(tau_minus), segs])[::-1].copy()
     try:
         full = integrate_singular_left(inv_lam, T, tol=1e-10)
     except IntegrandError:
@@ -286,29 +295,20 @@ def verify_fixed_point(rep: Reparametrization, lam: Expression,
                        n_tau: int = 50) -> float:
     """Max residual of t(tau) = int_tau^tau_plus lambda(t(s)) ds on a tau grid.
 
-    The integral is truncated at the tabulated horizon, and the missing
-    tail, exactly t at the horizon, t_min, is added back, so the residual
-    measures the table.  Each segment between grid points is integrated
-    once, at 1/(n_tau - 1) of the check's tolerance, and the integrals are
-    summed from the horizon down.
+    The integral stops at the tabulated horizon and adds back the missing
+    tail, exactly t_min.  The grid is cut at the table's tau nodes, and
+    the segments are summed from the horizon down.
     """
     if n_tau < 2:
         raise ValueError(f"n_tau must be at least 2, got {n_tau!r}")
     taus = np.linspace(rep.tau_minus, rep.tau_horizon, n_tau)
+    ends = np.union1d(taus, _split(rep.tau_table[::-1], taus[0], taus[-1])[0])
     lam_v = lam.lambdify(("t",))
-    segs = _integrate_lanes(lambda s: lam_v(rep.t_of_tau(s)),
-                            taus[:-1].tolist(), taus[1:].tolist(),
-                            tol=_CHECK_TOL * 1e-2 / (n_tau - 1))
-    for seg in segs:
-        if isinstance(seg, IntegrandError):
-            raise seg
-        if seg.diverged:
-            raise ReparamError("divergent verification integral: "
-                               "broken reparametrization")
+    segs = _integrals(lambda s: lam_v(rep.t_of_tau(s)), ends[:-1], ends[1:])
     # tails[k] = tails[k + 1] + seg[k], summed from the horizon down
-    tails = np.add.accumulate(
-        [rep.t_min] + [seg.value for seg in reversed(segs)])[::-1]
-    return float(np.max(np.abs(rep.t_of_tau(taus) - tails)))
+    tails = np.add.accumulate(np.r_[rep.t_min, segs[::-1]])[::-1]
+    return float(np.max(np.abs(
+        rep.t_of_tau(taus) - tails[ends.searchsorted(taus)])))
 
 
 @dataclass
@@ -364,29 +364,24 @@ def transform(f: Expression, v: Expression, lam: Expression,
 def alpha_l1_check(rep: Reparametrization, v: Expression, lam: Expression,
                    tau: float) -> float:
     """Residual of int_tau^tau_horizon alpha(s) ds = int_t_min^t(tau) v/lambda:
-    both sides stop at the table's horizon, which w = t(s) maps to t_min.
-
-    The left side is split at the table's tau nodes, where the interpolated
-    t(s) is only C1: each piece is integrated once, as one lane batch, at
-    its share of the check's tolerance, and the pieces are summed exactly.
+    both sides stop at the table's horizon, which w = t(s) maps to t_min,
+    and each side's segments are summed exactly.
     """
     v_fn = v.lambdify(("t",))
     lam_fn = lam.lambdify(("t",))
-    tau = float(tau)
-    knots = rep.tau_table[::-1]
-    ends = [tau] + knots[(knots > tau) & (knots < rep.tau_horizon)].tolist() \
-        + [rep.tau_horizon]
-    left = _integrate_lanes(lambda s: v_fn(rep.t_of_tau(s)), ends[:-1],
-                            ends[1:], tol=_CHECK_TOL * 1e-2 / (len(ends) - 1))
-    for seg in left:
-        if isinstance(seg, IntegrandError):
-            raise seg
-    t_at = rep.t_of_tau(tau, refine=True)
-    right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
-                      tol=1e-11)
-    if right.diverged or any(seg.diverged for seg in left):
-        raise ReparamError("divergent side in the L1 identity check")
-    return abs(math.fsum(seg.value for seg in left) - right.value)
+    left = _integrals(lambda s: v_fn(rep.t_of_tau(s)), *_split(
+        rep.tau_table[::-1], float(tau), rep.tau_horizon))
+    right = _integrals(lambda w: v_fn(w) / lam_fn(w),
+                       *_split(rep.t_table, rep.t_min,
+                               rep.t_of_tau(float(tau), refine=True)))
+    return abs(math.fsum(left.tolist()) - math.fsum(right.tolist()))
+
+
+def _split(knots: np.ndarray, a: float, b: float):
+    """The left and right ends of [a, b]'s segments between the ascending
+    knots inside it."""
+    ends = np.r_[a, knots[(knots > a) & (knots < b)], b]
+    return ends[:-1], ends[1:]
 
 
 def exp_reparam_check(u: Expression, rep: Reparametrization) -> float:

@@ -12,8 +12,7 @@ Each of the six stages is one call of f, a compiled expression or an
 array function, over the running lanes; every lane has its own step size,
 direction, end point, minimal step and status, and leaves the batch when
 it finishes.  funnel_probe integrates its backward legs and its forward
-spread legs as one batch, forward_spread is the three-lane case and
-integrate_ivp the one-lane case.
+spread legs as one batch, and integrate_ivp is the one-lane case.
 
 Every lane repeats the scalar loop's accept/reject sequence bit for bit:
 the stage and solution sums are accumulated term by term in tableau order,
@@ -33,14 +32,11 @@ from .expr import Expression
 __all__ = [
     "Trajectory",
     "FunnelReport",
-    "SupRatioReport",
     "SolverDomainError",
     "NOMINAL_ORDER",
     "integrate_ivp",
     "convergence_order",
     "funnel_probe",
-    "forward_spread",
-    "sup_ratio_diagnostic",
 ]
 
 NOMINAL_ORDER = 5  # local extrapolation of the 5th-order solution
@@ -399,15 +395,6 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
     )
 
 
-def forward_spread(f, t0: float, delta: float, T: float,
-                   rtol: float = 1e-6, atol: float = 1e-9) -> float:
-    """Max pairwise spread at t = T of the three trajectories started at
-    x(t0) in {-delta, 0, +delta}; collapse to 0 along t0 = delta -> 0 is
-    uniqueness evidence."""
-    return _spread(_integrate_lanes(f, t0, (-delta, 0.0, delta), T,
-                                    rtol, atol), t0, delta)
-
-
 def _spread(legs, t0, delta) -> float:
     """Max pairwise distance of the forward legs' end points; raises
     SolverDomainError for the first leg that failed or did not complete."""
@@ -420,49 +407,3 @@ def _spread(legs, t0, delta) -> float:
                 f"forward leg did not complete ({traj.status})", t0, x0)
         ends.append(traj.x_end)
     return max(abs(a - b) for a in ends for b in ends)
-
-
-@dataclass
-class SupRatioReport:
-    """Pointwise |y(tau)|/alpha(tau) along a trajectory with its running
-    supremum from the right, mirroring the proof's key estimate:
-    the ratio should stay strictly below the sup over [tau, tau_plus)."""
-
-    tau: np.ndarray
-    ratio: np.ndarray
-    running_sup: np.ndarray
-    holds: bool
-    violations: int
-    skipped: int
-
-
-def sup_ratio_diagnostic(f: Expression, v: Expression, lam: Expression,
-                         rep, traj: Trajectory) -> SupRatioReport:
-    """Compute y(tau) = x(t(tau)) and |y|/alpha along a t-domain trajectory.
-
-    alpha(tau(t)) = v(t), so the ratio is |x(t)|/v(t) indexed by tau.
-    Interior samples where the ratio equals the running supremum over
-    [tau, tau_plus) violate the strict-inequality pattern (zero ratios are
-    exempt: the trivial solution can witness nothing).
-    """
-    mask = (traj.t >= rep.t_min) & (traj.t <= rep.T)
-    ts = traj.t[mask]
-    xs = traj.x[mask]
-    v_vals = v.lambdify(("t",))(ts)
-    taus = np.asarray(rep.tau_of_t(ts))
-    order = np.argsort(taus)
-    taus = taus[order]
-    xs_o = xs[order]
-    v_o = v_vals[order]
-    keep = np.abs(v_o) >= 1e-300
-    skipped = int(np.count_nonzero(~keep))
-    taus = taus[keep]
-    ratio = np.abs(xs_o[keep]) / np.abs(v_o[keep])
-    if ratio.size == 0:
-        return SupRatioReport(taus, ratio, ratio.copy(), True, 0, skipped)
-    running = np.maximum.accumulate(ratio[::-1])[::-1]
-    # strict pattern at interior samples: ratio < max over strictly larger tau
-    violations = int(np.count_nonzero((ratio[:-1] > 0.0)
-                                      & (ratio[:-1] >= running[1:])))
-    return SupRatioReport(taus, ratio, running, violations == 0,
-                          violations, skipped)

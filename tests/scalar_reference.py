@@ -160,7 +160,24 @@ def bisect(fn, lo: float, hi: float, rtol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # reparametrization, one integral at a time
 
-def build_tau(lam, T, tau_minus=0.0, tol=1e-12, n_nodes=400, t_min=None):
+def _segment(g, a: float, b: float) -> float:
+    """The reparametrization's rule on one segment: ``integrate`` to a
+    relative 1e-13 of the segment's first GK15 value; a divergent or
+    unconverged result raises."""
+    k, _ = _gk15(g, a, b)
+    res = integrate(g, a, b, tol=1e-13 * abs(k))
+    if not res.converged:
+        kind = "divergent" if res.diverged else "unconverged"
+        raise ReparamError(f"{kind} quadrature on [{a!r}, {b!r}]")
+    return res.value
+
+
+def _split(knots, a: float, b: float) -> list:
+    """[a, b] cut at the knots strictly inside it, as its ends."""
+    return [a] + [k for k in knots if a < k < b] + [b]
+
+
+def build_tau(lam, T, tau_minus=0.0, n_nodes=400, t_min=None):
     """tau(t) table with one adaptive integral per segment, from T down."""
     if t_min is None:
         t_min = T * 1e-8
@@ -173,18 +190,14 @@ def build_tau(lam, T, tau_minus=0.0, tol=1e-12, n_nodes=400, t_min=None):
         bad = float(t_nodes[np.flatnonzero(~(lam_vals > 0.0))[0]])
         raise ReparamError(f"lambda vanishes or is negative at t={bad!r}")
     inv_lam = _inv_lam_fn(lam)
-    seg_tol = max(tol / n_nodes, 1e-15)
     taus = np.empty_like(t_nodes)
     taus[-1] = tau_minus
     for k in range(len(t_nodes) - 2, -1, -1):
         try:
-            seg = integrate(inv_lam, float(t_nodes[k]), float(t_nodes[k + 1]),
-                            tol=seg_tol)
+            seg = _segment(inv_lam, float(t_nodes[k]), float(t_nodes[k + 1]))
         except IntegrandError as exc:
             raise ReparamError(f"quadrature failed on panel: {exc}") from exc
-        if seg.diverged:
-            raise ReparamError("divergent quadrature at an interior panel")
-        taus[k] = taus[k + 1] + seg.value
+        taus[k] = taus[k + 1] + seg
     try:
         full = integrate_singular_left(inv_lam, T, tol=1e-10)
     except IntegrandError:
@@ -216,7 +229,7 @@ def _refine_t(rep, target: float, guess: float) -> float:
     lam_fn = rep.lam.lambdify(("t",))
 
     def residual(t):
-        r = tau_hi_node + integrate(inv_lam, t, t_hi, tol=1e-14).value - target
+        r = tau_hi_node + _segment(inv_lam, t, t_hi) - target
         return r, r * float(lam_fn(np.array([t]))[0])
 
     f_lo, step = residual(t_lo)
@@ -263,55 +276,47 @@ def t_of_tau(rep, tau):
     return float(out[0]) if scalar else out
 
 
-def verify_fixed_point(rep, lam, tol=1e-9, n_tau=50):
-    """One adaptive integral per tau segment, summed from the horizon down
-    on top of the truncated tail t_min."""
-    tau_hi = rep.tau_horizon
-    taus = np.linspace(rep.tau_minus, tau_hi, n_tau)
+def verify_fixed_point(rep, lam, n_tau=50):
+    """One adaptive integral per piece of the tau grid cut at the table's
+    tau nodes, summed from the horizon down on top of the truncated tail
+    t_min."""
+    taus = np.linspace(rep.tau_minus, rep.tau_horizon, n_tau).tolist()
     lam_v = lam.lambdify(("t",))
 
     def integrand(s):
         return lam_v(rep.t_of_tau(s))
 
-    tail = [rep.t_min]
-    for lo, hi in reversed(list(zip(taus[:-1], taus[1:]))):
-        res = integrate(integrand, float(lo), float(hi),
-                        tol=min(tol * 1e-2, 1e-9) / (n_tau - 1))
-        if res.diverged:
-            raise ReparamError("divergent verification integral: "
-                               "broken reparametrization")
-        tail.append(res.value)
-    tails = np.add.accumulate(tail)[::-1]
+    ends = sorted(set(taus) | set(
+        _split(sorted(rep.tau_table.tolist()), taus[0], taus[-1])))
+    segs = [_segment(integrand, lo, hi) for lo, hi in zip(ends, ends[1:])]
+    tail = {ends[-1]: rep.t_min}
+    total = rep.t_min
+    for lo, seg in zip(ends[-2::-1], segs[::-1]):
+        total += seg
+        tail[lo] = total
     worst = 0.0
-    for tau, value in zip(taus, tails):
-        residual = abs(rep.t_of_tau(float(tau)) - float(value))
+    for tau in taus:
+        residual = abs(rep.t_of_tau(tau) - tail[tau])
         worst = max(worst, residual)
     return worst
 
 
-def alpha_l1_check(rep, v, lam, tau, tol=1e-9):
+def alpha_l1_check(rep, v, lam, tau):
     v_fn = v.lambdify(("t",))
     lam_fn = lam.lambdify(("t",))
 
     def alpha_fn(s):
         return v_fn(rep.t_of_tau(s))
 
-    # one integral per piece between the tau nodes, summed exactly
-    pieces = [float(tau)]
-    for knot in rep.tau_table[::-1].tolist():
-        if float(tau) < knot < rep.tau_horizon:
-            pieces.append(knot)
-    pieces.append(rep.tau_horizon)
-    seg_tol = min(tol * 1e-2, 1e-9) / (len(pieces) - 1)
-    segs = [integrate(alpha_fn, lo, hi, tol=seg_tol)
-            for lo, hi in zip(pieces[:-1], pieces[1:])]
+    # one integral per piece between the nodes, each side summed exactly
+    pieces = _split(rep.tau_table[::-1].tolist(), float(tau), rep.tau_horizon)
+    left = [_segment(alpha_fn, lo, hi) for lo, hi in zip(pieces, pieces[1:])]
     t_at = t_of_tau(rep, float(tau)) if rep.lam is not None \
         else rep.t_of_tau(float(tau))
-    right = integrate(lambda w: v_fn(w) / lam_fn(w), rep.t_min, t_at,
-                      tol=1e-11)
-    if right.diverged or any(seg.diverged for seg in segs):
-        raise ReparamError("divergent side in the L1 identity check")
-    return abs(math.fsum(seg.value for seg in segs) - right.value)
+    pieces = _split(rep.t_table.tolist(), rep.t_min, t_at)
+    right = [_segment(lambda w: v_fn(w) / lam_fn(w), lo, hi)
+             for lo, hi in zip(pieces, pieces[1:])]
+    return abs(math.fsum(left) - math.fsum(right))
 
 
 def exp_reparam_check(u, rep, c=None, n_tau=50):

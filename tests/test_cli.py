@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,31 @@ def test_reparam_diagnostics(problem_file, tmp_path):
     assert d["l1_identity_residual"] <= 1e-7
     assert d["exp_reparam_residual"] <= 1e-9
     assert d["tau_plus"] == "inf"
+
+
+def test_reparam_steep_gauge_ends(problem_file, tmp_path):
+    # lambda = t^1.99: the table segments near t_min hold about 1e6, and an
+    # absolute tolerance ran every lane to its panel budget, so the command
+    # hung; a fresh interpreter with a timeout keeps a regression bounded
+    prob = problem_file({"name": "steep", "f": "0", "u": "t", "v": "t",
+                         "lambda": "t^1.99", "omega": "r"})
+    out = tmp_path / "rep.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(odeuniq.__file__).resolve().parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from odeuniq.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "reparam", "--problem", prob,
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=30)
+    assert time.perf_counter() - start < 5.0
+    assert run.returncode == 0, run.stderr
+    d = json.loads(out.read_text())["reports"][0]["diagnostics"]
+    assert d["tau_plus"] == "inf"
+    assert d["fixed_point_residual"] <= 1e-6
+    assert d["l1_identity_residual"] <= 1e-6
 
 
 def test_reparam_csv_table(problem_file, tmp_path):

@@ -21,12 +21,11 @@ from odeuniq.criteria import (
     check_nagumo,
     check_theorem_main,
     equivalence_suite,
-    nagumo_transform,
     reduce_problem,
     reduce_to_constantin,
     reverify,
 )
-from odeuniq.expr import EvalDomainError, parse, substitute
+from odeuniq.expr import parse, substitute
 
 CFG = CheckConfig()
 
@@ -313,53 +312,6 @@ def test_equivalence_report_serializes():
     assert set(d["margin_discrepancies"]) == {
         "bound_f_le_uprime_over_u_omega~H3_bound_f_le_omega_over_lambda",
         "uniform_limit_f_over_uprime~H4_uniform_limit_f_over_vprime"}
-
-
-# ---------------------------------------------------------------------------
-# change of variables to the Nagumo normal form
-
-def _assert_array_call_is_pointwise(g, s_hi):
-    # g is an array function: an array call equals the per-point calls bit
-    # for bit, and a scalar call returns a float
-    s = np.linspace(0.0, s_hi, 7)[1:, None]
-    x = np.array([-1.0, -0.0, 0.25, 1.0])
-    got = g(s, x)
-    assert got.shape == (6, 4)
-    want = [[g(float(si), float(xj)) for xj in x] for si in s[:, 0]]
-    assert all(type(v) is float for row in want for v in row)
-    assert got.tobytes() == np.array(want).tobytes()
-
-
-def test_nagumo_transform_identity_gauge():
-    g, (s_lo, s_hi) = nagumo_transform(parse("t*x", {"t", "x"}),
-                                       parse("t", {"t"}))
-    assert s_hi == pytest.approx(1.0)
-    # u = t: g(s, x) = f(s, x) = s*x
-    assert g(0.5, 2.0) == pytest.approx(1.0, rel=1e-9)
-    _assert_array_call_is_pointwise(g, s_hi)
-
-
-def test_nagumo_transform_square_gauge():
-    # u = t^2: t(s) = sqrt(s), u' = 2t; f = x*t^2 -> g(s,x) = x*s/(2*sqrt(s))
-    f, u = parse("x*t^2", {"t", "x"}), parse("t^2", {"t"})
-    g, (_, s_hi) = nagumo_transform(f, u)
-    s = 0.25
-    assert g(s, 1.0) == pytest.approx(s / (2 * math.sqrt(s)), rel=1e-9)
-    # t(s) is the one-bracket bisection of u(t) = s on [1e-12, 1]
-    t = scalar_reference.bisect(lambda t: u.evaluate({"t": t}) - s, 1e-12, 1.0)
-    assert g(s, 1.0) == (f.evaluate({"t": t, "x": 1.0})
-                         / u.diff("t").evaluate({"t": t}))
-    _assert_array_call_is_pointwise(g, s_hi)
-
-
-def test_nagumo_transform_errors():
-    g, _ = nagumo_transform(parse("x", {"t", "x"}), parse(
-        "t + 0*sqrt(abs(t - 0.5) - 0.1)", {"t"}))
-    with pytest.raises(ValueError, match="u-value 2.0 outside the gauge"):
-        g(np.array([0.5, 2.0, 3.0]), 1.0)
-    # u is nan on (0.4, 0.6), where the bisection's first midpoint lies
-    with pytest.raises(EvalDomainError, match="u is not finite at t=0.5"):
-        g(0.3, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -437,16 +437,55 @@ def test_build_tau_reports_top_failing_segment(low, high):
         if kind is not None:
             src += " + " + terms[kind](float(nodes[k]), float(nodes[k + 1]))
     lam = parse(src, {"t"})
-    # a loose tolerance takes each segment in one panel, so the dip's
-    # 1e15 * width > 1e12 shows as divergence at once
+    # the dip's 1e15 * width > 1e12 shows as divergence
     with pytest.raises(ReparamError) as ref:
-        scalar_reference.build_tau(lam, 1.0, tol=1e30)
+        scalar_reference.build_tau(lam, 1.0)
     with pytest.raises(ReparamError) as got:
-        build_tau(lam, 1.0, tol=1e30)
+        build_tau(lam, 1.0)
     assert str(got.value) == str(ref.value)
     expected = {"hole": "quadrature failed on panel",
                 "dip": "divergent quadrature"}[high or low]
     assert str(got.value).startswith(expected)
+
+
+# one way for the segment [k, k + 1] to fail, its exception and message
+SEGMENT_FAILURES = {
+    "non-finite": (lambda x, k: np.where(abs(x - k - 0.5) < 0.01, np.nan, 0.0),
+                   IntegrandError, "non-finite integrand sample at x="),
+    "divergent": (lambda x, k: np.where((k < x) & (x < k + 1), 1e13, 0.0),
+                  ReparamError, "divergent quadrature on "),
+    # a kink that three panels do not resolve
+    "unconverged": (lambda x, k: np.where((k < x) & (x < k + 1),
+                                          abs(x - k - 1 / 3), 0.0),
+                    ReparamError, "unconverged quadrature on "),
+}
+
+
+@pytest.mark.parametrize("first", sorted(SEGMENT_FAILURES))
+def test_segment_failure_raises_first_in_order(first, monkeypatch):
+    # a segment with a non-finite sample, a divergent and an unconverged
+    # one each raise; with a failure of another kind on a later segment,
+    # the first failing segment of the list is the one reported
+    monkeypatch.setattr(reparam, "DEFAULT_BUDGET", 3)
+    second = next(kind for kind in sorted(SEGMENT_FAILURES) if kind != first)
+
+    def g(x):
+        return 1.0 + SEGMENT_FAILURES[first][0](x, 1.0) \
+            + SEGMENT_FAILURES[second][0](x, 3.0)
+
+    lo = np.arange(5.0)
+    _, failed = reparam._segment_integrals(g, lo, lo + 1.0)
+    assert sorted(failed) == [1, 3]
+    for order, kind, k in ((slice(None), first, 1.0),
+                           (slice(None, None, -1), second, 3.0)):
+        _, error, message = SEGMENT_FAILURES[kind]
+        with pytest.raises(error) as got:
+            reparam._integrals(g, lo[order], lo[order] + 1.0)
+        assert str(got.value).startswith(message)
+        if error is IntegrandError:
+            assert k < got.value.where < k + 1.0
+        else:
+            assert str(got.value).endswith(f"[{k!r}, {k + 1.0!r}]")
 
 
 def test_refined_inverse_raises_first_failing_target():
@@ -501,16 +540,16 @@ def _refine_table(spec):
 
 
 def _residual_rounds(monkeypatch, rep, tau):
-    """The value of rep.t_of_tau(tau, refine=True) and the number of lane
-    integrals, each one round of residuals, that it took."""
+    """The value of rep.t_of_tau(tau, refine=True) and the number of
+    segment-integral calls, each one round of residuals, that it took."""
     rounds = []
-    lanes = reparam._integrate_lanes
+    segments = reparam._segment_integrals
 
     def counted(*args, **kwargs):
         rounds.append(len(args[1]))
-        return lanes(*args, **kwargs)
+        return segments(*args, **kwargs)
 
-    monkeypatch.setattr(reparam, "_integrate_lanes", counted)
+    monkeypatch.setattr(reparam, "_segment_integrals", counted)
     try:
         return rep.t_of_tau(tau, refine=True), len(rounds)
     finally:

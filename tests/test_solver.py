@@ -10,15 +10,12 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference
 from odeuniq.cli import load_problem
 from odeuniq.expr import parse
-from odeuniq.reparam import build_tau
 from odeuniq.solver import (
     SolverDomainError,
     _integrate_lanes,
     convergence_order,
-    forward_spread,
     funnel_probe,
     integrate_ivp,
-    sup_ratio_diagnostic,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -115,69 +112,6 @@ def test_funnel_spread_curve_shape():
     rep = funnel_probe(f_expr("-sqrt(abs(x))"), T=1.0, n=101)
     assert len(rep.spread_curve) >= 4
     assert all(s >= 0.0 for _, s in rep.spread_curve)
-
-
-# ---------------------------------------------------------------------------
-# forward spread of nearby starts
-
-def test_forward_spread_zero_field():
-    # x' = 0 preserves separation exactly: starts {-d, 0, d} end 2d apart
-    d = 1e-3
-    spread = forward_spread(f_expr("0"), 0.25, d, 1.0)
-    assert spread == pytest.approx(2 * d, rel=1e-9)
-
-
-def test_forward_spread_contracting_field():
-    # x' = -x contracts: spread = 2d * e^{-(T - t0)}
-    d = 1e-3
-    spread = forward_spread(f_expr("x"), 0.25, d, 1.0, rtol=1e-10, atol=1e-13)
-    assert spread == pytest.approx(2 * d * math.exp(-0.75), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# sup-ratio diagnostic along a transported trajectory
-
-def test_sup_ratio_holds_on_dominated_field():
-    f = f_expr("t*x")
-    v = lam = parse("t", {"t"})
-    rep = build_tau(lam, 1.0)
-    traj = integrate_ivp(f, 1.0, 0.5, 0.01, rtol=1e-9, atol=1e-12)
-    diag = sup_ratio_diagnostic(f, v, lam, rep, traj)
-    assert diag.holds
-    assert diag.violations == 0
-
-
-def test_sup_ratio_counts_violations():
-    # ratios in tau order 0.5 0.2 0.9 0.9 0.3 0 0.1: samples 2, 3 and 4
-    # reach the supremum to their right; the zero ratio is exempt
-    f = f_expr("-1")
-    v = lam = parse("t", {"t"})
-    rep = build_tau(lam, 1.0)
-    ratios = np.array([0.5, 0.2, 0.9, 0.9, 0.3, 0.0, 0.1])
-
-    class FakeTraj:  # tau increases as t decreases
-        t = np.geomspace(1.0, 0.01, len(ratios))
-        x = ratios * t
-
-    diag = sup_ratio_diagnostic(f, v, lam, rep, FakeTraj())
-    assert np.allclose(diag.ratio, ratios, rtol=1e-12)
-    assert diag.violations == 3
-    assert not diag.holds
-
-
-def test_sup_ratio_flags_constant_ratio():
-    # x(t) = t against v(t) = t gives ratio identically 1: the running sup
-    # never strictly decreases toward 0, which the diagnostic must flag
-    f = f_expr("-1")
-
-    class FakeTraj:
-        t = np.geomspace(1e-4, 1.0, 200)[::-1]
-        x = t.copy()
-
-    v = lam = parse("t", {"t"})
-    rep = build_tau(lam, 1.0)
-    diag = sup_ratio_diagnostic(f, v, lam, rep, FakeTraj())
-    assert not diag.holds
 
 
 # ---------------------------------------------------------------------------
