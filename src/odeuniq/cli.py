@@ -34,6 +34,7 @@ import numpy as np
 from . import criteria, reparam as reparam_mod, solver as solver_mod
 from .criteria import CheckConfig, ProblemSpec, ProblemValidationError
 from .expr import ExprError
+from .quadrature import IntegrandError
 from .rootfind import BracketError, ConvergenceError
 
 SCHEMA_VERSION = "1.1"
@@ -230,23 +231,24 @@ def cmd_reparam(args) -> int:
 
     try:
         rep = reparam_mod.build_tau(lam, problem.T, t_min=args.t_floor)
-    except reparam_mod.ReparamError as exc:
+        diagnostics = {
+            "tau_plus": rep.tau_plus,
+            "tau_horizon": rep.tau_horizon,
+            "t_min": rep.t_min,
+        }
+        diagnostics["fixed_point_residual"] = reparam_mod.verify_fixed_point(
+            rep, lam)
+        if v is not None:
+            mid_tau = 0.5 * (rep.tau_minus + rep.tau_horizon)
+            diagnostics["l1_identity_residual"] = reparam_mod.alpha_l1_check(
+                rep, v, lam, mid_tau)
+        if problem.lam is None:
+            # u(t(tau)) = c*exp(-tau) holds for the table of lambda = u/u'
+            diagnostics["exp_reparam_residual"] = \
+                reparam_mod.exp_reparam_check(problem.u, rep)
+    except (reparam_mod.ReparamError, IntegrandError) as exc:
         print(f"reparam: {exc}", file=sys.stderr)
         return 1
-
-    diagnostics = {
-        "tau_plus": rep.tau_plus,
-        "tau_horizon": rep.tau_horizon,
-        "t_min": rep.t_min,
-    }
-    diagnostics["fixed_point_residual"] = reparam_mod.verify_fixed_point(rep, lam)
-    if v is not None:
-        mid_tau = 0.5 * (rep.tau_minus + rep.tau_horizon)
-        diagnostics["l1_identity_residual"] = reparam_mod.alpha_l1_check(
-            rep, v, lam, mid_tau)
-    if problem.u is not None:
-        diagnostics["exp_reparam_residual"] = reparam_mod.exp_reparam_check(
-            problem.u, rep)
     if args.generalized_c is not None:
         c = args.generalized_c
         try:

@@ -14,15 +14,22 @@ Every panel goes through one GK15 step (``_gk15``): samples taken under
 a panel in any batch has the bits ``integrate`` gives it alone.
 
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
-integrands from 0+ to every point of a grid, one family call per block
-of GK15 panels.  One step, ``_segments``, finishes each chunk of
-geometric base panels and each member's segments: a panel on which one
-GK15 step of ``integrate`` converges is accepted, and the others are
-redone as one lane batch on that member alone.  So values, errors and
-flags are the panel-by-panel loop's, bit for bit, and a redone base
-panel's ``IntegrandError`` surfaces only when ``_tail_driver`` asks for
-it.  ``integrate_singular_left`` is the one-member case, and
-``integrate_to_infinity`` runs its doubling panels the same way.
+integrands from 0+ to every point of a grid, all members in lockstep.
+Per chunk of geometric base panels, one family call per block samples
+the members still running, and one step, ``_segments``, accepts every
+panel on which one GK15 step of ``integrate`` converges, on the (members
+x panels) array, and redoes the others of each member that has any as one
+lane batch on that member alone.  The tail decisions (``_improper``) are
+then running sums and run lengths along each member's row: the partial
+sum threshold, the run of non-decreasing panels, the capped geometric
+tail and a zero contribution, carried from chunk to chunk.  The grid
+segments of every member whose base did not diverge are one more
+``_segments`` step.  So values, errors and flags are the panel-by-panel
+loop's, bit for bit, and a redone panel's ``IntegrandError`` counts only
+if its member reaches it.  ``integrate_singular_left`` is the one-member
+case, and ``integrate_to_infinity`` runs its doubling panels through the
+same decisions.  ``tests/scalar_reference.py`` keeps the panel-at-a-time
+loop (``_tail_driver``) as the oracle.
 
 The adaptive integrator runs independent integrals as lanes in lockstep;
 ``integrate`` is the one-lane case.  The whole-interval panels of all
@@ -286,46 +293,6 @@ def _reduce(values, errors, tol: float, n_panels: int,
                       diverged, n_panels)
 
 
-def _tail_driver(contribs_iter, tol: float):
-    """Shared convergence/divergence logic for improper-integral drivers.
-
-    ``contribs_iter`` yields (contribution, error_estimate) per panel toward
-    the improper endpoint; the result is unconverged where it ends.
-    """
-    total = 0.0
-    err_total = 0.0
-    nondecreasing_run = 0
-    prev = None
-    n = 0
-    for contrib, err in contribs_iter:
-        n += 1
-        total += contrib
-        err_total += err
-        if abs(total) > DIVERGENCE_SUM_THRESHOLD:
-            return QuadResult(total, err_total, False, True, n)
-        if prev is not None:
-            if abs(contrib) >= abs(prev) * (1.0 - 1e-12) and abs(contrib) > 0.0:
-                nondecreasing_run += 1
-                if nondecreasing_run >= DIVERGENCE_PANEL_RUN:
-                    return QuadResult(total, err_total, False, True, n)
-            else:
-                nondecreasing_run = 0
-            # geometric tail extrapolation from the last two contributions
-            if abs(contrib) < abs(prev):
-                r = abs(contrib) / abs(prev)
-                r = min(r, 0.95)
-                tail = abs(contrib) * r / (1.0 - r)
-                if tail + err_total <= tol:
-                    signed_tail = math.copysign(tail, contrib)
-                    return QuadResult(total + signed_tail,
-                                      err_total + tail, True, False, n)
-        if abs(contrib) == 0.0 and n >= 2:
-            if err_total <= tol:
-                return QuadResult(total, err_total, True, False, n)
-        prev = contrib
-    return QuadResult(total, err_total, False, False, n)
-
-
 def integrate_singular_left(g, b: float, tol: float = 1e-10) -> QuadResult:
     """Integrate g over (0, b] where g may blow up as w -> 0+.
 
@@ -371,57 +338,59 @@ def sweep_singular_left(family, grid, tols):
     shape ``(len(members),) + x.shape``.  Member i has the tolerance
     ``tols[i]`` for the base integral over (0, grid[0]] and for each
     segment of ``grid``, which is strictly increasing with grid[0] > 0.
-    ``_segments`` finishes each block on ``family(x, [i])[0]``.
+    A rejected panel of member i is redone on ``family(x, [i])[0]``.
 
     Yields one ``Sweep`` per member of ``tols``, in order, with the
-    values, flags and ``IntegrandError`` of the panel-by-panel loop.  The
-    work is lazy: a caller that stops iterating, e.g. at a divergent base,
-    never sees an error that the loop would have met at a later member.
+    values, flags and ``IntegrandError`` of the panel-by-panel loop, each
+    error at its own member's turn.  The work is not lazy: the first
+    ``next`` integrates every member, so a caller that stops at a failing
+    member has paid for the members after it.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not (grid.ndim == 1 and grid.size and grid[0] > 0.0
             and np.all(np.diff(grid) > 0.0)):
         raise ValueError("sweep grid must be strictly increasing with grid[0] > 0")
     tols = np.asarray(tols, dtype=np.float64)
-    n_members = len(tols)
     # base panel k is [edges[k+1], edges[k]], halved one step at a time
-    edges = np.multiply.accumulate(np.r_[grid[0], np.full(MAX_PANELS, 0.5)])
-    blocks: dict = {}
+    edges = np.multiply.accumulate(
+        np.concatenate((grid[:1], np.full(MAX_PANELS, 0.5))))
 
-    def block(key, lo, hi, i):
-        """GK15 values and error estimates of panels [lo, hi] for member
-        i, sampled in one family call with the members after it."""
-        hit = blocks.get(key)
-        if hit is None or not hit[0] <= i < hit[1]:
-            group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
-            stop = min(i + group, n_members)
-            members = np.arange(i, stop)
-            hit = blocks[key] = (i, stop) + _gk15_rule(
-                lambda x: np.asarray(family(x, members), dtype=np.float64),
-                lo, hi)
-        first, _, k, err = hit
-        return k[i - first], err[i - first]
+    def rule(members, lo, hi):
+        """GK15 values and error estimates (members x panels) of the panels
+        [lo, hi], one family call per group of members."""
+        group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
+        k, err = zip(*[_gk15_rule(lambda x: np.asarray(
+            family(x, members[s:s + group]), dtype=np.float64), lo, hi)
+            for s in range(0, members.size, group)])
+        return np.concatenate(k), np.concatenate(err)
 
-    def member(i):
+    def alone(i):
         idx = np.array([i])
         return lambda x: family(x, idx)[0]
 
-    for i in range(n_members):
-        tol, alone = float(tols[i]), member(i)
-        base = _tail_driver(_geometric_panels(
-            lambda start, lo, hi: block(("base", start), lo, hi, i), alone,
-            edges[1:], edges[:-1], tol), tol)
-        values = np.full(grid.size, math.nan)
-        converged = np.zeros(grid.size, dtype=bool)
-        values[0], converged[0] = base.value, base.converged
-        if not base.diverged and grid.size > 1:
-            k, err = block("segments", grid[:-1], grid[1:], i)
-            values[1:], _, converged[1:], failed = _segments(
-                alone, grid[:-1], grid[1:], k, err, tol, DEFAULT_BUDGET)
-            if failed:
-                raise failed[min(failed)]
-            values = np.cumsum(values)
-        yield Sweep(base, values, converged)
+    bases = _improper(rule, alone, edges[1:], edges[:-1], tols)
+    values = np.full((tols.size, grid.size), math.nan)
+    converged = np.zeros(values.shape, dtype=bool)
+    for i, base in enumerate(bases):
+        if isinstance(base, QuadResult):
+            values[i, 0], converged[i, 0] = base.value, base.converged
+    ok = np.array([i for i, base in enumerate(bases)
+                   if isinstance(base, QuadResult) and not base.diverged],
+                  dtype=np.intp)
+    failed = {}
+    if ok.size and grid.size > 1:
+        k, err = rule(ok, grid[:-1], grid[1:])
+        values[ok, 1:], _, converged[ok, 1:], redo = _segments(
+            lambda row: alone(ok[row]), grid[:-1], grid[1:], k, err,
+            tols[ok, None], DEFAULT_BUDGET)
+        values[ok] = np.cumsum(values[ok], axis=1)
+        failed = {int(ok[row]): errs[min(errs)] for row, errs in redo.items()}
+    for i, base in enumerate(bases):
+        if isinstance(base, IntegrandError):
+            raise base
+        if i in failed:
+            raise failed[i]
+        yield Sweep(base, values[i], converged[i])
 
 
 def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
@@ -436,61 +405,130 @@ def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
 
 
 def _segments(alone, lo, hi, k, err, tol, budget: int):
-    """``integrate`` at ``tol`` (a float or an array) and ``budget`` on the
-    segments [lo[j], hi[j]] whose GK15 panels gave (k[j], err[j]): those
-    that one step settles end there, the others are redone as one lane
-    batch of ``alone``.  Returns values, error estimates and flags as
-    arrays and, by index, the IntegrandError of each failed redo."""
+    """``integrate`` at ``tol`` (broadcast to k's shape) and ``budget`` on
+    the panels [lo[j], hi[j]] of every row of the GK15 values k and error
+    estimates err (rows x panels): a panel that one step settles ends
+    there, and each row's others are redone as one lane batch of its
+    integrand ``alone(row)``.  Returns values, error estimates and flags
+    as arrays of k's shape and, by row, the IntegrandError of each failed
+    redo by index."""
     value, error = k.astype(np.float64), err.astype(np.float64)
     # error within tol, no divergence flag: both fail on non-finite samples
     converged = (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
-    bad = np.flatnonzero(~converged)
     failed = {}
-    for j, res in zip(bad.tolist(), _integrate_lanes(
-            alone, lo[bad].tolist(), hi[bad].tolist(),
-            tol if np.ndim(tol) == 0 else tol[bad], budget)):
-        if isinstance(res, IntegrandError):
-            failed[j] = res
-        else:
-            value[j], error[j], converged[j] = (
-                res.value, res.abs_error_estimate, res.converged)
+    for row in np.flatnonzero(~converged.all(axis=1)).tolist():
+        bad = np.flatnonzero(~converged[row])
+        for j, res in zip(bad.tolist(), _integrate_lanes(
+                alone(row), lo[bad].tolist(), hi[bad].tolist(),
+                np.broadcast_to(tol, k.shape)[row, bad], budget)):
+            if isinstance(res, IntegrandError):
+                failed.setdefault(row, {})[j] = res
+            else:
+                value[row, j], error[row, j], converged[row, j] = (
+                    res.value, res.abs_error_estimate, res.converged)
     return value, error, converged, failed
 
 
-def _geometric_panels(rule, alone, lo: np.ndarray, hi: np.ndarray,
-                      tol: float):
-    """(value, error) of the panels [lo[k], hi[k]], in order, as
-    ``integrate`` gives them at the tolerance 0.5*tol/((k+1)(k+2)) and the
-    budget PANEL_BUDGET: per chunk, one ``rule(start, lo, hi)`` call that
-    ``_segments`` finishes.  An IntegrandError surfaces only when
-    ``_tail_driver`` asks for its panel."""
+def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
+    """The integrals of a family's members over the panels [lo[k], hi[k]],
+    taken in order toward the improper endpoint, all members in lockstep.
+
+    ``rule(members, lo, hi)`` gives the GK15 values and error estimates
+    (members x panels) of the members listed by an index array, and
+    ``alone(i)`` is member i's integrand.  Panel k of member i is
+    integrated as ``integrate`` does at the tolerance
+    0.5*tols[i]/((k+1)(k+2)) and the budget PANEL_BUDGET, a chunk of
+    panels at a time through ``_segments``.  Each member then ends at the
+    first panel that meets one of the loop's four tests, in this order:
+    the partial sum passes DIVERGENCE_SUM_THRESHOLD, or the run of
+    non-decreasing contributions reaches DIVERGENCE_PANEL_RUN (diverged);
+    the geometric tail from the last two contributions, its ratio capped
+    at 0.95, fits within tols[i] with the error sum; the contribution is
+    zero, past the first panel, and the error sum fits within tols[i]
+    (converged).  Partial sums and runs are cumulative along each row,
+    carried from chunk to chunk, so every member has the bits of the
+    panel-by-panel loop.  Returns per member its QuadResult (unconverged
+    where the panels end), or the IntegrandError of the first failed panel
+    that it reaches.
+    """
+    out = [None] * tols.size
+    running = np.arange(tols.size)
+    # per running member: sums, last contribution (nan before the first
+    # panel, where no test reads it) and non-decreasing run so far
+    total, err_total = np.zeros(tols.size), np.zeros(tols.size)
+    prev, run = np.full(tols.size, math.nan), np.zeros(tols.size, np.intp)
     start, size = 0, _FIRST_CHUNK
-    while start < lo.size:
-        stop = min(start + size, lo.size)
-        clo, chi = lo[start:stop], hi[start:stop]
-        k, err = rule(start, clo, chi)
-        # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
-        ks = np.arange(start, stop)
-        ptol = np.maximum(0.5 * tol / ((ks + 1) * (ks + 2)), 1e-300)
-        value, error, _, failed = _segments(alone, clo, chi, k, err, ptol,
-                                            PANEL_BUDGET)
-        for j, piece in enumerate(zip(value.tolist(), error.tolist())):
-            if j in failed:
-                raise failed[j]
-            yield piece
-        start, size = stop, 2 * size
+    with np.errstate(all="ignore"):
+        while running.size and start < lo.size:
+            stop = min(start + size, lo.size)
+            clo, chi = lo[start:stop], hi[start:stop]
+            k, err = rule(running, clo, chi)
+            n = np.arange(start + 1, stop + 1)  # panels taken so far
+            tol = tols[running, None]
+            # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
+            ptol = np.maximum(0.5 * tol / (n * (n + 1)), 1e-300)
+            c, e, _, failed = _segments(lambda row: alone(running[row]), clo,
+                                        chi, k, err, ptol, PANEL_BUDGET)
+            # the loop's running sums, added one panel at a time
+            tot = np.add.accumulate(_prepend(total, c), axis=1)[:, 1:]
+            etot = np.add.accumulate(_prepend(err_total, e), axis=1)[:, 1:]
+            ac, ap = np.abs(c), np.abs(_prepend(prev, c[:, :-1]))
+            grows = (ac >= ap * (1.0 - 1e-12)) & (ac > 0.0)
+            j = np.arange(stop - start)
+            reset = np.maximum.accumulate(np.where(grows, -1, j), axis=1)
+            runs = np.where(reset < 0, run[:, None] + j + 1, j - reset)
+            r = np.minimum(ac / ap, 0.95)
+            tail = ac * r / (1.0 - r)
+            diverged = (np.abs(tot) > DIVERGENCE_SUM_THRESHOLD) | (
+                runs >= DIVERGENCE_PANEL_RUN)
+            tailed = (ac < ap) & (tail + etot <= tol)
+            ends = diverged | tailed | ((ac == 0.0) & (n >= 2) & (etot <= tol))
+            for row, errs in failed.items():
+                ends[row, min(errs):] = False  # the loop raises there
+            first, keep = np.argmax(ends, axis=1), ~ends.any(axis=1)
+            for row in np.flatnonzero(~keep).tolist():
+                jj = first[row]
+                value, error = float(tot[row, jj]), float(etot[row, jj])
+                if tailed[row, jj] and not diverged[row, jj]:
+                    value += math.copysign(tail[row, jj], c[row, jj])
+                    error += float(tail[row, jj])
+                out[running[row]] = QuadResult(
+                    value, error, not diverged[row, jj],
+                    bool(diverged[row, jj]), start + int(jj) + 1)
+            for row, errs in failed.items():
+                if keep[row]:
+                    out[running[row]] = errs[min(errs)]
+                    keep[row] = False
+            running = running[keep]
+            total, err_total = tot[keep, -1], etot[keep, -1]
+            prev, run = c[keep, -1], runs[keep, -1]
+            start, size = stop, 2 * size
+    for i, value, error in zip(running.tolist(), total.tolist(),
+                               err_total.tolist()):
+        out[i] = QuadResult(value, error, False, False, lo.size)
+    return out
+
+
+def _prepend(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows with column[i] put in front of row i."""
+    return np.concatenate((column[:, None], rows), axis=1)
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
     """Integrate g over [a, +inf) with doubling panels [a_k, a_k + 2^k],
     a_0 = a, and tail detection.  The panels stop before the first whose
     right end overflows (panel 1023 for a = 0); a result that has not
-    converged or diverged by then is unconverged."""
+    converged or diverged by then is unconverged.  This is the one-member
+    case of the sweep's lockstep panels."""
     if not math.isfinite(a):
         raise ValueError(f"non-finite integration endpoint a={float(a)!r}")
     with np.errstate(over="ignore"):
         ends = np.cumsum(np.r_[a, 2.0 ** np.arange(MAX_PANELS)])
     ends = ends[np.isfinite(ends)]  # non-decreasing: a finite prefix
-    return _tail_driver(_geometric_panels(
-        lambda _start, lo, hi: _gk15_rule(lambda x: _sample(g, x), lo, hi),
-        g, ends[:-1], ends[1:], tol), tol)
+    (res,) = _improper(
+        lambda _members, lo, hi: _gk15_rule(lambda x: _sample(g, x)[None],
+                                            lo, hi),
+        lambda _i: g, ends[:-1], ends[1:], np.array([float(tol)]))
+    if isinstance(res, IntegrandError):
+        raise res
+    return res

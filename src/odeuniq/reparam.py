@@ -228,10 +228,11 @@ def _inv_lam_fn(lam: Expression):
 def _segment_integrals(g, lo: np.ndarray, hi: np.ndarray):
     """The integrals of g over the segments [lo[j], hi[j]] under the
     module's rule, and by index each failing segment's exception."""
-    k, err = _gk15_rule(lambda x: _sample(g, x), lo, hi)
-    value, _, converged, failed = _segments(g, lo, hi, k, err,
-                                            _RTOL * np.abs(k), DEFAULT_BUDGET)
-    for j in np.flatnonzero(~converged).tolist():
+    k, err = _gk15_rule(lambda x: _sample(g, x)[None], lo, hi)
+    value, _, converged, failed = _segments(
+        lambda _row: g, lo, hi, k, err, _RTOL * np.abs(k), DEFAULT_BUDGET)
+    value, failed = value[0], failed.get(0, {})
+    for j in np.flatnonzero(~converged[0]).tolist():
         kind = "divergent" if abs(value[j]) > DIVERGENCE_SUM_THRESHOLD \
             else "unconverged"
         failed.setdefault(j, ReparamError(

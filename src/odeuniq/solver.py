@@ -17,8 +17,9 @@ spread legs as one batch, and integrate_ivp is the one-lane case.
 Every lane repeats the scalar loop's accept/reject sequence bit for bit:
 the stage and solution sums are accumulated term by term in tableau order,
 starting from 0 as Python's sum does, and the step factor ratio**-0.2 is
-taken with Python's pow per lane, since numpy's vectorized power can
-differ from it in the last bit.
+taken on the lanes' array with np.float_power, which calls libm's pow as
+Python's ** does; numpy's vectorized np.power can differ from it in the
+last bit.
 """
 from __future__ import annotations
 
@@ -209,29 +210,31 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
                     i = int(np.argmax(bad))
                     raise SolverDomainError("stage failure in fixed-step mode",
                                             float(t[i]), float(x[i]))
-                accept = [True] * lane.size
+                accept = np.ones(lane.size, dtype=bool)
             else:
-                # the one-lane loop's step control, per lane with Python's
-                # pow: numpy's vectorized power can differ in the last bit
-                rs = ratio.tolist()
-                accept = [r <= 1.0 for r in rs]
-                factor = np.array([
-                    (5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * r ** -0.2)))
-                    if r <= 1.0 else
-                    (max(0.1, 0.9 * r ** -0.2) if math.isfinite(r) else 0.1)
-                    for r, e in zip(rs, err.tolist())])
-            if all(accept):
+                # the one-lane loop's step control (np.float_power: see the
+                # module docstring); its special cases need no branch: an
+                # accepted err = 0 has ratio 0 and grow inf, clipped to 5,
+                # and an infinite or nan ratio gives grow 0 or nan, which
+                # fmax turns into the reject floor 0.1
+                accept = ratio <= 1.0
+                grow = 0.9 * np.float_power(ratio, -0.2)
+                factor = np.where(accept,
+                                  np.minimum(5.0, np.maximum(0.2, grow)),
+                                  np.fmax(0.1, grow))
+            moved = accept.any()
+            if accept.all():
                 t, x, x_abs = t + h, x5, x5_abs
                 Z[1] = Z[7]
                 log.append((lane, t, x, -Z[7], err))
-            elif any(accept):
-                m = np.array(accept)
-                t = np.where(m, t + h, t)
-                x = np.where(m, x5, x)
-                x_abs = np.where(m, x5_abs, x_abs)
-                Z[1] = np.where(m, Z[7], Z[1])
-                log.append((lane[m], t[m], x[m], -Z[1][m], err[m]))
-            if any(accept):
+            elif moved:
+                t = np.where(accept, t + h, t)
+                x = np.where(accept, x5, x)
+                x_abs = np.where(accept, x5_abs, x_abs)
+                Z[1] = np.where(accept, Z[7], Z[1])
+                log.append((lane[accept], t[accept], x[accept],
+                            -Z[1][accept], err[accept]))
+            if moved:
                 dist = direction * (t1 - t)
             done = dist <= 0.0
             if fixed_step is None:
@@ -351,14 +354,23 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         raise ValueError("t_floor must lie in (0, T)")
     grid = np.linspace(-x_bound, x_bound, n)
     spacing = float(grid[1] - grid[0])
-    # one batch: the n backward legs, then three forward legs per level
+    if isinstance(f, Expression):
+        f = f.lambdify(("t", "x"))
     deltas = [2.0 ** -k for k in range(1, spread_levels + 1)]
     starts = [min(d, 0.5 * T) for d in deltas]
+    t_fwd = np.repeat(starts, 3)
+    x_fwd = np.array([x0 for d in deltas for x0 in (-d, 0.0, d)])
+    # a level with a leg that fails at its start has spread nan: launch
+    # none of its legs
+    with np.errstate(all="ignore"):
+        live = np.isfinite(np.broadcast_to(f(t_fwd, x_fwd), t_fwd.shape))
+    live = np.repeat(live.reshape(-1, 3).all(axis=1), 3)
+    # one batch: the n backward legs, then three forward legs per live level
     legs = _integrate_lanes(
         f,
-        np.concatenate([np.full(n, T), np.repeat(starts, 3)]),
-        np.concatenate([grid, [x0 for d in deltas for x0 in (-d, 0.0, d)]]),
-        np.concatenate([np.full(n, t_floor), np.full(3 * spread_levels, T)]),
+        np.concatenate([np.full(n, T), t_fwd[live]]),
+        np.concatenate([grid, x_fwd[live]]),
+        np.concatenate([np.full(n, t_floor), np.full(live.sum(), T)]),
         rtol, atol)
     reaches = np.zeros(n, dtype=bool)
     statuses = []
@@ -376,11 +388,14 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
             reaches[i] = touched or crossed
     basin = spacing * int(np.count_nonzero(reaches))
     spread_curve = []
-    for k, (t0, d) in enumerate(zip(starts, deltas)):
-        try:
-            spread = _spread(legs[n + 3 * k:n + 3 * k + 3], t0, d)
-        except SolverDomainError:
-            spread = math.nan
+    fwd = iter(legs[n:])
+    for t0, d, ok in zip(starts, deltas, live[::3].tolist()):
+        spread = math.nan
+        if ok:
+            try:
+                spread = _spread([next(fwd) for _ in range(3)], t0, d)
+            except SolverDomainError:
+                pass
         spread_curve.append((t0, spread))
     return FunnelReport(
         terminal_values=grid,

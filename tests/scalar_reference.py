@@ -10,7 +10,9 @@ one-integral-at-a-time loops built on them.
 replaced: the geometric-panel loop of ``integrate_singular_left`` and the
 per-segment adaptive integrals of the H2 and Osgood sweeps.
 ``to_infinity`` is the doubling-panel loop that ``integrate_to_infinity``
-was before it shared the sweep's batched panels.
+was before it shared the sweep's batched panels.  All three end through
+``_tail_driver``, the panel-at-a-time convergence and divergence tests
+that the sweep now takes on a (members x panels) array.
 
 ``integrate_ivp``, ``funnel_probe`` and ``forward_spread`` are the one-leg-
 at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
@@ -35,8 +37,9 @@ from odeuniq.expr import (
     Bin, Call, EvalDomainError, Expression, MissingBindingError, Neg, Node,
     Num, Var, _serialize)
 from odeuniq.quadrature import (
-    _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
-    IntegrandError, QuadResult, _tail_driver, integrate_singular_left)
+    _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_BUDGET, DIVERGENCE_PANEL_RUN,
+    DIVERGENCE_SUM_THRESHOLD, IntegrandError, QuadResult,
+    integrate_singular_left)
 from odeuniq.reparam import Reparametrization, ReparamError, _inv_lam_fn
 from odeuniq.rootfind import BracketError, ConvergenceError
 from odeuniq.solver import (
@@ -336,6 +339,47 @@ def exp_reparam_check(u, rep, c=None, n_tau=50):
 
 # ---------------------------------------------------------------------------
 # geometric panels and sweeps
+
+def _tail_driver(contribs_iter, tol: float):
+    """Convergence and divergence tests of the improper-integral loops, one
+    panel at a time.
+
+    ``contribs_iter`` yields (contribution, error_estimate) per panel toward
+    the improper endpoint; the result is unconverged where it ends.
+    """
+    total = 0.0
+    err_total = 0.0
+    nondecreasing_run = 0
+    prev = None
+    n = 0
+    for contrib, err in contribs_iter:
+        n += 1
+        total += contrib
+        err_total += err
+        if abs(total) > DIVERGENCE_SUM_THRESHOLD:
+            return QuadResult(total, err_total, False, True, n)
+        if prev is not None:
+            if abs(contrib) >= abs(prev) * (1.0 - 1e-12) and abs(contrib) > 0.0:
+                nondecreasing_run += 1
+                if nondecreasing_run >= DIVERGENCE_PANEL_RUN:
+                    return QuadResult(total, err_total, False, True, n)
+            else:
+                nondecreasing_run = 0
+            # geometric tail extrapolation from the last two contributions
+            if abs(contrib) < abs(prev):
+                r = abs(contrib) / abs(prev)
+                r = min(r, 0.95)
+                tail = abs(contrib) * r / (1.0 - r)
+                if tail + err_total <= tol:
+                    signed_tail = math.copysign(tail, contrib)
+                    return QuadResult(total + signed_tail,
+                                      err_total + tail, True, False, n)
+        if abs(contrib) == 0.0 and n >= 2:
+            if err_total <= tol:
+                return QuadResult(total, err_total, True, False, n)
+        prev = contrib
+    return QuadResult(total, err_total, False, False, n)
+
 
 def singular_left(g, b, tol, budget=10_000, max_panels=1200):
     """int_0+^b g, one adaptive ``integrate`` call per geometric panel."""

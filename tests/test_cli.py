@@ -164,6 +164,24 @@ def test_reparam_steep_gauge_ends(problem_file, tmp_path):
     assert d["tau_plus"] == "inf"
     assert d["fixed_point_residual"] <= 1e-6
     assert d["l1_identity_residual"] <= 1e-6
+    # u(t(tau)) = c*exp(-tau) is a property of lambda = u/u' alone
+    assert "exp_reparam_residual" not in d
+
+
+def test_reparam_check_failure_is_one_line(problem_file, tmp_path, capsys):
+    # the hole in lambda lies between the table's GK15 nodes, so the table
+    # builds, and the fixed-point check's first panels sample it
+    lam = ("t + 0*sqrt(abs(t - 0.66781226164553841862)"
+           " - 0.00013508314951903299)")
+    out = tmp_path / "rep.json"
+    code = main(["reparam", "--problem", problem_file(
+        {"f": "0", "lambda": lam, "v": "t", "omega": "r"}),
+        "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reparam: non-finite integrand sample at x=0.4037")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reparam_csv_table(problem_file, tmp_path):

@@ -1,19 +1,22 @@
 """Adaptive quadrature against closed-form oracles."""
+import json
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
-from odeuniq import quadrature
+from odeuniq import criteria, quadrature
 from odeuniq.quadrature import (
     _W_GAUSS,
     _W_KRONROD,
     _W_PAIR,
     DEFAULT_BUDGET,
+    DIVERGENCE_SUM_THRESHOLD,
     IntegrandError,
     _integrate_lanes,
     integrate,
@@ -21,6 +24,8 @@ from odeuniq.quadrature import (
     integrate_to_infinity,
     sweep_singular_left,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # (integrand, a, b, exact) closed-form proper integrals
 PROPER_CASES = [
@@ -250,6 +255,30 @@ def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
     # 63 of the chunk's 64 panels, where the loop redid 60 of its 61
     (n_redone,) = calls
     assert res.subdivisions - 1 <= n_redone <= quadrature._FIRST_CHUNK
+
+
+@pytest.mark.parametrize("name", ["tx", "linear"])
+def test_sweep_redoes_only_rejected_panels(name, monkeypatch):
+    # H2's eps members run in lockstep: a member's panels go to the lane
+    # integrator only when one GK15 step rejects them, and a member with no
+    # rejected panel costs no lane call (tx has none, linear some)
+    calls = []
+    lanes = quadrature._integrate_lanes
+
+    def counted(g, a, b, tol=1e-10, budget=DEFAULT_BUDGET):
+        calls.append((g, a, b, tol))
+        return lanes(g, a, b, tol, budget)
+
+    monkeypatch.setattr(quadrature, "_integrate_lanes", counted)
+    raw = json.loads((CORPUS / f"{name}.json").read_text())
+    p = criteria.reduce_problem(criteria.ProblemSpec.from_dict(raw))
+    assert criteria._h2_hypothesis(p, criteria.CheckConfig()).passed
+    assert (len(calls) == 0) == (name == "tx")
+    for g, a, b, tol in calls:
+        assert len(a) > 0
+        for ai, bi, ti in zip(a, b, tol):
+            k, err = scalar_reference._gk15(g, ai, bi)
+            assert not (err <= ti and abs(k) <= DIVERGENCE_SUM_THRESHOLD)
 
 
 # (integrand, a): converged on the first chunk, divergent, redone panels,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
+from odeuniq import solver
 from odeuniq.cli import load_problem
 from odeuniq.expr import parse
 from odeuniq.solver import (
@@ -193,6 +194,30 @@ def test_lanes_match_scalar_loop(src, scale, legs, rtol, atol):
                     rtol=rtol, atol=atol))
 
 
+def test_float_power_equals_python_pow():
+    # the lanes take the step factor 0.9*ratio**-0.2 with np.float_power,
+    # which must give the bits of Python's ** in the one-leg loop; a numpy
+    # or libm build that breaks this would move trajectories, so it fails
+    # here by name instead
+    rng = np.random.default_rng(11)
+    # where 0.9*r**-0.2 meets the clips 5.0, 0.2 and 0.1
+    clips = [0.18 ** 5, 4.5 ** 5, 9.0 ** 5]
+    ratios = np.concatenate([
+        np.geomspace(5e-324, 2.2e-308, 2000),   # subnormal
+        rng.uniform(0.0, 1.0, 20000),
+        rng.uniform(1.0, 2.0, 20000),
+        np.geomspace(1e-300, 1e308, 20000),
+        [np.nextafter(c, d) for c in clips for d in (0.0, c, np.inf)],
+    ])
+    ratios = ratios[ratios > 0.0]
+    got = np.float_power(ratios, -0.2)
+    want = np.array([r ** -0.2 for r in ratios.tolist()])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (
+        f"np.float_power(r, -0.2) differs from r ** -0.2 at {differ.size} "
+        f"ratios, first r = {ratios[differ[0]]!r}")
+
+
 def test_lanes_keep_signed_zeros():
     # From x = -0 with slope -0, stage 2 starts at -0 + h*(0 + a*(-0)) = +0
     # (h > 0): the tableau sums start from +0, as Python's sum.  A field
@@ -277,6 +302,27 @@ def test_funnel_matches_scalar_loop_with_failures(src):
     kwargs = dict(n=21, t_floor=1e-4, spread_levels=4)
     assert_same_funnel(funnel_probe(f_expr(src), 1.0, **kwargs),
                        scalar_reference.funnel_probe(f_expr(src), 1.0, **kwargs))
+
+
+@pytest.mark.parametrize("src,live_levels",
+                         [("sqrt(x)", 0), ("log(x + 0.1)", 5), ("x", 8)])
+def test_funnel_skips_levels_failing_at_start(src, live_levels, monkeypatch):
+    # a spread level with a leg whose f is not finite at (delta, x0) has
+    # spread nan whatever its other legs do: none of its legs is launched
+    launched = []
+    lanes = solver._integrate_lanes
+
+    def counted(f, t0, *args):
+        launched.append(len(t0))
+        return lanes(f, t0, *args)
+
+    monkeypatch.setattr(solver, "_integrate_lanes", counted)
+    kwargs = dict(n=41, t_floor=1e-4)
+    got = funnel_probe(f_expr(src), 1.0, **kwargs)
+    assert launched == [41 + 3 * live_levels]
+    assert sum(math.isnan(s) for _, s in got.spread_curve) >= 8 - live_levels
+    assert_same_funnel(got, scalar_reference.funnel_probe(f_expr(src), 1.0,
+                                                          **kwargs))
 
 
 def assert_same_funnel(got, want):
