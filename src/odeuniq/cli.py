@@ -293,12 +293,19 @@ def cmd_solve(args) -> int:
         raise ConfigError("solve: need 0 < t-floor < T")
     t0 = args.t0 if args.t0 is not None else problem.T
     t1 = args.t1 if args.t1 is not None else t_floor
+    if not all(map(math.isfinite, (t0, t1, args.x0))):
+        raise ConfigError("solve: t0, t1 and x0 must be finite")
     # the solver never evaluates the singular endpoint t = 0
     if not (t0 > 0 and t1 > 0):
         raise ConfigError("solve: need t0 > 0 and t1 > 0")
     _check_tolerances(args)
-    traj = solver_mod.integrate_ivp(problem.f, t0, args.x0, t1,
-                                    rtol=args.rtol, atol=args.atol)
+    try:
+        traj = solver_mod.integrate_ivp(problem.f, t0, args.x0, t1,
+                                        rtol=args.rtol, atol=args.atol)
+    except solver_mod.SolverDomainError as exc:
+        # f is not finite at the start point
+        print(f"solve: {exc}", file=sys.stderr)
+        return 1
     rows = list(zip(traj.t.tolist(), traj.x.tolist(), traj.xdot.tolist(),
                     traj.step_errors.tolist()))
     _write_csv(args.out, ("t", "x", "xdot", "step_error"), rows)

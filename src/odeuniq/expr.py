@@ -324,7 +324,9 @@ _NP_ENV = {
 # min(inf, c) = c, sign(inf) = 1, 1^inf = 1), so the kernel maps such an
 # operand to nan.  A power can also turn nan finite (1^nan = nan^0 = 1), so
 # '^' with an intermediate operand and pow() give nan when an operand is
-# nan; they keep '**' and np.power for the value otherwise.
+# nan; they keep '**' and np.power for the value otherwise.  '^' with a
+# finite nonzero literal exponent c needs no such guard: nan**c is nan for
+# c != 0, so it is '**' on the finite_or_nan base.
 _ABSORBING_CALLS = frozenset({"exp", "sign", "pow", "min", "max"})
 
 
@@ -338,7 +340,8 @@ def _np_source(node: Node) -> str:
     if isinstance(node, Bin):
         if node.op == "^":
             left, right = _np_guarded(node.left), _np_guarded(node.right)
-            if _is_intermediate(node.left) or _is_intermediate(node.right):
+            if (_is_intermediate(node.left) or _is_intermediate(node.right)) \
+                    and not _is_nonzero_literal(node.right):
                 return f"power({left}, {right})"
             return f"({left}**{right})"
         right = _np_guarded(node.right) if node.op == "/" else _np_source(node.right)
@@ -355,6 +358,14 @@ def _is_intermediate(node: Node) -> bool:
     while isinstance(node, Neg):
         node = node.arg
     return isinstance(node, (Bin, Call))
+
+
+def _is_nonzero_literal(node: Node) -> bool:
+    """True for a (negated) finite nonzero number."""
+    while isinstance(node, Neg):
+        node = node.arg
+    return isinstance(node, Num) and math.isfinite(node.value) \
+        and node.value != 0.0
 
 
 def _np_guarded(node: Node) -> str:
@@ -586,8 +597,16 @@ class Expression:
                     out = np.broadcast_to(out, shape).copy()
             return out
 
+        fn.kernel = raw
         self._vector_cache[key] = fn
         return fn
+
+    def _kernel(self, key: tuple):
+        """The generated lambda behind ``_compiled(key)``, for callers that
+        already hold float64 arrays and run under ``np.errstate``: it sets
+        no errstate of its own, and its value has the broadcast shape of the
+        variables the expression uses (0-d when it uses none)."""
+        return self._compiled(key).kernel
 
 
 def parse(source: str, allowed_vars=None) -> Expression:

@@ -8,18 +8,21 @@ probes stop at a configurable positive floor.  Probe outputs are evidence,
 never proof: only the criterion checkers speak to uniqueness theorems.
 
 One lane integrator advances a batch of independent legs in lockstep.
-Each of the six stages is one call of f, a compiled expression or an
-array function, over the running lanes; every lane has its own step size,
-direction, end point, minimal step and status, and leaves the batch when
-it finishes.  funnel_probe integrates its backward legs and its forward
-spread legs as one batch, and integrate_ivp is the one-lane case.
+Each of the six stages is one call of f over the running lanes: of an
+expression's compiled kernel, under the loop's one np.errstate, or of an
+array function.  Every lane has its own step size, direction, end point,
+minimal step and status, and leaves the batch when it finishes.
+funnel_probe integrates its backward legs and its forward spread legs as
+one batch, and integrate_ivp is the one-lane case.
 
 Every lane repeats the scalar loop's accept/reject sequence bit for bit:
 the stage and solution sums are accumulated term by term in tableau order,
-starting from 0 as Python's sum does, and the step factor ratio**-0.2 is
-taken on the lanes' array with np.float_power, which calls libm's pow as
-Python's ** does; numpy's vectorized np.power can differ from it in the
-last bit.
+starting from 0 as Python's sum does.  The step factor is
+fmax(0.1, minimum(5, 0.9*ratio**-0.2)), the scalar loop's clips for
+accepted and rejected steps in one rule (see _step_factor); ratio**-0.2
+is taken on the lanes' array with np.float_power, which calls libm's pow
+as Python's ** does; numpy's vectorized np.power can differ from it in
+the last bit.
 """
 from __future__ import annotations
 
@@ -111,22 +114,38 @@ class Trajectory:
 
 
 def _sum_rows(*rows):
-    """Coefficient columns for a running sum over the rows of the stage
-    array: row 0 holds +0 and rows 1..7 hold f at stages 1..7.  A tableau
-    row a is stored as (1, -a_1, ..., -a_j): (-a)*f = a*k exactly for the
-    slope k = -f, so the cumulative sum along the rows repeats Python's
+    """Coefficients, shaped (stage row, tableau row, lane), for running
+    sums over the rows of the stage array: row 0 holds +0 and rows 1..7
+    hold f at stages 1..7.  A tableau row a is stored as
+    (1, -a_1, ..., -a_j): (-a)*f = a*k exactly for the slope k = -f, so
+    the cumulative sum along the stage rows repeats Python's
     sum(a_j*k_j) from 0, term by term and bit for bit."""
     width = max(len(r) for r in rows)
-    coeff = np.zeros((len(rows), width + 1, 1))
-    for c, r in zip(coeff, rows):
-        c[0] = 1.0
-        c[1:len(r) + 1, 0] = np.negative(r)
+    coeff = np.zeros((width + 1, len(rows), 1))
+    coeff[0] = 1.0
+    for j, r in enumerate(rows):
+        coeff[1:len(r) + 1, j, 0] = np.negative(r)
     return coeff
 
 
 _C_STAGES = np.array(_C[1:])[:, None]
-_A_STAGES = [_sum_rows(row)[0] for row in _A[1:]]
+_A_STAGES = [_sum_rows(row)[:, 0] for row in _A[1:]]
 _B_PAIR = _sum_rows(_B5, _B4)  # 5th- and 4th-order solutions at once
+
+
+def _step_factor(ratio):
+    """The one-lane loop's step size factor for error ratios in [0, inf]
+    or nan, in two calls (np.float_power: see the module docstring).
+
+    The loop clips 0.9*ratio**-0.2 to [0.2, 5] for an accepted ratio <= 1
+    (5 for err = 0) and to at least 0.1 for a rejected one (0.1 for an
+    infinite or nan ratio).  An accepted ratio has grow >= 0.9, so its
+    lower clip never acts; a rejected ratio > 1 has grow < 0.9, so the
+    upper clip never acts; ratio 0 gives grow inf, clipped to 5, and an
+    infinite or nan ratio gives grow 0 or nan, which fmax turns into 0.1.
+    """
+    grow = 0.9 * np.float_power(ratio, -0.2)
+    return np.fmax(0.1, np.minimum(5.0, grow))
 
 
 def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
@@ -152,7 +171,7 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     t0, x0, t1 = (np.array(a, dtype=np.float64).ravel()
                   for a in np.broadcast_arrays(t0, x0, t1))
     if isinstance(f, Expression):
-        f = f.lambdify(("t", "x"))
+        f = f._kernel(("t", "x"))
     f0 = np.empty_like(t0)
     with np.errstate(all="ignore"):
         f0[...] = f(t0, x0)
@@ -199,31 +218,24 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
             for i, a in enumerate(_A_STAGES, 2):
                 s = np.add.accumulate(a * Z[:i], axis=0)[-1]
                 Z[i] = f(t_stage[i - 2], x + h * s)
-            x5, x4 = x + h * np.add.accumulate(_B_PAIR * Z, axis=1)[:, -1]
+            x5, x4 = x + h * np.add.accumulate(_B_PAIR * Z[:, None],
+                                               axis=0)[-1]
             err = np.abs(x5 - x4)
             x5_abs = np.abs(x5)
             scale = atol + rtol * np.maximum(x_abs, x5_abs)
             ratio = np.where(scale > 0.0, err / scale, np.inf)
             if fixed_step is not None:
                 bad = ~np.isfinite(Z).all(axis=0)
-                if bad.any():
+                if np.count_nonzero(bad):
                     i = int(np.argmax(bad))
                     raise SolverDomainError("stage failure in fixed-step mode",
                                             float(t[i]), float(x[i]))
                 accept = np.ones(lane.size, dtype=bool)
             else:
-                # the one-lane loop's step control (np.float_power: see the
-                # module docstring); its special cases need no branch: an
-                # accepted err = 0 has ratio 0 and grow inf, clipped to 5,
-                # and an infinite or nan ratio gives grow 0 or nan, which
-                # fmax turns into the reject floor 0.1
                 accept = ratio <= 1.0
-                grow = 0.9 * np.float_power(ratio, -0.2)
-                factor = np.where(accept,
-                                  np.minimum(5.0, np.maximum(0.2, grow)),
-                                  np.fmax(0.1, grow))
-            moved = accept.any()
-            if accept.all():
+                factor = _step_factor(ratio)
+            moved = np.count_nonzero(accept)
+            if moved == lane.size:
                 t, x, x_abs = t + h, x5, x5_abs
                 Z[1] = Z[7]
                 log.append((lane, t, x, -Z[7], err))
@@ -243,7 +255,7 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
             else:
                 h_abs = np.full(lane.size, fixed_step)
                 stop = done
-            if stop.any():
+            if np.count_nonzero(stop):
                 for i, ti, completed in zip(lane[stop].tolist(),
                                             t[stop].tolist(),
                                             done[stop].tolist()):
@@ -354,16 +366,16 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         raise ValueError("t_floor must lie in (0, T)")
     grid = np.linspace(-x_bound, x_bound, n)
     spacing = float(grid[1] - grid[0])
-    if isinstance(f, Expression):
-        f = f.lambdify(("t", "x"))
     deltas = [2.0 ** -k for k in range(1, spread_levels + 1)]
     starts = [min(d, 0.5 * T) for d in deltas]
     t_fwd = np.repeat(starts, 3)
     x_fwd = np.array([x0 for d in deltas for x0 in (-d, 0.0, d)])
     # a level with a leg that fails at its start has spread nan: launch
     # none of its legs
+    f_fwd = f.lambdify(("t", "x")) if isinstance(f, Expression) else f
     with np.errstate(all="ignore"):
-        live = np.isfinite(np.broadcast_to(f(t_fwd, x_fwd), t_fwd.shape))
+        live = np.isfinite(np.broadcast_to(f_fwd(t_fwd, x_fwd),
+                                           t_fwd.shape))
     live = np.repeat(live.reshape(-1, 3).all(axis=1), 3)
     # one batch: the n backward legs, then three forward legs per live level
     legs = _integrate_lanes(
@@ -372,9 +384,9 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
         np.concatenate([grid, x_fwd[live]]),
         np.concatenate([np.full(n, t_floor), np.full(live.sum(), T)]),
         rtol, atol)
-    reaches = np.zeros(n, dtype=bool)
     statuses = []
     failures = []
+    ended = []    # backward legs that completed or stopped at a singularity
     for i, (x_T, traj) in enumerate(zip(grid.tolist(), legs[:n])):
         if isinstance(traj, SolverDomainError):
             failures.append((x_T, str(traj)))
@@ -382,10 +394,22 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
             continue
         statuses.append(traj.status)
         if traj.status in ("completed", "stopped_at_singularity"):
-            xs = traj.x
-            touched = bool(np.min(np.abs(xs)) < ATOL_REACH)
-            crossed = bool(np.any(np.signbit(xs[1:]) != np.signbit(xs[:-1])))
-            reaches[i] = touched or crossed
+            ended.append(i)
+    reaches = np.zeros(n, dtype=bool)
+    if ended:
+        # the reach test of every ended leg at once, over their
+        # concatenated samples: a leg's minimum |x|, and its sign flips
+        # between consecutive samples of its own
+        xs = [legs[i].x for i in ended]
+        first = np.cumsum([0] + [len(x) for x in xs[:-1]])
+        xs = np.concatenate(xs)
+        sign = np.signbit(xs)
+        flip = np.empty_like(sign)
+        flip[1:] = sign[1:] != sign[:-1]
+        flip[first] = False  # a leg's first sample follows another leg
+        touched = np.minimum.reduceat(np.abs(xs), first) < ATOL_REACH
+        crossed = np.add.reduceat(flip, first)
+        reaches[ended] = touched | (crossed > 0)
     basin = spacing * int(np.count_nonzero(reaches))
     spread_curve = []
     fwd = iter(legs[n:])

@@ -301,6 +301,18 @@ def test_solve_csv(problem_file, tmp_path):
     assert last[1] == pytest.approx(math.exp(-0.5), rel=1e-5)
 
 
+def test_solve_start_failure_is_one_line(problem_file, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = main(["solve", "--problem", problem_file({"f": "sqrt(x)"}),
+                 "--x0", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == \
+        "solve: non-finite f sample at (t=1.0, x=-1.0)\n"
+    assert not out.exists()
+
+
 def test_funnel_json(problem_file, tmp_path):
     out = str(tmp_path / "funnel.json")
     code = main(["funnel", "--problem",
@@ -323,6 +335,9 @@ def test_funnel_json(problem_file, tmp_path):
     *(("reparam", ["--generalized-c", c],
        "reparam: need 0 < generalized-c < inf")
       for c in ("0", "-5", "nan", "inf")),
+    *(("solve", [flag, value], "solve: t0, t1 and x0 must be finite")
+      for flag in ("--t0", "--t1", "--x0") for value in ("nan", "inf")),
+    ("solve", ["--x0=-inf"], "solve: t0, t1 and x0 must be finite"),
 ])
 def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
                                      message):

@@ -17,6 +17,7 @@ from odeuniq.expr import (
     parse,
     substitute,
 )
+from odeuniq.expr import _NP_ENV, _np_source
 
 
 def test_parse_basic_arithmetic():
@@ -99,6 +100,44 @@ def test_lambdify_broadcasts_missing_variables():
     out = f(t, x)
     assert out.shape == (5, 3)
     assert np.all(out == np.broadcast_to(x, (5, 3)))
+
+
+# '^' with a finite nonzero literal exponent is '**' on the finite_or_nan
+# base, without power's nan guard; it must keep the guarded bits on every
+# kind of base.  Exponents 2, 0.5 and -1 take numpy's '**' fast paths.
+LITERAL_BASES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                 -3.5, -1.0, 0.25, 1.0, 7.0, 1e300]
+
+
+@pytest.mark.parametrize("c", ["0.3899", "-2", "2", "0.5", "-1"])
+def test_literal_exponent_power_keeps_guarded_bits(c):
+    e = parse(f"(1*x)^{c}", allowed_vars={"x"})
+    assert "power(" not in _np_source(e.root)
+    x = np.array(LITERAL_BASES)
+    with np.errstate(all="ignore"):
+        base = _NP_ENV["finite_or_nan"](1.0 * x)
+        want = _NP_ENV["power"](base, np.float64(float(c)))
+    got = e.lambdify(("x",))(x)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("src", ["(1*x)^0", "(1*x)^x", "x^(t+1)",
+                                 "(1*x)^(1/0)"])
+def test_other_exponents_keep_nan_guard(src):
+    assert _np_source(parse(src, allowed_vars={"t", "x"}).root) \
+        .startswith("power(")
+
+
+@pytest.mark.parametrize("src,x,message", [
+    ("abs(x - 1)^-2", 1.0, "non-finite value inf of (abs((x-1.0))^(-2.0))"),
+    ("(x - 2)^0.5", 1.0, "non-finite value nan of ((x-2.0)^0.5)"),
+    ("(1/x)^0.3899", 0.0, "non-finite value nan of ((1.0/x)^0.3899)"),
+    ("(1/x)^0", 0.0, "non-finite value nan of ((1.0/x)^0.0)"),
+])
+def test_power_domain_error_messages(src, x, message):
+    with pytest.raises(EvalDomainError) as exc:
+        parse(src).evaluate({"x": x})
+    assert str(exc.value) == f"{message} at (x={x!r})"
 
 
 def test_serialize_round_trip_fixed_cases():

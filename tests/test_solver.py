@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference
 from odeuniq import solver
 from odeuniq.cli import load_problem
-from odeuniq.expr import parse
+from odeuniq.expr import Expression, parse
 from odeuniq.solver import (
     SolverDomainError,
     _integrate_lanes,
@@ -218,6 +218,28 @@ def test_float_power_equals_python_pow():
         f"ratios, first r = {ratios[differ[0]]!r}")
 
 
+def _three_way_factor(ratio):
+    # the step factor as three clips picked by acceptance
+    grow = 0.9 * np.float_power(ratio, -0.2)
+    return np.where(ratio <= 1.0, np.minimum(5.0, np.maximum(0.2, grow)),
+                    np.fmax(0.1, grow))
+
+
+def test_step_factor_equals_three_way_clip():
+    ratios = np.array([0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0),
+                       1.0, np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf,
+                       np.nan])
+    with np.errstate(divide="ignore"):
+        got = solver._step_factor(ratios)
+        want = _three_way_factor(ratios)
+    assert got.tobytes() == want.tobytes()
+    # and the one-leg loop's rule, value by value
+    loop = [5.0 if r == 0.0 else min(5.0, max(0.2, 0.9 * r ** -0.2))
+            if r <= 1.0 else max(0.1, 0.9 * r ** -0.2)
+            if math.isfinite(r) else 0.1 for r in ratios.tolist()]
+    assert got.tolist() == loop
+
+
 def test_lanes_keep_signed_zeros():
     # From x = -0 with slope -0, stage 2 starts at -0 + h*(0 + a*(-0)) = +0
     # (h > 0): the tableau sums start from +0, as Python's sum.  A field
@@ -302,6 +324,56 @@ def test_funnel_matches_scalar_loop_with_failures(src):
     kwargs = dict(n=21, t_floor=1e-4, spread_levels=4)
     assert_same_funnel(funnel_probe(f_expr(src), 1.0, **kwargs),
                        scalar_reference.funnel_probe(f_expr(src), 1.0, **kwargs))
+
+
+@given(st.floats(1.0, 2.0), st.floats(0.3, 0.5), st.floats(1.0, 1.5),
+       st.sampled_from([20, 21]))
+@settings(max_examples=8, deadline=None)
+def test_funnel_matches_scalar_loop_on_drawn_fields(c, alpha, b, n):
+    # the benchmark's seeded families: -c*|x|^alpha, whose backward legs
+    # cross onto the other branch, and b*x/t; an even n has no x_T = 0
+    # lane, so a negative leg ends right before a positive one starts
+    kwargs = dict(n=n, t_floor=1e-4, spread_levels=4)
+    for src in (f"-{c!r}*abs(x)^{alpha!r}", f"{b!r}*x/t"):
+        assert_same_funnel(
+            funnel_probe(f_expr(src), 1.0, **kwargs),
+            scalar_reference.funnel_probe(f_expr(src), 1.0, **kwargs))
+
+
+def test_funnel_zero_lane_keeps_its_signed_zero():
+    # the x_T = +0 leg of f = x is the zero solution and keeps the sign of
+    # its zero (x + h*s with x = +0 is +0 for s = +-0), so it reaches by
+    # |x| < ATOL_REACH; the leg before it ends with its sign bit set, and
+    # the flip between the two legs' samples is a crossing of neither
+    f = f_expr("x")
+    kwargs = dict(n=21, t_floor=1e-4, spread_levels=4)
+    legs = _integrate_lanes(f, 1.0, [-0.1, 0.0], 1e-4, 1e-6, 1e-9)
+    assert np.signbit(legs[0].x).all()
+    assert legs[1].x.tobytes() == np.zeros(len(legs[1].x)).tobytes()
+    got = funnel_probe(f, 1.0, **kwargs)
+    assert np.flatnonzero(got.reaches_zero).tolist() == [10]
+    assert_same_funnel(got, scalar_reference.funnel_probe(f, 1.0, **kwargs))
+
+
+def test_funnel_stages_call_the_kernel(monkeypatch):
+    # the lanes call the compiled kernel under their own errstate; the
+    # wrapper lambdify returns is called once, for the spread levels'
+    # start check
+    calls = []
+    lambdify = Expression.lambdify
+
+    def counted(expr, varnames):
+        fn = lambdify(expr, varnames)
+
+        def wrapper(*args):
+            calls.append(len(args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Expression, "lambdify", counted)
+    rep = funnel_probe(f_expr("x/t"), 1.0, n=21)
+    assert rep.statuses == ["completed"] * 21
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("src,live_levels",
