@@ -354,7 +354,9 @@ def funnel_report_dict(rep) -> dict:
 
 def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9):
     """Check + funnel matrix over all *.json problems in a directory.  The
-    funnel probe runs on 101 terminal values down to t = 1e-4 T."""
+    funnel probe runs on 101 terminal values down to t = 1e-4 T, without
+    forward spread legs: a row records only the basin width and the grid
+    spacing."""
     paths = sorted(Path(corpus_dir).glob("*.json"))
     if not paths:
         raise ConfigError(f"suite: no problem files in {corpus_dir}")
@@ -395,7 +397,8 @@ def run_suite(corpus_dir, config: CheckConfig, rtol=1e-6, atol=1e-9):
         try:
             fr = solver_mod.funnel_probe(
                 problem.f, problem.T, n=101, t_floor=1e-4 * problem.T,
-                rtol=rtol, atol=atol, x_bound=problem.x_bound)
+                rtol=rtol, atol=atol, x_bound=problem.x_bound,
+                spread_levels=0)
             row["funnel_basin_width"] = fr.basin_width
             row["funnel_grid_spacing"] = fr.grid_spacing
             if any_pass and fr.basin_width > 10 * fr.grid_spacing:

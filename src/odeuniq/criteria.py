@@ -145,10 +145,16 @@ class ProblemSpec:
         returns all violations."""
         c = CheckConfig()
         msgs = []
+        # the least sampled t, T*2^-n_limit, must be a normal float
+        T_min = float(np.finfo(np.float64).tiny) * 2.0 ** c.n_limit
         if not (0.0 < self.T <= 1.0):
             msgs.append(f"T must lie in (0, 1], got {self.T!r}")
-        if not (self.x_bound > 0.0):
-            msgs.append(f"x_bound must be positive, got {self.x_bound!r}")
+        elif self.T < T_min:
+            msgs.append(f"T must be at least {T_min!r}, got {self.T!r}")
+        # the x grids are linspace(-x_bound, x_bound): their span is finite
+        if not (0.0 < self.x_bound and 2.0 * self.x_bound < math.inf):
+            msgs.append("x_bound must be positive with 2*x_bound finite, "
+                        f"got {self.x_bound!r}")
         if msgs:
             return msgs
         # f(t, 0) = 0 at all sampled t

@@ -13,16 +13,21 @@ expression's compiled kernel, under the loop's one np.errstate, or of an
 array function.  Every lane has its own step size, direction, end point,
 minimal step and status, and leaves the batch when it finishes.
 funnel_probe integrates its backward legs and its forward spread legs as
-one batch, and integrate_ivp is the one-lane case.
+one batch (with spread_levels=0, as the suite calls it, only the backward
+legs), and integrate_ivp is the one-lane case.
 
-Every lane repeats the scalar loop's accept/reject sequence bit for bit:
-the stage and solution sums are accumulated term by term in tableau order,
-starting from 0 as Python's sum does.  The step factor is
-fmax(0.1, minimum(5, 0.9*ratio**-0.2)), the scalar loop's clips for
-accepted and rejected steps in one rule (see _step_factor); ratio**-0.2
-is taken on the lanes' array with np.float_power, which calls libm's pow
-as Python's ** does; numpy's vectorized np.power can differ from it in
-the last bit.
+Every lane repeats the scalar loop's accept/reject sequence bit for bit.
+The stage and solution sums are eight running rows per lane, the
+arguments of stages 2..7 and the 5th- and 4th-order solutions: each step
+starts every row at +0 + a_1*k_1, as Python's sum starts from 0, and
+after stage i adds a_i*k_i to the rows that read k_i, so that each row
+sees the scalar loop's additions in the scalar loop's order.  The
+tableau's zero entries stay in the rows (see _stage_columns).  The step
+factor is fmax(0.1, minimum(5, 0.9*ratio**-0.2)), the scalar loop's clips
+for accepted and rejected steps in one rule (see _step_factor);
+ratio**-0.2 is taken on the lanes' array with np.float_power, which calls
+libm's pow as Python's ** does; numpy's vectorized np.power can differ
+from it in the last bit.
 """
 from __future__ import annotations
 
@@ -113,24 +118,31 @@ class Trajectory:
         return h00 * x0 + h10 * d0 + h01 * x1 + h11 * d1
 
 
-def _sum_rows(*rows):
-    """Coefficients, shaped (stage row, tableau row, lane), for running
-    sums over the rows of the stage array: row 0 holds +0 and rows 1..7
-    hold f at stages 1..7.  A tableau row a is stored as
-    (1, -a_1, ..., -a_j): (-a)*f = a*k exactly for the slope k = -f, so
-    the cumulative sum along the stage rows repeats Python's
-    sum(a_j*k_j) from 0, term by term and bit for bit."""
-    width = max(len(r) for r in rows)
-    coeff = np.zeros((width + 1, len(rows), 1))
-    coeff[0] = 1.0
-    for j, r in enumerate(rows):
-        coeff[1:len(r) + 1, j, 0] = np.negative(r)
-    return coeff
+def _stage_columns():
+    """The coefficients of the stage values f_1..f_7 in the eight running
+    sums: sums 0..5 are the arguments of stages 2..7, sums 6 and 7 the
+    5th- and 4th-order solutions.  Entry i holds f_i+1's coefficients in
+    the sums that read it, sums i..7, as an (8 - i, 1) column that
+    broadcasts across the lanes.  A tableau entry a is stored as -a, since
+    (-a)*f = a*k exactly for the slope k = -f.  The zero entries stay, as
+    -0.0: 0*inf = nan carries a non-finite stage value into the solution
+    sums, so that the step is rejected."""
+    cols = np.zeros((7, 8, 1))
+    for j, row in enumerate((*_A[1:], _B5, _B4)):
+        cols[:len(row), j, 0] = np.negative(row)
+    cols.setflags(write=False)
+    return [c[i:] for i, c in enumerate(cols)]
 
 
 _C_STAGES = np.array(_C[1:])[:, None]
-_A_STAGES = [_sum_rows(row)[:, 0] for row in _A[1:]]
-_B_PAIR = _sum_rows(_B5, _B4)  # 5th- and 4th-order solutions at once
+_COLUMNS = _stage_columns()
+
+
+def _running_sums(m):
+    """A buffer for the eight running sums of m lanes, its rows, and its
+    rows from i on, which f_i+1 updates."""
+    sums = np.empty((8, m))
+    return sums, list(sums), [sums[i:] for i in range(7)]
 
 
 def _step_factor(ratio):
@@ -189,6 +201,10 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
         return out
     if fixed_step is not None and not (fixed_step > 0.0):
         raise ValueError("fixed_step must be positive")
+    if not (rtol >= 0.0 and atol >= 0.0):
+        raise ValueError("rtol and atol must be non-negative")
+    # a tolerance of -0.0 becomes +0, so the error scale is never -0
+    atol += 0.0
     t, x, t1 = t0[lane], x0[lane], t1[lane]
     direction = np.where(t1 > t, 1.0, -1.0)
     span = np.abs(t1 - t)
@@ -199,10 +215,10 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     h_min = np.maximum(span * 1e-14, 1e-16)
     dist = span
     x_abs = np.abs(x)
-    Z = np.zeros((8, lane.size))  # +0, then f at stages 1..7 (FSAL: 7 -> 1)
-    Z[1] = f0[lane]
-    log = [(lane, t, x, k0[lane], np.zeros(lane.size))]  # accepted points
-    ends = {}                                            # lane -> status
+    k1 = f0[lane]  # f at stage 1 (FSAL: stage 7 of the last step)
+    sums, rows, tails = _running_sums(lane.size)
+    log = [(lane, t, x, k1, np.zeros(lane.size))]  # accepted (t, x, f, err)
+    ends = {}                                      # lane -> status
     n = 0
     with np.errstate(all="ignore"):
         while lane.size:
@@ -215,37 +231,47 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
             h_abs = np.minimum(h_abs, dist)
             h = direction * h_abs
             t_stage = t + _C_STAGES * h
-            for i, a in enumerate(_A_STAGES, 2):
-                s = np.add.accumulate(a * Z[:i], axis=0)[-1]
-                Z[i] = f(t_stage[i - 2], x + h * s)
-            x5, x4 = x + h * np.add.accumulate(_B_PAIR * Z[:, None],
-                                               axis=0)[-1]
+            # every sum starts from +0, as Python's sum does
+            np.multiply(_COLUMNS[0], k1, out=sums)
+            sums += 0.0
+            finite = True  # fixed-step mode: all stages finite so far
+            for i in range(1, 7):
+                k = f(t_stage[i - 1], x + h * rows[i - 1])
+                tails[i] += _COLUMNS[i] * k
+                if fixed_step is not None:
+                    finite = finite & np.isfinite(k)
+            k7 = np.empty(lane.size)  # a copy: f may reuse its output
+            k7[...] = k
+            x5 = x + h * rows[6]
+            x4 = x + h * rows[7]
             err = np.abs(x5 - x4)
             x5_abs = np.abs(x5)
-            scale = atol + rtol * np.maximum(x_abs, x5_abs)
-            ratio = np.where(scale > 0.0, err / scale, np.inf)
-            if fixed_step is not None:
-                bad = ~np.isfinite(Z).all(axis=0)
+            if fixed_step is None:
+                # the scale is positive, +0 or nan: where it is not
+                # positive, err/scale is inf or nan, and either rejects
+                # with factor 0.1, as the scalar loop's ratio inf does
+                ratio = err / (atol + rtol * np.maximum(x_abs, x5_abs))
+                accept = ratio <= 1.0
+                factor = _step_factor(ratio)
+            else:
+                bad = ~finite
                 if np.count_nonzero(bad):
                     i = int(np.argmax(bad))
                     raise SolverDomainError("stage failure in fixed-step mode",
                                             float(t[i]), float(x[i]))
                 accept = np.ones(lane.size, dtype=bool)
-            else:
-                accept = ratio <= 1.0
-                factor = _step_factor(ratio)
             moved = np.count_nonzero(accept)
             if moved == lane.size:
                 t, x, x_abs = t + h, x5, x5_abs
-                Z[1] = Z[7]
-                log.append((lane, t, x, -Z[7], err))
+                k1 = k7
+                log.append((lane, t, x, k1, err))
             elif moved:
                 t = np.where(accept, t + h, t)
                 x = np.where(accept, x5, x)
                 x_abs = np.where(accept, x5_abs, x_abs)
-                Z[1] = np.where(accept, Z[7], Z[1])
+                k1 = np.where(accept, k7, k1)
                 log.append((lane[accept], t[accept], x[accept],
-                            -Z[1][accept], err[accept]))
+                            k1[accept], err[accept]))
             if moved:
                 dist = direction * (t1 - t)
             done = dist <= 0.0
@@ -263,14 +289,16 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
                         "stopped_at_singularity",
                         f"step size underflow at t={ti!r}")
                 keep = ~stop
-                lane, t, x, x_abs, h_abs, h_min, dist, t1, direction = (
+                lane, t, x, x_abs, h_abs, h_min, dist, t1, direction, k1 = (
                     a[keep] for a in (lane, t, x, x_abs, h_abs, h_min, dist,
-                                      t1, direction))
-                Z = Z[:, keep]
+                                      t1, direction, k1))
+                if lane.size:
+                    sums, rows, tails = _running_sums(lane.size)
     owner = np.concatenate([rec[0] for rec in log])
     order = np.argsort(owner, kind="stable")
-    ts, xs, ds, errs = (np.concatenate([rec[j] for rec in log])[order]
+    ts, xs, fs, errs = (np.concatenate([rec[j] for rec in log])[order]
                         for j in range(1, 5))
+    ds = -fs  # x' = -f
     count = np.bincount(owner, minlength=t0.size)
     end = np.cumsum(count)
     for i, (status, message) in ends.items():
@@ -295,7 +323,8 @@ def integrate_ivp(f, t0: float, x0: float, t1: float,
     (used for convergence-order measurements, where the error controller
     would confound the step-size/error relation).
 
-    This is the one-lane case of the lockstep lane integrator.
+    rtol and atol must be non-negative.  This is the one-lane case of the
+    lockstep lane integrator.
     """
     (res,) = _integrate_lanes(f, t0, x0, t1, rtol, atol, max_steps,
                               fixed_step)
@@ -359,6 +388,10 @@ def funnel_probe(f, T: float, n: int = 201, t_floor: float = 1e-6,
     square-root-type fields: after touching x = 0 the integrator peels
     onto the opposite-sign branch instead of sticking to the trivial
     solution, so the endpoint value alone would miss the visit to zero.
+
+    spread_curve holds, for delta = 2^-1 .. 2^-spread_levels, the spread
+    of three forward legs from t0 = min(delta, T/2), x0 in {-delta, 0,
+    delta}, at T; with spread_levels=0 no forward leg runs.
     """
     if n < 3:
         raise ValueError("funnel_probe requires n >= 3")

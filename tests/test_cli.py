@@ -348,6 +348,27 @@ def test_probe_option_error_exit_two(problem_file, capsys, command, flags,
     assert captured.err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["check", "--criteria", "nagumo"],
+                                     ["funnel"], ["solve"]])
+@pytest.mark.parametrize("field,value,message", [
+    # linspace(-x_bound, x_bound) overflows
+    ("x_bound", math.inf, "x_bound must be positive with 2*x_bound finite, "
+     "got inf"),
+    ("x_bound", 1e308, "x_bound must be positive with 2*x_bound finite, "
+     "got 1e+308"),
+    # T*2^-40, the last point of the limit sequence, underflows
+    ("T", 1e-320, "T must be at least 2.446494580089078e-296, got 1e-320"),
+])
+def test_problem_grid_bounds_exit_two(problem_file, capsys, command, field,
+                                      value, message):
+    path = problem_file(dict(TX, **{field: value}))
+    code = main([command[0], "--problem", path, *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: problem: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "funnel", "suite"])
 @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

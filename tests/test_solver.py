@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference
 from odeuniq import solver
-from odeuniq.cli import load_problem
+from odeuniq.cli import load_problem, run_suite
+from odeuniq.criteria import CheckConfig
 from odeuniq.expr import Expression, parse
 from odeuniq.solver import (
     SolverDomainError,
@@ -267,6 +268,31 @@ def test_lanes_stage_failure_rejects():
     assert traj.status == "stopped_at_singularity"
 
 
+def test_lanes_zero_coefficients_carry_a_stage_failure():
+    # f is inf only near t = 0.998, the first step's stage-2 time; b5 and
+    # b4 weigh stage 2 by 0, and 0*inf = nan in the solution sums rejects
+    # the step, as the scalar loop rejects a stage failure.  Without the
+    # zero terms the step would be accepted.
+    def f(t, x):
+        return np.where(abs(t - 0.998) < 1e-4, np.inf, 1.0) * np.ones_like(x)
+
+    (traj,) = assert_lanes_match(f, [(1.0, 0.5, 1e-4)])
+    assert traj.status == "stopped_at_singularity"
+
+
+def test_lanes_zero_tolerances_reject_every_step():
+    # the scalar loop rejects a step whose error scale is not positive;
+    # with rtol = atol = -0.0 the lanes' scale must not be -0, where
+    # err/scale = -inf would accept
+    (traj,) = assert_lanes_match(f_expr("x"), [(0.0, 1.0, 1.0)],
+                                 rtol=-0.0, atol=-0.0)
+    assert traj.status == "stopped_at_singularity"
+    assert len(traj.t) == 1
+    for tol in (dict(rtol=-1e-6), dict(atol=-1e-9), dict(rtol=math.nan)):
+        with pytest.raises(ValueError, match="non-negative"):
+            integrate_ivp(f_expr("x"), 0.0, 1.0, 1.0, **tol)
+
+
 def test_lanes_step_underflow():
     (traj,) = assert_lanes_match(f_expr("exp(x)/t"), [(1.0, 0.5, 1e-4)])
     assert traj.status == "stopped_at_singularity"
@@ -284,6 +310,18 @@ def test_lanes_max_steps_exhausted():
 
 def test_lanes_callable_f():
     assert_lanes_match(lambda t, x: x / t, [(1.0, 0.7, 1e-4), (0.1, 0.2, 1.0)])
+
+
+def test_lanes_f_may_reuse_its_output():
+    # an array function that rewrites and returns one buffer per shape
+    buffers = {}
+
+    def f(t, x):
+        buf = buffers.setdefault(np.shape(t), np.empty(np.shape(t)))
+        np.multiply(t, x, out=buf)
+        return buf
+
+    assert_lanes_match(f, [(1.0, 0.7, 0.1), (0.2, 0.3, 0.9)])
 
 
 def test_lanes_fixed_step():
@@ -395,6 +433,39 @@ def test_funnel_skips_levels_failing_at_start(src, live_levels, monkeypatch):
     assert sum(math.isnan(s) for _, s in got.spread_curve) >= 8 - live_levels
     assert_same_funnel(got, scalar_reference.funnel_probe(f_expr(src), 1.0,
                                                           **kwargs))
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_funnel_without_spread_levels(path):
+    # what ``odeuniq suite`` reads of the probe does not depend on the
+    # forward spread legs
+    p = load_problem(str(path), None)
+    kwargs = dict(n=101, t_floor=1e-4 * p.T, x_bound=p.x_bound)
+    got = funnel_probe(p.f, p.T, spread_levels=0, **kwargs)
+    want = funnel_probe(p.f, p.T, **kwargs)
+    assert got.spread_curve == []
+    assert got.terminal_values.tobytes() == want.terminal_values.tobytes()
+    assert got.reaches_zero.tolist() == want.reaches_zero.tolist()
+    assert (got.basin_width, got.grid_spacing) == (want.basin_width,
+                                                   want.grid_spacing)
+    assert (got.statuses, got.failures) == (want.statuses, want.failures)
+
+
+def test_suite_launches_only_the_backward_legs(tmp_path, monkeypatch):
+    launched = []
+    lanes = solver._integrate_lanes
+
+    def counted(f, t0, *args):
+        launched.append(len(t0))
+        return lanes(f, t0, *args)
+
+    monkeypatch.setattr(solver, "_integrate_lanes", counted)
+    (tmp_path / "x_over_t.json").write_text((CORPUS / "x_over_t.json")
+                                            .read_text())
+    rows, _ = run_suite(tmp_path, CheckConfig())
+    assert launched == [101]
+    assert "funnel_basin_width" in rows[0]
 
 
 def assert_same_funnel(got, want):

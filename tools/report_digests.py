@@ -33,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 GENERALIZED_C = ("1", "3.5", "4.841", "7", "10", "50")
+# tolerances at which the solver rejects many steps
+TIGHT = ["--rtol", "1e-10", "--atol", "1e-13"]
 
 
 def _digest(data: bytes) -> str:
@@ -71,6 +73,8 @@ def matrix(dirs: list[str]) -> list[list[str]]:
         runs += [["check", "--problem", f, "--criteria", name]
                  for name in cli.CRITERIA]
         runs += [["funnel", "--problem", f], ["solve", "--problem", f],
+                 ["funnel", "--problem", f, *TIGHT],
+                 ["solve", "--problem", f, *TIGHT],
                  ["reparam", "--problem", f],
                  ["reparam", "--problem", f, "--format", "csv"]]
         runs += [["reparam", "--problem", f, "--generalized-c", c]
