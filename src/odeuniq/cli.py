@@ -68,23 +68,46 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _sanitize(obj):
-    """Make an object json-serializable and deterministic; non-finite
-    floats become their repr strings."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+def _json(obj, pad: str = "\n") -> str:
+    """obj as deterministic JSON: keys turned to str and sorted, indent 2,
+    ASCII only, numpy scalars and arrays as numbers and lists, and each
+    non-finite float as its repr string (``"nan"``, ``"inf"``, ``"-inf"``).
+    ``pad`` starts each line of the enclosing level.  These are the bytes
+    of ``json.dumps(..., sort_keys=True, indent=2)`` on the converted
+    object, without its pure-Python indenting encoder."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return x if math.isfinite(x) else repr(x)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return float.__repr__(x) if math.isfinite(x) else _json_str(repr(x))
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        lines = (_json_str(k) + ": " + _json(v, inner) for k, v in items)
+        return "{" + inner + ("," + inner).join(lines) + pad + "}"
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    return obj
+        obj = list(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            lines = map(float.__repr__, obj)  # the common table column
+        else:
+            lines = (_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(lines) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _write(path, text):
@@ -95,8 +118,7 @@ def _write(path, text):
 
 
 def _write_json(path, payload):
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
-    _write(path, text + "\n")
+    _write(path, _json(payload) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -149,9 +171,9 @@ def _config_dict(args, extra=None):
     for k, v in sorted(vars(args).items()):
         if k in skip:
             continue
-        d[k] = _sanitize(v)
+        d[k] = v
     if extra:
-        d.update(_sanitize(extra))
+        d.update(extra)
     return d
 
 

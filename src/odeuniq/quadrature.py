@@ -16,20 +16,27 @@ a panel in any batch has the bits ``integrate`` gives it alone.
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
 integrands from 0+ to every point of a grid, all members in lockstep.
 Per chunk of geometric base panels, one family call per block samples
-the members still running, and one step, ``_segments``, accepts every
-panel on which one GK15 step of ``integrate`` converges, on the (members
-x panels) array, and redoes the others of each member that has any as one
-lane batch on that member alone.  The tail decisions (``_improper``) are
-then running sums and run lengths along each member's row: the partial
-sum threshold, the run of non-decreasing panels, the capped geometric
-tail and a zero contribution, carried from chunk to chunk.  The grid
-segments of every member whose base did not diverge are one more
-``_segments`` step.  So values, errors and flags are the panel-by-panel
-loop's, bit for bit, and a redone panel's ``IntegrandError`` counts only
-if its member reaches it.  ``integrate_singular_left`` is the one-member
-case, and ``integrate_to_infinity`` runs its doubling panels through the
-same decisions.  ``tests/scalar_reference.py`` keeps the panel-at-a-time
-loop (``_tail_driver``) as the oracle.
+the members still running, and ``_settles`` marks every panel on which
+one GK15 step of ``integrate`` converges, on the (members x panels)
+array.  The tail decisions (``_improper``: the partial sum threshold, the
+run of non-decreasing panels, the capped geometric tail and a zero
+contribution) are running sums and run lengths along each member's row.
+They first read a provisional stream, in which a panel that the step does
+not settle counts with its first-pass Kronrod value and, as error, the
+tolerance its redo must meet.  A member whose provisional stream ends
+divergent on finite values ends there and redoes nothing; every other
+member redoes its unsettled panels up to its end, as one lane batch on
+that member alone, and its tests read the accepted values again.  The
+grid segments of every member whose base did not diverge are one more
+step, ``_segments``.  So every result except a divergent one has the
+values, errors and flags of the panel-by-panel loop that redid each
+unsettled panel, bit for bit, and a redone panel's ``IntegrandError``
+counts only if its member reaches it; a divergent one keeps the loop's
+flag, and its value is a sum of first-pass values that no caller reads.
+``integrate_singular_left`` is the one-member case, and
+``integrate_to_infinity`` runs its doubling panels through the same
+decisions.  ``tests/scalar_reference.py`` keeps the panel-at-a-time loop
+(``_tail_driver``) as the oracle, with and without the provisional read.
 
 The adaptive integrator runs independent integrals as lanes in lockstep;
 ``integrate`` is the one-lane case.  The whole-interval panels of all
@@ -37,9 +44,10 @@ lanes are sampled in one integrand call, and a lane that meets its
 tolerance there (most do) ends at once.  The others run as coroutines,
 one integrand call per round for the next panels of all running lanes.
 Every lane keeps the one-interval loop's heap, freeze rule, budget,
-termination test (the ``sum`` over the heap) and left-ordered reduction,
-and reproduces it bit for bit; a non-finite sample ends its lane with the
-loop's ``IntegrandError``.
+termination test (the ``sum`` over the heap, which a running total with
+a rounding bound stands in for wherever the two cannot disagree) and
+left-ordered reduction, and reproduces it bit for bit; a non-finite
+sample ends its lane with the loop's ``IntegrandError``.
 
 Integrands are array functions: ``g(x)`` maps an array of points to an
 array of x's shape, or to a value that broadcasts to it.
@@ -77,6 +85,9 @@ DEFAULT_BUDGET = 10_000
 # integrate each panel they redo with at most this adaptive budget
 MAX_PANELS = 1200
 PANEL_BUDGET = 200
+# unit roundoff of a float64 sum: one addition errs by at most this times
+# the magnitude of its result
+_ROUNDOFF = 2.0 ** -53
 
 
 class IntegrandError(Exception):
@@ -256,9 +267,17 @@ def _adapt(a: float, b: float, tol: float, budget: int, val: float,
     heap = [(-err, 0, a, b, val, err)]
     count = 1
     n_panels = 1
+    # the running error total, and a bound on its rounding drift from the
+    # heap's exact sum; the loop's own sum, in heap order, is taken only
+    # when the total lies within that drift plus the sum's own rounding of
+    # tol, so the stop decision is the loop's, and it restarts the total
+    running, drift = err, 0.0
     while n_panels < budget:
-        total_err = sum(item[5] for item in heap)
-        if total_err <= tol:
+        near = 2.0 * (drift + len(heap) * _ROUNDOFF * (running + drift))
+        if not abs(running - tol) > near:
+            running = sum(item[5] for item in heap)
+            drift = len(heap) * _ROUNDOFF * running
+        if running <= tol:
             break
         neg_err, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
@@ -274,6 +293,10 @@ def _adapt(a: float, b: float, tol: float, budget: int, val: float,
         heapq.heappush(heap, (-e2, count + 1, pm, pb, v2, e2))
         count += 2
         n_panels += 1
+        s1 = running - pe
+        s2 = s1 + e1
+        running = s2 + e2
+        drift += _ROUNDOFF * (abs(s1) + abs(s2) + abs(running))
     # deterministic reduction: sum panels ordered by left endpoint
     panels = sorted(heap, key=lambda item: item[2])
     return _reduce([p[4] for p in panels], [p[5] for p in panels], tol,
@@ -404,6 +427,26 @@ def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
         return k, np.abs(k - half * dots[..., 1])
 
 
+def _settles(k, err, tol):
+    """Where one GK15 step (values k, error estimates err) settles a panel
+    as ``integrate`` would: error within tol and no divergence flag.  Both
+    fail on non-finite samples."""
+    return (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+
+
+def _redo(alone, lo, hi, redo, tol, budget: int):
+    """``integrate`` at tol[row, j] and ``budget`` on the panels
+    [lo[j], hi[j]] marked in each row of the mask ``redo``, each row's
+    panels as one lane batch of its integrand ``alone(row)``.  Yields
+    (row, j, result), the result a QuadResult or an IntegrandError."""
+    for row in np.flatnonzero(redo.any(axis=1)).tolist():
+        bad = np.flatnonzero(redo[row])
+        for j, res in zip(bad.tolist(), _integrate_lanes(
+                alone(row), lo[bad].tolist(), hi[bad].tolist(), tol[row, bad],
+                budget)):
+            yield row, j, res
+
+
 def _segments(alone, lo, hi, k, err, tol, budget: int):
     """``integrate`` at ``tol`` (broadcast to k's shape) and ``budget`` on
     the panels [lo[j], hi[j]] of every row of the GK15 values k and error
@@ -413,19 +456,15 @@ def _segments(alone, lo, hi, k, err, tol, budget: int):
     as arrays of k's shape and, by row, the IntegrandError of each failed
     redo by index."""
     value, error = k.astype(np.float64), err.astype(np.float64)
-    # error within tol, no divergence flag: both fail on non-finite samples
-    converged = (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+    converged = _settles(k, err, tol)
     failed = {}
-    for row in np.flatnonzero(~converged.all(axis=1)).tolist():
-        bad = np.flatnonzero(~converged[row])
-        for j, res in zip(bad.tolist(), _integrate_lanes(
-                alone(row), lo[bad].tolist(), hi[bad].tolist(),
-                np.broadcast_to(tol, k.shape)[row, bad], budget)):
-            if isinstance(res, IntegrandError):
-                failed.setdefault(row, {})[j] = res
-            else:
-                value[row, j], error[row, j], converged[row, j] = (
-                    res.value, res.abs_error_estimate, res.converged)
+    for row, j, res in _redo(alone, lo, hi, ~converged,
+                             np.broadcast_to(tol, k.shape), budget):
+        if isinstance(res, IntegrandError):
+            failed.setdefault(row, {})[j] = res
+        else:
+            value[row, j], error[row, j], converged[row, j] = (
+                res.value, res.abs_error_estimate, res.converged)
     return value, error, converged, failed
 
 
@@ -437,55 +476,111 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
     (members x panels) of the members listed by an index array, and
     ``alone(i)`` is member i's integrand.  Panel k of member i is
     integrated as ``integrate`` does at the tolerance
-    0.5*tols[i]/((k+1)(k+2)) and the budget PANEL_BUDGET, a chunk of
-    panels at a time through ``_segments``.  Each member then ends at the
-    first panel that meets one of the loop's four tests, in this order:
-    the partial sum passes DIVERGENCE_SUM_THRESHOLD, or the run of
-    non-decreasing contributions reaches DIVERGENCE_PANEL_RUN (diverged);
-    the geometric tail from the last two contributions, its ratio capped
-    at 0.95, fits within tols[i] with the error sum; the contribution is
-    zero, past the first panel, and the error sum fits within tols[i]
-    (converged).  Partial sums and runs are cumulative along each row,
-    carried from chunk to chunk, so every member has the bits of the
-    panel-by-panel loop.  Returns per member its QuadResult (unconverged
-    where the panels end), or the IntegrandError of the first failed panel
-    that it reaches.
+    0.5*tols[i]/((k+1)(k+2)) and the budget PANEL_BUDGET: one GK15 step
+    settles it, or it is redone as a lane of the member alone.  Each
+    member ends at the first panel that meets one of the loop's four
+    tests, in this order: the partial sum passes DIVERGENCE_SUM_THRESHOLD,
+    or the run of non-decreasing contributions reaches
+    DIVERGENCE_PANEL_RUN (diverged); the geometric tail from the last two
+    contributions, its ratio capped at 0.95, fits within tols[i] with the
+    error sum; the contribution is zero, past the first panel, and the
+    error sum fits within tols[i] (converged).
+
+    The two divergence tests read the values alone, the two convergence
+    tests the values and the error sum.  They read each member's row from
+    its first panel, one chunk more at a time, on a provisional stream: a
+    panel's value and error where one GK15 step settles it; where it does
+    not, its first-pass Kronrod value and, as error, the panel tolerance
+    that its redo must meet (the first-pass estimate, which rejected the
+    panel, would hold off every convergence test).
+    - A member whose provisional stream ends divergent, every value up to
+      the end finite, ends there and redoes none of its panels.  Its value
+      is the provisional partial sum, which no caller reads.
+    - Any other member that has an end, or has run out of panels, redoes
+      its rejected panels up to that end, as one lane batch however many
+      chunks they span, and the tests read its stream again.  Should the
+      end move past panels still provisional, those are redone in turn; a
+      member with no end yet redoes nothing and takes the next chunk.
+    So a member that converges, runs out of panels or raises does so on
+    accepted values only, with the sums and bits of the panel-by-panel
+    loop that redid every rejected panel, and a failed redo's
+    IntegrandError counts only if the member reaches it.  The shortcut
+    cannot flip a flag: a divergent end is a partial sum past 1e12 or a
+    run of 60 non-decreasing contributions, and in a run of contributions
+    c far above tols[i] the capped ratio makes the tail 19·c >> tols[i],
+    so no convergence test can fire there on the accepted values either,
+    which a redo moves by about the first-pass error, small beside c.
+
+    Returns per member its QuadResult (unconverged where the panels end),
+    or the IntegrandError of the first failed panel that it reaches.
     """
     out = [None] * tols.size
     running = np.arange(tols.size)
-    # per running member: sums, last contribution (nan before the first
-    # panel, where no test reads it) and non-decreasing run so far
+    # per running member, over the panels taken so far: the stream (values
+    # and errors, accepted or provisional) and the panels awaiting a redo
+    c = e = np.empty((tols.size, 0))
+    todo = np.empty(c.shape, dtype=bool)
     total, err_total = np.zeros(tols.size), np.zeros(tols.size)
-    prev, run = np.full(tols.size, math.nan), np.zeros(tols.size, np.intp)
-    start, size = 0, _FIRST_CHUNK
+    stop, size = 0, _FIRST_CHUNK
     with np.errstate(all="ignore"):
-        while running.size and start < lo.size:
-            stop = min(start + size, lo.size)
-            clo, chi = lo[start:stop], hi[start:stop]
-            k, err = rule(running, clo, chi)
-            n = np.arange(start + 1, stop + 1)  # panels taken so far
+        while running.size and stop < lo.size:
+            start, stop = stop, min(stop + size, lo.size)
+            k, err = rule(running, lo[start:stop], hi[start:stop])
+            n = np.arange(1, stop + 1)  # panels taken so far
+            j = n - 1
             tol = tols[running, None]
             # 1/(k+1)(k+2) sums to 1: panel tolerances sum below tol/2
             ptol = np.maximum(0.5 * tol / (n * (n + 1)), 1e-300)
-            c, e, _, failed = _segments(lambda row: alone(running[row]), clo,
-                                        chi, k, err, ptol, PANEL_BUDGET)
-            # the loop's running sums, added one panel at a time
-            tot = np.add.accumulate(_prepend(total, c), axis=1)[:, 1:]
-            etot = np.add.accumulate(_prepend(err_total, e), axis=1)[:, 1:]
-            ac, ap = np.abs(c), np.abs(_prepend(prev, c[:, :-1]))
-            grows = (ac >= ap * (1.0 - 1e-12)) & (ac > 0.0)
-            j = np.arange(stop - start)
-            reset = np.maximum.accumulate(np.where(grows, -1, j), axis=1)
-            runs = np.where(reset < 0, run[:, None] + j + 1, j - reset)
-            r = np.minimum(ac / ap, 0.95)
-            tail = ac * r / (1.0 - r)
-            diverged = (np.abs(tot) > DIVERGENCE_SUM_THRESHOLD) | (
-                runs >= DIVERGENCE_PANEL_RUN)
-            tailed = (ac < ap) & (tail + etot <= tol)
-            ends = diverged | tailed | ((ac == 0.0) & (n >= 2) & (etot <= tol))
-            for row, errs in failed.items():
-                ends[row, min(errs):] = False  # the loop raises there
-            first, keep = np.argmax(ends, axis=1), ~ends.any(axis=1)
+            waits = ~_settles(k, err, ptol[:, start:])
+            c = np.concatenate((c, k), axis=1)
+            e = np.concatenate((e, np.where(waits, ptol[:, start:], err)),
+                               axis=1)
+            todo = np.concatenate((todo, waits), axis=1)
+            failed = {}
+            while True:
+                # the loop's running sums, added one panel at a time from
+                # 0.0 (+ 0.0 turns a sum of -0.0 panels into the loop's 0.0)
+                tot = np.add.accumulate(c, axis=1) + 0.0
+                etot = np.add.accumulate(e, axis=1)  # errors are >= +0.0
+                ac = np.abs(c)
+                ap = np.full(c.shape, math.nan)  # no panel before the first
+                ap[:, 1:] = ac[:, :-1]
+                grows = (ac >= ap * (1.0 - 1e-12)) & (ac > 0.0)
+                reset = np.maximum.accumulate(np.where(grows, -1, j), axis=1)
+                runs = j - reset  # panel 0 never grows: reset >= 0
+                r = np.minimum(ac / ap, 0.95)
+                tail = ac * r / (1.0 - r)
+                diverged = (np.abs(tot) > DIVERGENCE_SUM_THRESHOLD) | (
+                    runs >= DIVERGENCE_PANEL_RUN)
+                tailed = (ac < ap) & (tail + etot <= tol)
+                ends = diverged | tailed | (
+                    (ac == 0.0) & (n >= 2) & (etot <= tol))
+                for row, errs in failed.items():
+                    ends[row, min(errs):] = False  # the loop raises there
+                first, keep = np.argmax(ends, axis=1), ~ends.any(axis=1)
+                # a member needs accepted values up to its end; with none,
+                # up to the last panel once the panels run out, else none
+                # yet ...
+                reach = np.where(keep, j[-1] if stop == lo.size else -1, first)
+                need = todo & (j <= reach[:, None])
+                if need.any():
+                    # ... unless its stream diverges there on finite values
+                    rows = np.arange(first.size)
+                    finite = np.logical_and.accumulate(np.isfinite(c), axis=1)
+                    need[~keep & diverged[rows, first]
+                         & finite[rows, first]] = False
+                    for row, errs in failed.items():
+                        need[row, min(errs):] = False
+                if not need.any():
+                    break
+                for row, jj, res in _redo(lambda row: alone(running[row]),
+                                          lo, hi, need, ptol, PANEL_BUDGET):
+                    if isinstance(res, IntegrandError):
+                        failed.setdefault(row, {})[jj] = res
+                    else:
+                        c[row, jj], e[row, jj] = (res.value,
+                                                  res.abs_error_estimate)
+                todo &= ~need
             for row in np.flatnonzero(~keep).tolist():
                 jj = first[row]
                 value, error = float(tot[row, jj]), float(etot[row, jj])
@@ -494,24 +589,18 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
                     error += float(tail[row, jj])
                 out[running[row]] = QuadResult(
                     value, error, not diverged[row, jj],
-                    bool(diverged[row, jj]), start + int(jj) + 1)
+                    bool(diverged[row, jj]), int(jj) + 1)
             for row, errs in failed.items():
                 if keep[row]:
                     out[running[row]] = errs[min(errs)]
                     keep[row] = False
-            running = running[keep]
+            running, c, e, todo = running[keep], c[keep], e[keep], todo[keep]
             total, err_total = tot[keep, -1], etot[keep, -1]
-            prev, run = c[keep, -1], runs[keep, -1]
-            start, size = stop, 2 * size
+            size *= 2
     for i, value, error in zip(running.tolist(), total.tolist(),
                                err_total.tolist()):
         out[i] = QuadResult(value, error, False, False, lo.size)
     return out
-
-
-def _prepend(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows with column[i] put in front of row i."""
-    return np.concatenate((column[:, None], rows), axis=1)
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:

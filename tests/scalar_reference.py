@@ -12,7 +12,13 @@ per-segment adaptive integrals of the H2 and Osgood sweeps.
 ``to_infinity`` is the doubling-panel loop that ``integrate_to_infinity``
 was before it shared the sweep's batched panels.  All three end through
 ``_tail_driver``, the panel-at-a-time convergence and divergence tests
-that the sweep now takes on a (members x panels) array.
+that the sweep now takes on a (members x panels) array: the tests read a
+provisional stream first, and a panel is redone only when a result needs
+its accepted value (``_improper`` states the rule).
+
+``json_report`` is the CLI's JSON writer as it was before it wrote the
+text itself: a sanitizing walk (``sanitize``) and ``json.dumps`` with
+sorted keys and indent 2.
 
 ``integrate_ivp``, ``funnel_probe`` and ``forward_spread`` are the one-leg-
 at-a-time Dormand-Prince loop and probes that the solver's lockstep lane
@@ -28,6 +34,7 @@ before it became the compiled kernel at one point.  It computes in ``math``,
 so tests require agreement to rounding, and the same domain errors.
 """
 import heapq
+import json
 import math
 
 import numpy as np
@@ -340,19 +347,65 @@ def exp_reparam_check(u, rep, c=None, n_tau=50):
 # ---------------------------------------------------------------------------
 # geometric panels and sweeps
 
-def _tail_driver(contribs_iter, tol: float):
+def _tail_driver(panels, tol: float, eager: bool = False):
     """Convergence and divergence tests of the improper-integral loops, one
-    panel at a time.
+    panel at a time, on a provisional stream.
 
-    ``contribs_iter`` yields (contribution, error_estimate) per panel toward
-    the improper endpoint; the result is unconverged where it ends.
+    ``panels`` yields per panel toward the improper endpoint its first-pass
+    (value, error estimate) and ``redo``: None when the first pass settles
+    the panel, else a function giving the panel's accepted (value, error
+    estimate), or raising its IntegrandError.  The tests read the stream
+    until it ends or the panels run out.  A stream that ends divergent on
+    finite values is the result; otherwise every panel up to its end that
+    still waits is redone, in order, and the tests read the stream again.
+    A failed redo ends the stream before that panel: a result there, or
+    the error.  The result is unconverged where the panels end.
+
+    With ``eager`` each panel is redone as soon as it is read, as the loop
+    did before it read a provisional stream.
     """
+    stream, redos = [], []
+    panels = iter(panels)
+    if eager:
+        panels = ((*redo(), None) if redo else (value, err, None)
+                  for value, err, redo in panels)
+    while True:
+        res = _tail_tests(stream, redos, panels, tol, math.inf)
+        n = res.subdivisions
+        waiting = [i for i in range(n) if redos[i] is not None]
+        if not waiting or res.diverged and all(
+                math.isfinite(v) for v, _ in stream[:n]):
+            return res
+        for i in waiting:
+            try:
+                stream[i] = redos[i]()
+            except IntegrandError:
+                early = _tail_tests(stream, redos, panels, tol, i)
+                if early is None:
+                    raise
+                return early
+            redos[i] = None
+
+
+def _tail_tests(stream, redos, panels, tol: float, limit):
+    """The loop's four tests on the first panels of ``stream``, taking more
+    from ``panels`` as needed: the result at the first panel that meets
+    one, or where the panels run out; None when none of the first
+    ``limit`` panels meets one."""
     total = 0.0
     err_total = 0.0
     nondecreasing_run = 0
     prev = None
     n = 0
-    for contrib, err in contribs_iter:
+    while n < limit:
+        if n == len(stream):
+            try:
+                value, err, redo = next(panels)
+            except StopIteration:
+                return QuadResult(total, err_total, False, False, n)
+            stream.append((value, err))
+            redos.append(redo)
+        contrib, err = stream[n]
         n += 1
         total += contrib
         err_total += err
@@ -378,27 +431,50 @@ def _tail_driver(contribs_iter, tol: float):
             if err_total <= tol:
                 return QuadResult(total, err_total, True, False, n)
         prev = contrib
-    return QuadResult(total, err_total, False, False, n)
+    return None
 
 
-def singular_left(g, b, tol, budget=10_000, max_panels=1200):
-    """int_0+^b g, one adaptive ``integrate`` call per geometric panel."""
+def _panel(g, a: float, b: float, tol: float, budget: int):
+    """One panel of the improper-integral loops as (value, error, redo):
+    the first GK15 pass on [a, b] (a non-finite value on a non-finite
+    sample) with its error estimate and no redo when it settles the panel
+    at ``tol``; else its value, ``tol`` and the adaptive ``integrate``
+    that redoes it."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        y = _eval_vectorized(g, mid + half * _NODES)
+        k = half * float(np.dot(_W_KRONROD, y))
+        err = abs(k - half * float(np.dot(_W_GAUSS, y)))
+    if err <= tol and abs(k) <= DIVERGENCE_SUM_THRESHOLD:
+        return k, err, None
+
+    def redo():
+        res = integrate(g, a, b, tol=tol, budget=budget)
+        return res.value, res.abs_error_estimate
+
+    return k, tol, redo
+
+
+def singular_left(g, b, tol, budget=10_000, max_panels=1200, eager=False):
+    """int_0+^b g, one adaptive ``integrate`` call per geometric panel
+    that one GK15 step does not settle and the tests need (every such
+    panel, if ``eager``)."""
 
     def panels():
         hi = b
         for k in range(max_panels):
             lo = hi * 0.5
             ptol = 0.5 * tol / ((k + 1) * (k + 2))
-            res = integrate(g, lo, hi, tol=max(ptol, 1e-300),
-                            budget=min(budget, 200))
-            yield res.value, res.abs_error_estimate
+            yield _panel(g, lo, hi, max(ptol, 1e-300), min(budget, 200))
             hi = lo
 
-    return _tail_driver(panels(), tol)
+    return _tail_driver(panels(), tol, eager)
 
 
-def to_infinity(g, a, tol, max_panels=1200):
-    """int_a^inf g, one adaptive ``integrate`` call per doubling panel."""
+def to_infinity(g, a, tol, max_panels=1200, eager=False):
+    """int_a^inf g, one adaptive ``integrate`` call per doubling panel
+    that one GK15 step does not settle and the tests need (every such
+    panel, if ``eager``)."""
 
     def panels():
         lo = a
@@ -406,12 +482,11 @@ def to_infinity(g, a, tol, max_panels=1200):
         for k in range(max_panels):
             hi = lo + width
             ptol = 0.5 * tol / ((k + 1) * (k + 2))
-            res = integrate(g, lo, hi, tol=max(ptol, 1e-300), budget=200)
-            yield res.value, res.abs_error_estimate
+            yield _panel(g, lo, hi, max(ptol, 1e-300), 200)
             lo = hi
             width *= 2.0
 
-    return _tail_driver(panels(), tol)
+    return _tail_driver(panels(), tol, eager)
 
 
 def sweep(g, grid, tol):
@@ -429,6 +504,33 @@ def sweep(g, grid, tol):
         values.append(total)
         converged.append(seg.converged)
     return base, np.array(values), np.array(converged)
+
+
+# ---------------------------------------------------------------------------
+# JSON reports
+
+def sanitize(obj):
+    """Make an object json-serializable and deterministic; non-finite
+    floats become their repr strings."""
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [sanitize(v) for v in obj.tolist()]
+    return obj
+
+
+def json_report(obj) -> str:
+    """The text of a JSON report of obj, without its final newline."""
+    return json.dumps(sanitize(obj), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import odeuniq
+import scalar_reference
 from odeuniq import cli, criteria
 from odeuniq.cli import main
 from odeuniq.criteria import CheckConfig, check_nagumo, ProblemSpec
@@ -115,7 +118,7 @@ def test_check_report_matches_library(problem_file, tmp_path):
           "--criteria", "nagumo", "--out", out])
     payload = json.loads(open(out).read())
     lib = check_nagumo(ProblemSpec.from_dict(TX), CheckConfig()).to_dict()
-    assert payload["reports"][0] == cli._sanitize(lib)
+    assert payload["reports"][0] == scalar_reference.sanitize(lib)
 
 
 def test_check_deterministic_bytes(problem_file, tmp_path):
@@ -125,6 +128,35 @@ def test_check_deterministic_bytes(problem_file, tmp_path):
     main(argv + ["--out", a])
     main(argv + ["--out", b])
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# every kind of value a report holds, and the numpy kinds the writer turns
+# into them: non-ASCII text, -0.0, nan and infinities, empty containers,
+# keys that are not strings, numpy scalars and arrays
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3).map(
+        lambda v: np.array(v, dtype=float).reshape(-1, 2)),
+    st.lists(st.integers(-9, 9), max_size=4).map(np.array),
+    st.lists(st.booleans(), max_size=4).map(np.array))
+_REPORTS = st.recursive(_SCALARS | _ARRAYS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(_FLOATS, max_size=8),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text() | st.integers(), inner, max_size=5)),
+    max_leaves=25)
+
+
+@given(_REPORTS)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_bytes(report):
+    # the writer gives the bytes of json.dumps over the old sanitizing walk
+    assert cli._json(report) == scalar_reference.json_report(report)
 
 
 # ---------------------------------------------------------------------------

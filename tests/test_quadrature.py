@@ -1,7 +1,9 @@
 """Adaptive quadrature against closed-form oracles."""
+import builtins
 import json
 import math
 import struct
+import time
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
-from odeuniq import criteria, quadrature
+from odeuniq import criteria, quadrature, reparam
+from odeuniq.expr import parse
 from odeuniq.quadrature import (
     _W_GAUSS,
     _W_KRONROD,
@@ -159,6 +162,17 @@ def test_singular_left_matches_panel_loop(g, b):
     assert _bits(res) == _bits(ref)
 
 
+def test_negative_zero_panels_sum_to_zero():
+    # the loop adds each panel to a total that starts at 0.0, so panels of
+    # -0.0 end in the zero-contribution test with the value 0.0, not -0.0
+    def g(w):
+        return np.full_like(w, -0.0)
+
+    res = integrate_singular_left(g, 1.0, tol=1e-12)
+    assert _bits(res) == _bits(scalar_reference.singular_left(g, 1.0, 1e-12))
+    assert res.converged and math.copysign(1.0, res.value) == 1.0
+
+
 def _power_family(powers):
     powers = np.asarray(powers, dtype=float)
 
@@ -235,10 +249,9 @@ def test_rejected_panel_past_the_stop_does_not_raise():
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
-    # GK15 never meets the panel tolerance on 1/w: every base panel is
-    # rejected, and the divergence run stops _tail_driver inside the first
-    # chunk, so its panels are redone by one lane call, not one per panel
+def _count_lanes(monkeypatch):
+    """The number of panels of each call of the lane integrator, which
+    redoes the panels that one GK15 step does not settle."""
     calls = []
     lanes = quadrature._integrate_lanes
 
@@ -248,13 +261,63 @@ def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_integrate_lanes", counted)
     monkeypatch.setattr(quadrature, "integrate", None)  # no one-lane redo
+    return calls
+
+
+def test_rejected_base_panels_redone_once_per_chunk(monkeypatch):
+    # GK15 never meets the panel tolerance on 1/w: every base panel is
+    # rejected; the provisional stream of first-pass values ends in the
+    # divergence run inside the first chunk, so no panel is redone (63 of
+    # 64 were, in one lane call, before the stream was provisional)
+    calls = _count_lanes(monkeypatch)
     g = DIVERGENT_CASES[0]
     res = integrate_singular_left(g, 1.0, tol=1e-10)
     ref = scalar_reference.singular_left(g, 1.0, tol=1e-10)
     assert res.diverged and res.subdivisions == ref.subdivisions
-    # 63 of the chunk's 64 panels, where the loop redid 60 of its 61
-    (n_redone,) = calls
-    assert res.subdivisions - 1 <= n_redone <= quadrature._FIRST_CHUNK
+    assert calls == []
+
+
+def _inv_lambda_of_u(u):
+    """1/lambda for the gauge lambda = u/u' of Constantin's reduction, the
+    integrand of build_tau's tau_plus."""
+    _, lam = criteria.reduce_to_constantin(parse(u, {"t"}))
+    return reparam._inv_lam_fn(lam)
+
+
+@pytest.mark.parametrize("g", [
+    lambda w: w**-1.5,
+    _inv_lambda_of_u("t^1.652*exp(t)"),
+], ids=["w^-1.5", "u=t^1.652*exp(t)"])
+def test_divergent_tail_redoes_no_panel(g, monkeypatch):
+    # as 1/w above: w^-1.5 ends past the sum threshold, and 1/lambda =
+    # 1.652/t + 1 shrinks toward 1.652*log 2 per panel and ends in the
+    # non-decreasing run inside the second chunk.  Each stays divergent on
+    # first-pass values alone, and no panel is redone
+    calls = _count_lanes(monkeypatch)
+    res = integrate_singular_left(g, 1.0, tol=1e-10)
+    assert res.diverged and not res.converged
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol,lanes", [(1e-10, [24]), (1e-12, [27])])
+def test_plateau_converges_with_the_eager_bits(tol, lanes, monkeypatch):
+    # 1/(w + 1e-8) gives nearly log 2 on each panel for 27 octaves, every
+    # one a little less than the last (so no divergence run), then halves
+    # and converges to log1p(1e8).  The panels that one GK15 step rejects
+    # are redone once, up to the end, as one lane batch (at 1e-12 the end
+    # lies in the second chunk, past the first's rejected panels), and the
+    # result has the bits of the loop that redid each panel as it read it
+    calls = _count_lanes(monkeypatch)
+
+    def g(w):
+        return 1.0 / (w + 1e-8)
+
+    res = integrate_singular_left(g, 1.0, tol=tol)
+    assert res.converged
+    assert res.value == pytest.approx(math.log1p(1e8), rel=1e-14)
+    assert _bits(res) == _bits(
+        scalar_reference.singular_left(g, 1.0, tol, eager=True))
+    assert calls == lanes
 
 
 @pytest.mark.parametrize("name", ["tx", "linear"])
@@ -302,6 +365,23 @@ def test_to_infinity_matches_panel_loop(g, a, tol):
     # result, or the error the loop met, has the loop's bits
     assert _outcome(integrate_to_infinity, g, a, tol) == \
         _outcome(scalar_reference.to_infinity, g, a, tol)
+
+
+@pytest.mark.parametrize("loop,g,end", [
+    *[(scalar_reference.singular_left, g, b) for g, b, _ in SINGULAR_CASES],
+    *[(scalar_reference.singular_left, g, 1.0) for g in DIVERGENT_CASES[::2]],
+    (scalar_reference.singular_left, lambda w: 1.0 / (w + 1e-8), 1.0),
+    *[(scalar_reference.to_infinity, g, a) for g, a in TAIL_CASES]])
+def test_provisional_stream_keeps_the_eager_result(loop, g, end):
+    # reading first-pass values first moves no convergent or unconverged
+    # result by a bit, raises the same errors and flips no flag, against
+    # the loop that redid every rejected panel as it read it
+    lazy = _outcome(loop, g, end, 1e-12)
+    eager = _outcome(loop, g, end, 1e-12, eager=True)
+    if eager[0] != "IntegrandError" and eager[2]:  # diverged
+        assert lazy[0] != "IntegrandError" and lazy[2]
+    else:
+        assert lazy == eager
 
 
 def test_to_infinity_stops_where_the_panels_overflow():
@@ -415,6 +495,31 @@ def test_lanes_match_scalar_integrate(name, lanes, budget, own_tol):
             ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
             assert _lane_outcome(res) == ref
             assert _outcome(integrate, g, ai, bi, tol, budget) == ref
+
+
+def test_exhausted_budget_sums_the_heap_only_near_tol(monkeypatch):
+    # 1/(|x - 4/3| + 1e-300) never meets tol = 1e-9 and takes the whole
+    # budget of 10^4 splits.  The loop summed its heap at every split (about
+    # 2 s here); the running error total takes that sum only when it lies
+    # near tol, and the result keeps the loop's bits (scalar_reference's
+    # integrate gives them too, in about 2 s, so they are pinned here)
+    sums = []
+
+    def counted(items, start=0):
+        sums.append(1)
+        return builtins.sum(items, start)
+
+    monkeypatch.setattr(quadrature, "sum", counted, raising=False)
+    t0 = time.perf_counter()
+    res = integrate(lambda x: 1.0 / (np.abs(x - 4.0 / 3.0) + 1e-300),
+                    1.0, 2.0, tol=1e-9)
+    elapsed = time.perf_counter() - t0
+    assert (res.value.hex(), res.abs_error_estimate.hex(), res.converged,
+            res.diverged, res.subdivisions) == (
+        "0x1.247eee0830d77p+6", "0x1.c163d36258000p-26", False, False, 10_000)
+    # the final reduction's two sums and a few of the heap's
+    assert len(sums) <= 5
+    assert elapsed < 1.0  # about 0.2 s on a 2-core x86-64 host
 
 
 def test_lanes_report_errors_per_lane():

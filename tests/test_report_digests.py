@@ -1,4 +1,6 @@
-"""``tools/report_digests.py --compare`` on small hand-written digest files."""
+"""``tools/report_digests.py``: ``--compare`` on small hand-written digest
+files, and ``--timings`` on a two-invocation matrix."""
+import importlib.util
 import json
 import subprocess
 import sys
@@ -57,3 +59,30 @@ def test_an_invocation_in_one_file_is_printed(tmp_path):
     assert run.stdout == ("funnel --problem p.json: only in one file\n"
                           "reparam --problem p.json: only in one file\n"
                           "2 of 4 invocations differ\n")
+
+
+def test_timings_go_to_their_own_file(tmp_path, monkeypatch):
+    # two runs of a small matrix: each writes every invocation's seconds to
+    # its timings file, and the digest files, which hold no time, are equal
+    spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argvs = [["check", "--problem", "corpus/tx.json", "--criteria", "nagumo"],
+             ["reparam", "--problem", "corpus/tx.json"]]
+    monkeypatch.setattr(tool, "SEEDS", ())
+    monkeypatch.setattr(tool, "matrix", lambda dirs: argvs)
+    for run in ("a", "b"):
+        assert tool.main([str(tmp_path / f"{run}.json"), "--timings",
+                          str(tmp_path / f"{run}_times.json")]) == 0
+    keys = {" ".join(argv) for argv in argvs}
+    digests = json.loads((tmp_path / "a.json").read_text())
+    assert digests.keys() == keys
+    assert all(record["exit"] == 0 for record in digests.values())
+    for run in ("a", "b"):
+        times = json.loads((tmp_path / f"{run}_times.json").read_text())
+        assert times.keys() == keys
+        assert all(isinstance(s, float) and s > 0.0 for s in times.values())
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "b.json").read_bytes()
+    assert tool.main(["--compare", str(tmp_path / "a.json"),
+                      str(tmp_path / "b.json")]) == 0

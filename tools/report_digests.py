@@ -1,6 +1,6 @@
 """Digest every report of a fixed command matrix, to compare two versions.
 
-Usage: python tools/report_digests.py OUT.json
+Usage: python tools/report_digests.py OUT.json [--timings TIMES.json]
        python tools/report_digests.py --compare OLD.json NEW.json
 
 Runs ``odeuniq.cli.main`` in process, from whichever ``odeuniq`` is on
@@ -13,7 +13,11 @@ equal digests mean byte-identical reports.  All inputs and reports live
 in a temporary directory, addressed by paths relative to it, so that the
 paths echoed in the reports are the same on every run.
 
-With ``--compare`` it reads two such files instead and prints each
+With ``--timings`` it also writes each invocation's wall seconds to
+TIMES.json, keyed as in OUT.json.  Times stay out of OUT.json, so two
+digest files of the same reports are equal however long the runs took.
+
+With ``--compare`` it reads two digest files instead and prints each
 invocation whose exit code or any digest differs, or that only one file
 has; it exits 1 if any does, 0 otherwise.
 """
@@ -28,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,11 +109,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(argv[1], argv[2])
+    timings = None
+    if len(argv) == 3 and argv[1] == "--timings":
+        argv, timings = argv[:1], Path(argv[2]).resolve()
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     dest = Path(argv[0]).resolve()
-    results = {}
+    results, seconds = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "corpus", Path(tmp) / "corpus")
         dirs = ["corpus"]
@@ -125,10 +133,15 @@ def main(argv=None) -> int:
         os.chdir(tmp)
         try:
             for argv_ in matrix(dirs):
-                results[" ".join(argv_)] = run(argv_)
+                key, t0 = " ".join(argv_), time.perf_counter()
+                results[key] = run(argv_)
+                seconds[key] = time.perf_counter() - t0
         finally:
             os.chdir(cwd)
     dest.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    if timings is not None:
+        timings.write_text(json.dumps(seconds, indent=1, sort_keys=True)
+                           + "\n")
     print(f"{len(results)} invocations -> {dest}")
     return 0
 
