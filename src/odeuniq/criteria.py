@@ -36,7 +36,6 @@ import numpy as np
 from .expr import Bin, EvalDomainError, Expression, parse
 from .quadrature import (
     IntegrandError, integrate, integrate_singular_left, sweep_singular_left)
-from .rootfind import _bisect_lanes
 
 __all__ = [
     "ProblemSpec",
@@ -779,37 +778,6 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
         margin_discrepancies=discrepancies,
         max_discrepancy=max_d,
     )
-
-
-# ---------------------------------------------------------------------------
-# inverting an increasing gauge
-
-def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
-    """t in [t_lo, T] with u(t) = target for each of the array ``targets``
-    (same shape): one lane bisection of the compiled increasing gauge u.
-    A target outside [u(t_lo), u(T)] raises ValueError, a non-finite u met
-    by the bisection EvalDomainError, a lane that runs out of halvings
-    ConvergenceError."""
-    flat = np.asarray(targets, dtype=np.float64).ravel()
-    u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
-    for target in flat.tolist():
-        if not (u_lo <= target <= u_hi):
-            raise ValueError(f"u-value {target!r} outside the gauge range")
-
-    def residual(ts, lanes):
-        # u(t_lo) - target <= 0 <= u(T) - target: every bracket holds a root
-        r = (u_fn(np.array(ts)) - flat[lanes]).tolist()
-        bad = [ti for ri, ti in zip(r, ts) if not math.isfinite(ri)]
-        if bad:
-            raise EvalDomainError(f"u is not finite at t={bad[0]!r}")
-        return r
-
-    n = flat.size
-    roots = _bisect_lanes(residual, [t_lo] * n, [T] * n, rtol)
-    failed = next((r for r in roots if isinstance(r, Exception)), None)
-    if failed is not None:
-        raise failed
-    return np.reshape(roots, np.shape(targets))
 
 
 # ---------------------------------------------------------------------------

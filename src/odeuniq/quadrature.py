@@ -18,21 +18,24 @@ integrands from 0+ to every point of a grid, all members in lockstep.
 Per chunk of geometric base panels, one family call per block samples
 the members still running, and ``_settles`` marks every panel on which
 one GK15 step of ``integrate`` converges, on the (members x panels)
-array.  The tail decisions (``_improper``: the partial sum threshold, the
-run of non-decreasing panels, the capped geometric tail and a zero
-contribution) are running sums and run lengths along each member's row.
-They first read a provisional stream, in which a panel that the step does
-not settle counts with its first-pass Kronrod value and, as error, the
-tolerance its redo must meet.  A member whose provisional stream ends
-divergent on finite values ends there and redoes nothing; every other
-member redoes its unsettled panels up to its end, as one lane batch on
-that member alone, and its tests read the accepted values again.  The
-grid segments of every member whose base did not diverge are one more
-step, ``_segments``.  So every result except a divergent one has the
-values, errors and flags of the panel-by-panel loop that redid each
-unsettled panel, bit for bit, and a redone panel's ``IntegrandError``
-counts only if its member reaches it; a divergent one keeps the loop's
-flag, and its value is a sum of first-pass values that no caller reads.
+array.  A member's base integral (``_improper``) ends at the first panel
+of its row that has an end, all ends one mask: a failed redo of the panel
+(its IntegrandError, read first), the four tail tests (the partial sum
+threshold, the run of non-decreasing panels, the capped geometric tail
+and a zero contribution, running sums and run lengths along the row), or
+the last panel once the panels run out (unconverged).  The tests first
+read a provisional stream, in which a panel that the step does not settle
+counts with its first-pass Kronrod value and, as error, the tolerance its
+redo must meet.  A member whose provisional stream ends divergent on
+finite values ends there and redoes nothing; every other member redoes
+its unsettled panels up to its end, as one lane batch on that member
+alone, and its ends are read again.  The grid segments of every member
+whose base did not diverge are one more step, ``_segments``.  So every
+result except a divergent one has the values, errors and flags of the
+panel-by-panel loop that redid each unsettled panel, bit for bit, and a
+redone panel's ``IntegrandError`` counts only if its member reaches it; a
+divergent one keeps the loop's flag, and its value is a sum of first-pass
+values that no caller reads.
 ``integrate_singular_left`` is the one-member case, and
 ``integrate_to_infinity`` runs its doubling panels through the same
 decisions.  ``tests/scalar_reference.py`` keeps the panel-at-a-time loop
@@ -477,14 +480,19 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
     ``alone(i)`` is member i's integrand.  Panel k of member i is
     integrated as ``integrate`` does at the tolerance
     0.5*tols[i]/((k+1)(k+2)) and the budget PANEL_BUDGET: one GK15 step
-    settles it, or it is redone as a lane of the member alone.  Each
-    member ends at the first panel that meets one of the loop's four
-    tests, in this order: the partial sum passes DIVERGENCE_SUM_THRESHOLD,
-    or the run of non-decreasing contributions reaches
-    DIVERGENCE_PANEL_RUN (diverged); the geometric tail from the last two
-    contributions, its ratio capped at 0.95, fits within tols[i] with the
-    error sum; the contribution is zero, past the first panel, and the
-    error sum fits within tols[i] (converged).
+    settles it, or it is redone as a lane of the member alone.
+
+    A member ends at the first panel that has an end, one ``ends`` mask
+    over its row.  The ends, in the order they are read at one panel:
+    - a failed redo: the IntegrandError of the panel, as the loop raises
+      before it tests the panel;
+    - the loop's four tests: the partial sum passes
+      DIVERGENCE_SUM_THRESHOLD, or the run of non-decreasing contributions
+      reaches DIVERGENCE_PANEL_RUN (diverged); the geometric tail from the
+      last two contributions, its ratio capped at 0.95, fits within
+      tols[i] with the error sum; the contribution is zero, past the first
+      panel, and the error sum fits within tols[i] (converged);
+    - the last panel, once the panels run out (unconverged).
 
     The two divergence tests read the values alone, the two convergence
     tests the values and the error sum.  They read each member's row from
@@ -496,23 +504,22 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
     - A member whose provisional stream ends divergent, every value up to
       the end finite, ends there and redoes none of its panels.  Its value
       is the provisional partial sum, which no caller reads.
-    - Any other member that has an end, or has run out of panels, redoes
-      its rejected panels up to that end, as one lane batch however many
-      chunks they span, and the tests read its stream again.  Should the
-      end move past panels still provisional, those are redone in turn; a
-      member with no end yet redoes nothing and takes the next chunk.
+    - Any other member that has an end redoes its rejected panels up to
+      that end, as one lane batch however many chunks they span, and the
+      ends are read again.  Should the end move past panels still
+      provisional, those are redone in turn; a member with no end yet
+      redoes nothing and takes the next chunk.
     So a member that converges, runs out of panels or raises does so on
     accepted values only, with the sums and bits of the panel-by-panel
     loop that redid every rejected panel, and a failed redo's
-    IntegrandError counts only if the member reaches it.  The shortcut
+    IntegrandError counts only if no end comes before it.  The shortcut
     cannot flip a flag: a divergent end is a partial sum past 1e12 or a
     run of 60 non-decreasing contributions, and in a run of contributions
     c far above tols[i] the capped ratio makes the tail 19·c >> tols[i],
     so no convergence test can fire there on the accepted values either,
     which a redo moves by about the first-pass error, small beside c.
 
-    Returns per member its QuadResult (unconverged where the panels end),
-    or the IntegrandError of the first failed panel that it reaches.
+    Returns per member its QuadResult or its IntegrandError.
     """
     out = [None] * tols.size
     running = np.arange(tols.size)
@@ -520,10 +527,9 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
     # and errors, accepted or provisional) and the panels awaiting a redo
     c = e = np.empty((tols.size, 0))
     todo = np.empty(c.shape, dtype=bool)
-    total, err_total = np.zeros(tols.size), np.zeros(tols.size)
     stop, size = 0, _FIRST_CHUNK
     with np.errstate(all="ignore"):
-        while running.size and stop < lo.size:
+        while running.size:
             start, stop = stop, min(stop + size, lo.size)
             k, err = rule(running, lo[start:stop], hi[start:stop])
             n = np.arange(1, stop + 1)  # panels taken so far
@@ -536,7 +542,9 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
             e = np.concatenate((e, np.where(waits, ptol[:, start:], err)),
                                axis=1)
             todo = np.concatenate((todo, waits), axis=1)
-            failed = {}
+            # the panels whose redo failed, and their errors by (row, panel);
+            # a member with one ends in this chunk
+            bad, failed = np.zeros(c.shape, dtype=bool), {}
             while True:
                 # the loop's running sums, added one panel at a time from
                 # 0.0 (+ 0.0 turns a sum of -0.0 panels into the loop's 0.0)
@@ -553,53 +561,43 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
                 diverged = (np.abs(tot) > DIVERGENCE_SUM_THRESHOLD) | (
                     runs >= DIVERGENCE_PANEL_RUN)
                 tailed = (ac < ap) & (tail + etot <= tol)
-                ends = diverged | tailed | (
-                    (ac == 0.0) & (n >= 2) & (etot <= tol))
-                for row, errs in failed.items():
-                    ends[row, min(errs):] = False  # the loop raises there
+                conv = tailed | ((ac == 0.0) & (n >= 2) & (etot <= tol))
+                ends = diverged | conv | bad
+                if stop == lo.size:
+                    ends[:, -1] = True  # the panels run out
                 first, keep = np.argmax(ends, axis=1), ~ends.any(axis=1)
-                # a member needs accepted values up to its end; with none,
-                # up to the last panel once the panels run out, else none
-                # yet ...
-                reach = np.where(keep, j[-1] if stop == lo.size else -1, first)
-                need = todo & (j <= reach[:, None])
+                # a member needs accepted values up to its end ...
+                need = todo & (j <= np.where(keep, -1, first)[:, None])
                 if need.any():
                     # ... unless its stream diverges there on finite values
                     rows = np.arange(first.size)
                     finite = np.logical_and.accumulate(np.isfinite(c), axis=1)
-                    need[~keep & diverged[rows, first]
-                         & finite[rows, first]] = False
-                    for row, errs in failed.items():
-                        need[row, min(errs):] = False
+                    need[diverged[rows, first] & finite[rows, first]] = False
                 if not need.any():
                     break
                 for row, jj, res in _redo(lambda row: alone(running[row]),
                                           lo, hi, need, ptol, PANEL_BUDGET):
                     if isinstance(res, IntegrandError):
-                        failed.setdefault(row, {})[jj] = res
+                        bad[row, jj], failed[row, jj] = True, res
                     else:
                         c[row, jj], e[row, jj] = (res.value,
                                                   res.abs_error_estimate)
                 todo &= ~need
             for row in np.flatnonzero(~keep).tolist():
                 jj = first[row]
+                if bad[row, jj]:  # the loop raises before it tests the panel
+                    out[running[row]] = failed[row, jj]
+                    continue
                 value, error = float(tot[row, jj]), float(etot[row, jj])
                 if tailed[row, jj] and not diverged[row, jj]:
                     value += math.copysign(tail[row, jj], c[row, jj])
                     error += float(tail[row, jj])
+                div = bool(diverged[row, jj])
                 out[running[row]] = QuadResult(
-                    value, error, not diverged[row, jj],
-                    bool(diverged[row, jj]), int(jj) + 1)
-            for row, errs in failed.items():
-                if keep[row]:
-                    out[running[row]] = errs[min(errs)]
-                    keep[row] = False
+                    value, error, bool(conv[row, jj]) and not div, div,
+                    int(jj) + 1)
             running, c, e, todo = running[keep], c[keep], e[keep], todo[keep]
-            total, err_total = tot[keep, -1], etot[keep, -1]
             size *= 2
-    for i, value, error in zip(running.tolist(), total.tolist(),
-                               err_total.tolist()):
-        out[i] = QuadResult(value, error, False, False, lo.size)
     return out
 
 

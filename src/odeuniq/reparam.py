@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _invert_gauge
 from .expr import EvalDomainError, Expression
 # integrate is unused here but stays bound: the benchmark's tracer wraps it
 from .quadrature import (DEFAULT_BUDGET, DIVERGENCE_SUM_THRESHOLD,
@@ -427,6 +426,34 @@ def solve_tau_exp_root(c: float) -> float:
 
 
 _GENERALIZED_NODES = 300   # nodes of the generalized table
+
+
+def _invert_gauge(u_fn, targets, t_lo: float, T: float, rtol: float):
+    """t in [t_lo, T] with u(t) = target for each of the array ``targets``
+    (same shape): one lane bisection of the compiled increasing gauge u.
+    A target outside [u(t_lo), u(T)] raises ValueError, a non-finite u met
+    by the bisection EvalDomainError, a lane that runs out of halvings
+    ConvergenceError."""
+    flat = np.asarray(targets, dtype=np.float64).ravel()
+    u_lo, u_hi = u_fn(np.array([t_lo, T])).tolist()
+    for target in flat.tolist():
+        if not (u_lo <= target <= u_hi):
+            raise ValueError(f"u-value {target!r} outside the gauge range")
+
+    def residual(ts, lanes):
+        # u(t_lo) - target <= 0 <= u(T) - target: every bracket holds a root
+        r = (u_fn(np.array(ts)) - flat[lanes]).tolist()
+        bad = [ti for ri, ti in zip(r, ts) if not math.isfinite(ri)]
+        if bad:
+            raise EvalDomainError(f"u is not finite at t={bad[0]!r}")
+        return r
+
+    n = flat.size
+    roots = _bisect_lanes(residual, [t_lo] * n, [T] * n, rtol)
+    failed = next((r for r in roots if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
+    return np.reshape(roots, np.shape(targets))
 
 
 @dataclass

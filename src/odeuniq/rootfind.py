@@ -97,20 +97,15 @@ def _bisect_lane(lo, hi, flo, fhi, x, rtol: float, max_iter: int):
     midpoint.  ``x``, when given, is the first interior point, under the
     same rule.  Replies without a step give plain bisection.
     """
-    if flo is None:
-        flo = yield lo
-    flo, step = _newton_reply(flo)
-    if flo == 0.0:
-        return lo
-    if step is not None and abs(step) <= rtol * abs(lo):
-        return lo + step
-    if fhi is None:
-        fhi = yield hi
-    fhi, step = _newton_reply(fhi)
-    if fhi == 0.0:
-        return hi
-    if step is not None and abs(step) <= rtol * abs(hi):
-        return hi + step
+    residuals = []
+    for end, reply in ((lo, flo), (hi, fhi)):
+        f, step = _newton_reply((yield end) if reply is None else reply)
+        if f == 0.0:
+            return end
+        if step is not None and abs(step) <= rtol * abs(end):
+            return end + step
+        residuals.append(f)
+    flo, fhi = residuals
     if (flo > 0.0) == (fhi > 0.0):
         return BracketError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}")

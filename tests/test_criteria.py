@@ -1,6 +1,7 @@
 """Criterion checkers against closed-form verdicts and margins."""
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +97,43 @@ def test_nagumo_peano_fails_pairwise_near_zero():
 # ---------------------------------------------------------------------------
 # Athanassov
 
+# Nagumo's report names and the Athanassov names they stand for at u = t
+_AS_ATHANASSOV = {"nagumo": "athanassov",
+                  "lipschitz_1_over_t": "lipschitz_uprime_over_u",
+                  "uniform_limit_f": "uniform_limit_f_over_uprime"}
+
+
+def _assert_nagumo_is_athanassov_with_u_t(p):
+    # u = t gives u'/u = 1.0/t and f/u' = f/1.0: the same sweeps, so the
+    # same verdicts, margins and witnesses bit for bit; only names differ
+    nagumo = check_nagumo(p, CFG).to_dict()
+    nagumo["criterion"] = _AS_ATHANASSOV[nagumo["criterion"]]
+    for h in nagumo["hypotheses"]:
+        h["name"] = _AS_ATHANASSOV[h["name"]]
+    athanassov = check_athanassov(replace(p, u=parse("t", {"t"})), CFG)
+    assert json.dumps(nagumo, sort_keys=True) == json.dumps(
+        athanassov.to_dict(), sort_keys=True)
+
+
 def test_athanassov_u_t_matches_nagumo_coefficient():
-    # u = t gives u'/u = 1/t: hypothesis A margins must coincide with Nagumo's
-    p = problem("t*x", u="t")
-    ha = check_athanassov(p, CFG).hypothesis("lipschitz_uprime_over_u")
-    hn = check_nagumo(p, CFG).hypothesis("lipschitz_1_over_t")
-    assert ha.worst_margin == pytest.approx(hn.worst_margin, abs=1e-12)
+    for path in sorted(CORPUS.glob("*.json")):
+        _assert_nagumo_is_athanassov_with_u_t(
+            ProblemSpec.from_dict(json.loads(path.read_text())))
+
+
+# the field families of the benchmark's seeded problems
+_FIELDS = st.one_of(
+    st.builds("{!r}*t^{!r}*x".format, st.floats(0.5, 1.5), st.floats(0.0, 2.0)),
+    st.builds("-{!r}*abs(x)^{!r}".format, st.floats(1.0, 2.0),
+              st.floats(0.3, 0.5)),
+    st.builds("{!r}*x/t".format, st.floats(1.0, 1.5)),
+    st.just("0"))
+
+
+@given(_FIELDS)
+@settings(max_examples=60, deadline=None)
+def test_athanassov_u_t_matches_nagumo_on_the_field_families(f):
+    _assert_nagumo_is_athanassov_with_u_t(problem(f))
 
 
 def test_athanassov_power_gauge():

@@ -151,15 +151,41 @@ def test_power_singularity_family(p):
 # ---------------------------------------------------------------------------
 # batched sweep against the panel-by-panel loops
 
+def _octave_staircase(w):
+    """3 or 6 (by the parity of e) times 2^-e on each octave [2^e, 2^(e+1)]:
+    each geometric panel contributes exactly 3 or 6 in turn, with GK15 error
+    0, so no tail test ever ends the loop."""
+    e = np.floor(np.log2(w))
+    return np.where(e % 2 == 0, 3.0, 6.0) * np.exp2(-e)
+
+
+# (integrand, b) at tol 1e-12 that end the loop other than by a tail test
+# on accepted values
+END_CASES = [
+    # a failed redo before the first test end: the provisional tail of w^-0.5
+    # ends at panel 23, and the redo of the nan octave 5 raises
+    (lambda w: np.where((w > 2.0**-6) & (w < 2.0**-5), np.nan, w**-0.5), 1.0),
+    # a provisional divergent end on the infinite first pass of panel 10: it
+    # is redone, and raises
+    (lambda w: np.where(w < 2.0**-10.5, np.inf, w**-0.5), 1.0),
+    # the same at panel 67 of 1/(w + 1e-8), whose accepted values converge
+    # at panel 66: the failed redo is never reached
+    (lambda w: np.where(w < 2.0**-67.5, np.inf, 1.0 / (w + 1e-8)), 1.0),
+    # the panels run out, unconverged, at MAX_PANELS (from b = 2^996 they
+    # stay normal floats)
+    (_octave_staircase, 2.0**996),
+]
+
+
 @pytest.mark.parametrize("g,b", [(g, b) for g, b, _ in SINGULAR_CASES]
-                         + [(g, 1.0) for g in DIVERGENT_CASES])
+                         + [(g, 1.0) for g in DIVERGENT_CASES] + END_CASES)
 def test_singular_left_matches_panel_loop(g, b):
     # integrate_singular_left is the one-member sweep; the loop it replaced
     # takes the same panels, and a panel the batch accepts has the bits of
-    # integrate on it, so the result agrees bit for bit
-    res = integrate_singular_left(g, b, tol=1e-12)
-    ref = scalar_reference.singular_left(g, b, tol=1e-12)
-    assert _bits(res) == _bits(ref)
+    # integrate on it, so the result, or the error the loop met, agrees bit
+    # for bit
+    assert _outcome(integrate_singular_left, g, b, tol=1e-12) == \
+        _outcome(scalar_reference.singular_left, g, b, tol=1e-12)
 
 
 def test_negative_zero_panels_sum_to_zero():
@@ -196,6 +222,31 @@ def test_sweep_matches_panel_loop():
         assert s.values.tobytes() == values.tobytes()
         np.testing.assert_allclose(s.values, grid ** (1 - p) / (1 - p),
                                    rtol=1e-9)
+    # members that end in every way, in one lockstep: the capped tail, the
+    # non-decreasing run, the sum threshold, a failed redo never reached,
+    # and last, as a raise ends the sweep, a failed redo that raises
+    members = [lambda w: w**-0.5, *DIVERGENT_CASES[:2], END_CASES[2][0],
+               END_CASES[0][0]]
+    grid = np.array([1.0, 1.5, 2.0])
+    sweeps = sweep_singular_left(
+        lambda x, idx: np.stack([members[i](x) for i in idx]), grid,
+        [1e-12] * len(members))
+    for g in members:
+        try:
+            base, values, converged = scalar_reference.sweep(g, grid, 1e-12)
+        except IntegrandError as exc:
+            assert g is members[-1]
+            with pytest.raises(IntegrandError) as got:
+                next(sweeps)
+            assert _lane_outcome(got.value) == _lane_outcome(exc)
+            continue
+        s = next(sweeps)
+        assert _bits(s.base) == _bits(base)
+        if base.diverged:  # the loop integrated no segment
+            assert not s.converged.any() and np.isnan(s.values[1:]).all()
+        else:
+            np.testing.assert_array_equal(s.converged, converged)
+            assert s.values.tobytes() == values.tobytes()
 
 
 def _divergent_and_nonfinite():
@@ -358,13 +409,23 @@ TAIL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("g,a", TAIL_CASES)
+def _doubling_staircase(x):
+    """3 or -6 (by the parity of k) times 2^-k on [2^k - 1, 2^(k+1) - 1]:
+    each doubling panel from 0 contributes exactly 3 or -6 in turn, with
+    GK15 error 0, so no tail test ever ends the loop."""
+    k = np.floor(np.log2(x + 1.0))
+    return np.where(k % 2 == 0, 3.0, -6.0) * np.exp2(-k)
+
+
+@pytest.mark.parametrize("g,a", TAIL_CASES + [(_doubling_staircase, 0.0)])
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 def test_to_infinity_matches_panel_loop(g, a, tol):
     # the doubling panels run through the sweep's batch and lane redo; the
-    # result, or the error the loop met, has the loop's bits
+    # result, or the error the loop met, has the loop's bits.  From a near
+    # 0, panel 1023 would end at 2^1024, which overflows, so the driver
+    # stops before it, and the staircase runs out there unconverged
     assert _outcome(integrate_to_infinity, g, a, tol) == \
-        _outcome(scalar_reference.to_infinity, g, a, tol)
+        _outcome(scalar_reference.to_infinity, g, a, tol, max_panels=1023)
 
 
 @pytest.mark.parametrize("loop,g,end", [
