@@ -17,7 +17,8 @@ expressions.  The checkers evaluate a definition on their grids and
 hypothesis of every criterion can be re-checked.
 
 The three integrals at 0+ (H1, H2 and the Osgood gate of the comparison
-function) run through one sweep and fail one way.  With var the grid
+function) run through one sweep on the grid of their definition, which
+``reverify`` re-runs at a witness, and fail one way.  With var the grid
 variable (t or r), and the failing eps in the witness when the hypothesis
 has an eps grid: a non-finite integrand sample gives margin nan and
 ``{"kind": "domain_error", var: where}``; a divergent first piece
@@ -34,8 +35,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expr import Bin, EvalDomainError, Expression, parse
-from .quadrature import (
-    IntegrandError, integrate, integrate_singular_left, sweep_singular_left)
+# integrate is unused here but stays bound: the benchmark's tracer wraps it
+from .quadrature import (IntegrandError, integrate,  # noqa: F401
+                         sweep_singular_left)
 
 __all__ = [
     "ProblemSpec",
@@ -371,13 +373,14 @@ class _Limit(NamedTuple):
 
 
 class _Integral(NamedTuple):
-    """int_0^t integrand(w, eps) dw <= eps*bound(t), integrated at the
-    quadrature tolerance tol(c, eps).  eps is the H2 scale, a float or an
-    array of scales that broadcasts against w; the other integrals ignore
-    it.  H1 asks only for convergence and has no bound.  label names the
-    integrand in the notes of a failure."""
+    """int_0^t integrand(w, eps) dw <= eps*bound(t) at every t of the grid
+    grid(c), integrated at the quadrature tolerance tol(c, eps).  eps is
+    the H2 scale, a float or an array of scales that broadcasts against w;
+    the other integrals ignore it.  H1 asks only for convergence and has no
+    bound.  label names the integrand in the notes of a failure."""
     integrand: Callable
     tol: Callable
+    grid: Callable
     label: str
     bound: Callable | None = None
 
@@ -388,10 +391,11 @@ class _Integral(NamedTuple):
 class _Gate(NamedTuple):
     """The comparison-function gate: omega(0+) = 0, omega increasing, and
     the Osgood integral int_0^r omega(s)/s ds <= r, whose integrand, tol,
-    label and bound are read as an _Integral's."""
+    grid, label and bound are read as an _Integral's."""
     omega: Callable
     integrand: Callable
     tol: Callable
+    grid: Callable
     label: str
     bound: Callable
 
@@ -409,8 +413,8 @@ def _quad_tol(c: CheckConfig, _eps) -> float:
 
 def _gate(omega: Expression) -> _Gate:
     om = omega.lambdify(("r",))
-    return _Gate(om, lambda s, _eps: om(s) / s, _quad_tol, "omega(s)/s",
-                 lambda r: r)
+    return _Gate(om, lambda s, _eps: om(s) / s, _quad_tol,
+                 CheckConfig.r_grid, "omega(s)/s", lambda r: r)
 
 
 def _compiled(node) -> Callable:
@@ -433,7 +437,8 @@ def _constantin_bound(p: ProblemSpec) -> _Bound:
 def _h1(p: ProblemSpec) -> _Integral:
     """v/lambda is integrable at 0+."""
     v, lam = p.v.lambdify(("t",)), p.lam.lambdify(("t",))
-    return _Integral(lambda w, _eps: v(w) / lam(w), _quad_tol, "v/lambda")
+    return _Integral(lambda w, _eps: v(w) / lam(w), _quad_tol,
+                     lambda _c: np.array([p.T]), "v/lambda")
 
 
 def _h2(p: ProblemSpec) -> _Integral:
@@ -447,7 +452,7 @@ def _h2(p: ProblemSpec) -> _Integral:
         return np.maximum(1e-12 * eps * max(vmax, 1.0), 1e-300)
 
     return _Integral(lambda w, eps: om(eps * v(w)) / lam(w), tol,
-                     "omega(eps*v)/lambda", v)
+                     lambda c: c.t_grid(p.T), "omega(eps*v)/lambda", v)
 
 
 def _h3(p: ProblemSpec) -> _Bound:
@@ -552,13 +557,11 @@ def _integral_sweep(name: str, d, grid, c: CheckConfig, var: str, eps=None):
     with np.errstate(all="ignore"):
         sweeps = sweep_singular_left(
             family, grid, np.broadcast_to(d.tol(c, scales), scales.shape))
-        for ie, scale in enumerate(scales.tolist()):
+        for ie, (scale, sweep) in enumerate(zip(scales.tolist(), sweeps)):
             at = {} if eps is None else {"eps": scale}
-            try:
-                sweep = next(sweeps)
-            except IntegrandError as exc:
+            if isinstance(sweep, IntegrandError):
                 return Hypothesis(name, False, math.nan, {
-                    "kind": "domain_error", **at, var: exc.where},
+                    "kind": "domain_error", **at, var: sweep.where},
                     notes=f"{d.label} is not finite at {var}")
             if sweep.base.diverged:
                 return Hypothesis(name, False, -math.inf, {
@@ -576,13 +579,21 @@ def _integral_sweep(name: str, d, grid, c: CheckConfig, var: str, eps=None):
     return out
 
 
+def _margins(d, grid, integrals):
+    """The bound at every grid point and the margins bound - integral (grid
+    x scale) of H2 and the Osgood gate, as the checkers and reverify read
+    them."""
+    bound = d.bound(grid)
+    return bound, bound[:, None] - integrals
+
+
 def _osgood_hypothesis(d: _Gate, c: CheckConfig) -> Hypothesis:
     """Check int_0^r omega(s)/s ds <= r on the r grid."""
-    rg = c.r_grid()
+    rg = d.grid(c)
     integrals = _integral_sweep("osgood_integral", d, rg, c, "r")
     if isinstance(integrals, Hypothesis):
         return integrals
-    margins = d.bound(rg) - integrals[:, 0]
+    margins = _margins(d, rg, integrals)[1][:, 0]
     j = int(np.argmin(margins))  # ties: smallest r
     r = float(rg[j])
     witness = {"kind": "quad_ineq", "r": r, "integral": float(integrals[j, 0]),
@@ -602,7 +613,7 @@ def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> Crit
         np.array([0.0]), c.limit_threshold, c.limit_tail)
     hyp_zero.witness.pop("x", None)  # the ratio does not depend on x
     # strict increase across consecutive grid points
-    rg = c.r_grid()
+    rg = d.grid(c)
     vals = d.omega(rg)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
@@ -677,7 +688,8 @@ def check_theorem_main(p: ProblemSpec, c: CheckConfig | None = None) -> Criterio
 def _h1_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
     """H1: integrability of v/lambda at 0+, over (0, T]."""
     name = "H1_integrability"
-    integral = _integral_sweep(name, HYPOTHESES[name](p), np.array([p.T]), c, "t")
+    d = HYPOTHESES[name](p)
+    integral = _integral_sweep(name, d, d.grid(c), c, "t")
     if isinstance(integral, Hypothesis):
         return integral
     return Hypothesis(name, True, 0.0, {"kind": "quad_value", "t": p.T,
@@ -689,12 +701,11 @@ def _h2_hypothesis(p: ProblemSpec, c: CheckConfig) -> Hypothesis:
     by eps."""
     name = "H2_osgood_scaled"
     d = HYPOTHESES[name](p)
-    tg, eg = c.t_grid(p.T), c.eps_grid()
+    tg, eg = d.grid(c), c.eps_grid()
     scaled = _integral_sweep(name, d, tg, c, "t", eg)
     if isinstance(scaled, Hypothesis):
         return scaled
-    vt = d.bound(tg)
-    margins = vt[:, None] - scaled
+    vt, margins = _margins(d, tg, scaled)
     flat = int(np.argmin(margins.ravel()))  # ties: smallest t, then smallest eps
     it, ie = np.unravel_index(flat, margins.shape)
     worst = float(margins[it, ie])
@@ -785,10 +796,12 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
 
 def reverify(p: ProblemSpec, c: CheckConfig, report: CriterionReport) -> bool:
     """Re-evaluate every failing hypothesis's witness with the hypothesis's
-    definition in HYPOTHESES, apart from the grid sweep; returns True when
-    each reproduces a violation > tol.  A domain_error witness reproduces
-    when any value of the definition is non-finite at its point.  Raises
-    KeyError on a hypothesis without a definition."""
+    definition in HYPOTHESES; returns True when each reproduces a violation
+    > tol.  A domain_error witness reproduces when any value of the
+    definition is non-finite at its point.  An integral witness reproduces
+    through the checker's own sweep, for its one member, on the
+    hypothesis's grid up to its point.  Raises KeyError on a hypothesis
+    without a definition."""
     with np.errstate(all="ignore"):
         return all(_reverify_one(p, c, h) for h in report.hypotheses
                    if not h.passed)
@@ -817,19 +830,14 @@ def _reverify_one(p: ProblemSpec, c: CheckConfig, h: Hypothesis) -> bool:
         return sup(w["t"]) > sup(w["t_prev"])
     if kind == "increase_pair":
         return not (d.omega(w["r2"]) > d.omega(w["r1"]))
-    # quad_ineq, quad_ineq_eps and divergent: re-run the integral named by
-    # the witness at the sweep's tolerance
-    eps = w.get("eps", 1.0)
-    lo, hi = w.get("t0", w.get("r0", 0.0)), w["t"] if "t" in w else w["r"]
-
-    def integrand(s):
-        return d.integrand(s, eps)
-
-    tol = float(d.tol(c, eps))
-    if lo == 0.0:
-        res = integrate_singular_left(integrand, hi, tol=tol)
-    else:
-        res = integrate(integrand, lo, hi, tol=tol)
-    if kind == "divergent":
-        return res.diverged or not res.converged
-    return res.diverged or res.value / eps > d.bound(hi) + c.tol
+    # quad_ineq, quad_ineq_eps and divergent: the checker's sweep of the
+    # witness's one member (its eps) up to the witness point, which gives
+    # the same failure or the same margin, bit for bit
+    var = "r" if isinstance(d, _Gate) else "t"
+    grid = d.grid(c)
+    grid = grid[grid <= w[var]]
+    eps = np.array([w["eps"]]) if "eps" in w else None
+    got = _integral_sweep(h.name, d, grid, c, var, eps)
+    if isinstance(got, Hypothesis):
+        return got.witness == w
+    return not _margins(d, grid, got)[1][-1, 0] >= -c.tol

@@ -16,41 +16,29 @@ a panel in any batch has the bits ``integrate`` gives it alone.
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
 integrands from 0+ to every point of a grid, all members in lockstep.
 Per chunk of geometric base panels, one family call per block samples
-the members still running, and ``_settles`` marks every panel on which
-one GK15 step of ``integrate`` converges, on the (members x panels)
-array.  A member's base integral (``_improper``) ends at the first panel
-of its row that has an end, all ends one mask: a failed redo of the panel
-(its IntegrandError, read first), the four tail tests (the partial sum
-threshold, the run of non-decreasing panels, the capped geometric tail
-and a zero contribution, running sums and run lengths along the row), or
-the last panel once the panels run out (unconverged).  The tests first
-read a provisional stream, in which a panel that the step does not settle
-counts with its first-pass Kronrod value and, as error, the tolerance its
-redo must meet.  A member whose provisional stream ends divergent on
-finite values ends there and redoes nothing; every other member redoes
-its unsettled panels up to its end, as one lane batch on that member
-alone, and its ends are read again.  The grid segments of every member
-whose base did not diverge are one more step, ``_segments``.  So every
-result except a divergent one has the values, errors and flags of the
-panel-by-panel loop that redid each unsettled panel, bit for bit, and a
-redone panel's ``IntegrandError`` counts only if its member reaches it; a
-divergent one keeps the loop's flag, and its value is a sum of first-pass
-values that no caller reads.
-``integrate_singular_left`` is the one-member case, and
-``integrate_to_infinity`` runs its doubling panels through the same
-decisions.  ``tests/scalar_reference.py`` keeps the panel-at-a-time loop
-(``_tail_driver``) as the oracle, with and without the provisional read.
+the members still running, and ``_improper`` ends each member's base
+integral by one end rule, which its docstring states; the grid segments
+of every member whose base did not diverge are one more batched step,
+``_segments``.  A panel that one GK15 step does not settle is redone as a
+lane of the member alone.  Each result has the values, errors and flags
+of the panel-by-panel loop, bit for bit, except the value of a divergent
+one, which no caller reads.  ``integrate_singular_left`` is the
+one-member case, and ``integrate_to_infinity`` runs its doubling panels
+through ``_improper`` too.  ``tests/scalar_reference.py`` keeps the
+panel-at-a-time loop (``_tail_driver``) as the oracle.
 
-The adaptive integrator runs independent integrals as lanes in lockstep;
-``integrate`` is the one-lane case.  The whole-interval panels of all
-lanes are sampled in one integrand call, and a lane that meets its
-tolerance there (most do) ends at once.  The others run as coroutines,
-one integrand call per round for the next panels of all running lanes.
-Every lane keeps the one-interval loop's heap, freeze rule, budget,
-termination test (the ``sum`` over the heap, which a running total with
-a rounding bound stands in for wherever the two cannot disagree) and
-left-ordered reduction, and reproduces it bit for bit; a non-finite
-sample ends its lane with the loop's ``IntegrandError``.
+The adaptive integrator runs independent integrals as lanes in lockstep,
+each lane from the first GK15 step that its caller took on the whole
+interval: the batched first pass of ``_improper`` and ``_segments``, whose
+rejected panels it redoes, or ``integrate``'s own, the one-lane case.
+The lanes run as coroutines, one integrand call per round for the next
+panels of all running lanes; a lane samples its whole interval again only
+when its first value is not finite (``_adapt``).  Every lane
+keeps the one-interval loop's heap, freeze rule, budget, termination test
+(the ``sum`` over the heap, which a running total with a rounding bound
+stands in for wherever the two cannot disagree) and left-ordered
+reduction, and reproduces it bit for bit; a non-finite sample ends its
+lane with the loop's ``IntegrandError``.
 
 Integrands are array functions: ``g(x)`` maps an array of points to an
 array of x's shape, or to a value that broadcasts to it.
@@ -59,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,56 +152,35 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
 
     Subdivision halves the panel with the largest error estimate until the
     summed estimate drops below ``tol`` or the panel budget is exhausted
-    (reported as converged=False, not an exception).
+    (reported as converged=False, not an exception).  A reversed interval
+    is integrated forward and its value negated.
 
     This is the one-lane case of the lockstep lane integrator.
     """
-    (res,) = _integrate_lanes(g, (a,), (b,), tol, budget)
+    for name, end in (("a", a), ("b", b)):
+        if not math.isfinite(end):
+            raise ValueError(
+                f"non-finite integration endpoint {name}={float(end)!r}")
+    if a == b:
+        return QuadResult(0.0, 0.0, True, False, 0)
+    lo, hi = (a, b) if a < b else (b, a)
+    k, err = _gk15_rule(lambda x: _sample(g, x), np.array([lo]),
+                        np.array([hi]))
+    (res,) = _integrate_lanes(g, (lo,), (hi,), (tol,), budget,
+                              zip(k.tolist(), err.tolist()))
     if isinstance(res, IntegrandError):
         raise res
-    return res
+    return res if a < b else replace(res, value=-res.value)
 
 
-def _integrate_lanes(g, a, b, tol=1e-10,
-                     budget: int = DEFAULT_BUDGET) -> list:
-    """``integrate``'s adaptive loop on independent intervals [a[i], b[i]]
-    (sequences of floats) in lockstep, with the tolerance ``tol``, or
-    ``tol[i]`` when it is a sequence.  Returns, per lane, its QuadResult,
-    or the IntegrandError of its first non-finite sample.  A lane whose
-    whole-interval panel meets its tolerance, or whose budget is one
-    panel, ends there; the others continue as ``_adapt`` coroutines.  A
-    nan or infinite endpoint raises ValueError before any lane starts.
-    """
-    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
-        name, end = next((name, end) for ai, bi in zip(a, b)
-                         for name, end in (("a", ai), ("b", bi))
-                         if not math.isfinite(end))
-        raise ValueError(
-            f"non-finite integration endpoint {name}={float(end)!r}")
-    # test for a float first: np.ndim on one takes about 1 us
-    scalar = isinstance(tol, float) or np.ndim(tol) == 0
-    tols = [tol] * len(a) if scalar else list(map(float, tol))
-    out = [QuadResult(0.0, 0.0, True, False, 0)] * len(a)
-    # a reversed interval is integrated forward and its value negated
-    lanes = [(i, ai, bi, False) if ai < bi else (i, bi, ai, True)
-             for i, (ai, bi) in enumerate(zip(a, b)) if ai != bi]
-    firsts = _gk15_panels(g, [((lo, hi),) for _, lo, hi, _ in lanes]) \
-        if lanes else []
-    adapting, coroutines = [], []
-    for (i, lo, hi, flip), first in zip(lanes, firsts):
-        if isinstance(first, IntegrandError):
-            out[i] = first
-            continue
-        ((val, err),) = first
-        if budget <= 1 or err <= tols[i]:
-            out[i] = _reduce((val,), (err,), tols[i], 1, flip)
-        else:
-            adapting.append(i)
-            coroutines.append(_adapt(lo, hi, tols[i], budget, val, err, flip))
-    for i, res in zip(adapting, _lockstep(
-            coroutines, lambda asks, _ids: _gk15_panels(g, asks))):
-        out[i] = res
-    return out
+def _integrate_lanes(g, a, b, tol, budget: int, firsts) -> list:
+    """``integrate``'s adaptive loop on independent intervals a[i] < b[i]
+    in lockstep, at the tolerances tol[i] (sequences of floats), each lane
+    from the (value, error) pair firsts[i] that its caller's GK15 step gave
+    the whole interval.  Returns, per lane, its QuadResult, or the
+    IntegrandError of its first non-finite sample."""
+    lanes = [_adapt(*lane, budget) for lane in zip(a, b, tol, firsts)]
+    return _lockstep(lanes, lambda asks, _ids: _gk15_panels(g, asks))
 
 
 def _gk15(sample, mid: np.ndarray, half: np.ndarray):
@@ -259,12 +226,16 @@ def _gk15_panels(g, asks: list) -> list:
     return replies
 
 
-def _adapt(a: float, b: float, tol: float, budget: int, val: float,
-           err: float, flip: bool):
+def _adapt(a: float, b: float, tol: float, first, budget: int):
     """``integrate``'s adaptive loop on one lane a < b whose whole-interval
-    panel gave (val, err), as a coroutine: it yields the panels it splits
-    into, receives their (value, error) pairs and returns the QuadResult,
-    its value negated if ``flip``."""
+    GK15 step gave the (value, error) pair ``first``, as a coroutine: it
+    yields the panels it splits into, receives their (value, error) pairs
+    and returns the QuadResult.  A non-finite first value asks for the
+    whole interval once more, so that ``_gk15_panels`` names its first
+    non-finite node (or gives the pair again, all samples finite)."""
+    val, err = first
+    if not math.isfinite(val):
+        ((val, err),) = yield ((a, b),)
     # heap of (-err, insertion counter, a, b, val, err); counter keeps the
     # ordering deterministic when error estimates tie
     heap = [(-err, 0, a, b, val, err)]
@@ -300,23 +271,14 @@ def _adapt(a: float, b: float, tol: float, budget: int, val: float,
         s2 = s1 + e1
         running = s2 + e2
         drift += _ROUNDOFF * (abs(s1) + abs(s2) + abs(running))
-    # deterministic reduction: sum panels ordered by left endpoint
+    # deterministic reduction: sum panels ordered by left endpoint, from
+    # int 0 (so a lone -0.0 panel gives 0.0)
     panels = sorted(heap, key=lambda item: item[2])
-    return _reduce([p[4] for p in panels], [p[5] for p in panels], tol,
-                   n_panels, flip)
-
-
-def _reduce(values, errors, tol: float, n_panels: int,
-            flip: bool) -> QuadResult:
-    """The loop's QuadResult from its panels' values and errors, summed in
-    order from int 0 (so a lone -0.0 panel gives 0.0); ``flip`` negates
-    the value of a reversed interval."""
-    value = float(sum(values))
-    err_total = float(sum(errors))
+    value = float(sum([p[4] for p in panels]))
+    err_total = float(sum([p[5] for p in panels]))
     diverged = abs(value) > DIVERGENCE_SUM_THRESHOLD
     converged = (err_total <= tol) and not diverged
-    return QuadResult(-value if flip else value, err_total, converged,
-                      diverged, n_panels)
+    return QuadResult(value, err_total, converged, diverged, n_panels)
 
 
 def integrate_singular_left(g, b: float, tol: float = 1e-10) -> QuadResult:
@@ -329,9 +291,11 @@ def integrate_singular_left(g, b: float, tol: float = 1e-10) -> QuadResult:
     """
     if not (b > 0.0):
         raise ValueError(f"integrate_singular_left requires b > 0, got {b!r}")
-    sweeps = sweep_singular_left(lambda x, _members: _sample(g, x)[None],
+    (res,) = sweep_singular_left(lambda x, _members: _sample(g, x)[None],
                                  [b], [tol])
-    return next(sweeps).base
+    if isinstance(res, IntegrandError):
+        raise res
+    return res.base
 
 
 @dataclass(frozen=True)
@@ -356,7 +320,7 @@ _FIRST_CHUNK = 64
 _BLOCK_SAMPLES = 1 << 16
 
 
-def sweep_singular_left(family, grid, tols):
+def sweep_singular_left(family, grid, tols) -> list:
     """Integrate every member of a family from 0+ to every grid point.
 
     ``family(x, members)`` samples the members listed by the index array
@@ -366,11 +330,9 @@ def sweep_singular_left(family, grid, tols):
     segment of ``grid``, which is strictly increasing with grid[0] > 0.
     A rejected panel of member i is redone on ``family(x, [i])[0]``.
 
-    Yields one ``Sweep`` per member of ``tols``, in order, with the
-    values, flags and ``IntegrandError`` of the panel-by-panel loop, each
-    error at its own member's turn.  The work is not lazy: the first
-    ``next`` integrates every member, so a caller that stops at a failing
-    member has paid for the members after it.
+    Returns per member of ``tols``, in order, its ``Sweep`` or its
+    ``IntegrandError``, with the values, flags and errors of the
+    panel-by-panel loop.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not (grid.ndim == 1 and grid.size and grid[0] > 0.0
@@ -380,21 +342,7 @@ def sweep_singular_left(family, grid, tols):
     # base panel k is [edges[k+1], edges[k]], halved one step at a time
     edges = np.multiply.accumulate(
         np.concatenate((grid[:1], np.full(MAX_PANELS, 0.5))))
-
-    def rule(members, lo, hi):
-        """GK15 values and error estimates (members x panels) of the panels
-        [lo, hi], one family call per group of members."""
-        group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
-        k, err = zip(*[_gk15_rule(lambda x: np.asarray(
-            family(x, members[s:s + group]), dtype=np.float64), lo, hi)
-            for s in range(0, members.size, group)])
-        return np.concatenate(k), np.concatenate(err)
-
-    def alone(i):
-        idx = np.array([i])
-        return lambda x: family(x, idx)[0]
-
-    bases = _improper(rule, alone, edges[1:], edges[:-1], tols)
+    bases = _improper(family, edges[1:], edges[:-1], tols)
     values = np.full((tols.size, grid.size), math.nan)
     converged = np.zeros(values.shape, dtype=bool)
     for i, base in enumerate(bases):
@@ -405,18 +353,32 @@ def sweep_singular_left(family, grid, tols):
                   dtype=np.intp)
     failed = {}
     if ok.size and grid.size > 1:
-        k, err = rule(ok, grid[:-1], grid[1:])
-        values[ok, 1:], _, converged[ok, 1:], redo = _segments(
-            lambda row: alone(ok[row]), grid[:-1], grid[1:], k, err,
+        k, err = _rule(family, ok, grid[:-1], grid[1:])
+        values[ok, 1:], converged[ok, 1:], redo = _segments(
+            lambda row: _alone(family, ok[row]), grid[:-1], grid[1:], k, err,
             tols[ok, None], DEFAULT_BUDGET)
         values[ok] = np.cumsum(values[ok], axis=1)
         failed = {int(ok[row]): errs[min(errs)] for row, errs in redo.items()}
-    for i, base in enumerate(bases):
-        if isinstance(base, IntegrandError):
-            raise base
-        if i in failed:
-            raise failed[i]
-        yield Sweep(base, values[i], converged[i])
+    return [base if isinstance(base, IntegrandError) else
+            failed.get(i) or Sweep(base, values[i], converged[i])
+            for i, base in enumerate(bases)]
+
+
+def _rule(family, members, lo: np.ndarray, hi: np.ndarray):
+    """GK15 values and error estimates (members x panels) of the panels
+    [lo, hi] for the members of a family listed by the index array
+    ``members``, one family call per group of members."""
+    group = max(_BLOCK_SAMPLES // (lo.size * _NODES.size), 1)
+    k, err = zip(*[_gk15_rule(lambda x: np.asarray(
+        family(x, members[s:s + group]), dtype=np.float64), lo, hi)
+        for s in range(0, members.size, group)])
+    return np.concatenate(k), np.concatenate(err)
+
+
+def _alone(family, i: int):
+    """Member i of a family as an integrand of its own."""
+    idx = np.array([i])
+    return lambda x: family(x, idx)[0]
 
 
 def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
@@ -437,16 +399,19 @@ def _settles(k, err, tol):
     return (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
 
 
-def _redo(alone, lo, hi, redo, tol, budget: int):
+def _redo(alone, lo, hi, redo, tol, k, err, budget: int):
     """``integrate`` at tol[row, j] and ``budget`` on the panels
     [lo[j], hi[j]] marked in each row of the mask ``redo``, each row's
-    panels as one lane batch of its integrand ``alone(row)``.  Yields
-    (row, j, result), the result a QuadResult or an IntegrandError."""
+    panels as one lane batch of its integrand ``alone(row)`` that starts
+    from their first GK15 values k[row, j] and error estimates err[row, j],
+    read before the row's results are yielded.  Yields (row, j, result),
+    the result a QuadResult or an IntegrandError."""
     for row in np.flatnonzero(redo.any(axis=1)).tolist():
         bad = np.flatnonzero(redo[row])
         for j, res in zip(bad.tolist(), _integrate_lanes(
-                alone(row), lo[bad].tolist(), hi[bad].tolist(), tol[row, bad],
-                budget)):
+                alone(row), lo[bad].tolist(), hi[bad].tolist(),
+                tol[row, bad].tolist(), budget,
+                zip(k[row, bad].tolist(), err[row, bad].tolist()))):
             yield row, j, res
 
 
@@ -455,32 +420,28 @@ def _segments(alone, lo, hi, k, err, tol, budget: int):
     the panels [lo[j], hi[j]] of every row of the GK15 values k and error
     estimates err (rows x panels): a panel that one step settles ends
     there, and each row's others are redone as one lane batch of its
-    integrand ``alone(row)``.  Returns values, error estimates and flags
-    as arrays of k's shape and, by row, the IntegrandError of each failed
-    redo by index."""
-    value, error = k.astype(np.float64), err.astype(np.float64)
+    integrand ``alone(row)``.  Returns values and flags as arrays of k's
+    shape and, by row, the IntegrandError of each failed redo by index."""
+    value = k.copy()
     converged = _settles(k, err, tol)
     failed = {}
     for row, j, res in _redo(alone, lo, hi, ~converged,
-                             np.broadcast_to(tol, k.shape), budget):
+                             np.broadcast_to(tol, k.shape), k, err, budget):
         if isinstance(res, IntegrandError):
             failed.setdefault(row, {})[j] = res
         else:
-            value[row, j], error[row, j], converged[row, j] = (
-                res.value, res.abs_error_estimate, res.converged)
-    return value, error, converged, failed
+            value[row, j], converged[row, j] = res.value, res.converged
+    return value, converged, failed
 
 
-def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
-    """The integrals of a family's members over the panels [lo[k], hi[k]],
-    taken in order toward the improper endpoint, all members in lockstep.
-
-    ``rule(members, lo, hi)`` gives the GK15 values and error estimates
-    (members x panels) of the members listed by an index array, and
-    ``alone(i)`` is member i's integrand.  Panel k of member i is
+def _improper(family, lo: np.ndarray, hi: np.ndarray, tols):
+    """The integrals of a family's members (``sweep_singular_left``'s
+    ``family``) over the panels [lo[k], hi[k]], taken in order toward the
+    improper endpoint, all members in lockstep.  Panel k of member i is
     integrated as ``integrate`` does at the tolerance
     0.5*tols[i]/((k+1)(k+2)) and the budget PANEL_BUDGET: one GK15 step
-    settles it, or it is redone as a lane of the member alone.
+    settles it, or it is redone as a lane of the member alone that starts
+    from that step's value and error.
 
     A member ends at the first panel that has an end, one ``ends`` mask
     over its row.  The ends, in the order they are read at one panel:
@@ -524,14 +485,15 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
     out = [None] * tols.size
     running = np.arange(tols.size)
     # per running member, over the panels taken so far: the stream (values
-    # and errors, accepted or provisional) and the panels awaiting a redo
-    c = e = np.empty((tols.size, 0))
+    # and errors, accepted or provisional), the first-pass errors (e holds
+    # the tolerance of a waiting panel) and the panels awaiting a redo
+    c = e = ek = np.empty((tols.size, 0))
     todo = np.empty(c.shape, dtype=bool)
     stop, size = 0, _FIRST_CHUNK
     with np.errstate(all="ignore"):
         while running.size:
             start, stop = stop, min(stop + size, lo.size)
-            k, err = rule(running, lo[start:stop], hi[start:stop])
+            k, err = _rule(family, running, lo[start:stop], hi[start:stop])
             n = np.arange(1, stop + 1)  # panels taken so far
             j = n - 1
             tol = tols[running, None]
@@ -541,6 +503,7 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
             c = np.concatenate((c, k), axis=1)
             e = np.concatenate((e, np.where(waits, ptol[:, start:], err)),
                                axis=1)
+            ek = np.concatenate((ek, err), axis=1)
             todo = np.concatenate((todo, waits), axis=1)
             # the panels whose redo failed, and their errors by (row, panel);
             # a member with one ends in this chunk
@@ -575,8 +538,10 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
                     need[diverged[rows, first] & finite[rows, first]] = False
                 if not need.any():
                     break
-                for row, jj, res in _redo(lambda row: alone(running[row]),
-                                          lo, hi, need, ptol, PANEL_BUDGET):
+                # c holds the first-pass values of the panels awaiting a redo
+                for row, jj, res in _redo(
+                        lambda row: _alone(family, running[row]), lo, hi,
+                        need, ptol, c, ek, PANEL_BUDGET):
                     if isinstance(res, IntegrandError):
                         bad[row, jj], failed[row, jj] = True, res
                     else:
@@ -596,7 +561,8 @@ def _improper(rule, alone, lo: np.ndarray, hi: np.ndarray, tols):
                 out[running[row]] = QuadResult(
                     value, error, bool(conv[row, jj]) and not div, div,
                     int(jj) + 1)
-            running, c, e, todo = running[keep], c[keep], e[keep], todo[keep]
+            running, c, e, ek, todo = (running[keep], c[keep], e[keep],
+                                       ek[keep], todo[keep])
             size *= 2
     return out
 
@@ -612,10 +578,8 @@ def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
     with np.errstate(over="ignore"):
         ends = np.cumsum(np.r_[a, 2.0 ** np.arange(MAX_PANELS)])
     ends = ends[np.isfinite(ends)]  # non-decreasing: a finite prefix
-    (res,) = _improper(
-        lambda _members, lo, hi: _gk15_rule(lambda x: _sample(g, x)[None],
-                                            lo, hi),
-        lambda _i: g, ends[:-1], ends[1:], np.array([float(tol)]))
+    (res,) = _improper(lambda x, _members: _sample(g, x)[None], ends[:-1],
+                       ends[1:], np.array([float(tol)]))
     if isinstance(res, IntegrandError):
         raise res
     return res

@@ -180,6 +180,10 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     ratio non-finite, so the lane rejects the step with factor 0.1, as the
     one-lane loop does for a stage failure.
     """
+    if fixed_step is not None and not (fixed_step > 0.0):
+        raise ValueError("fixed_step must be positive")
+    if not (rtol >= 0.0 and atol >= 0.0):
+        raise ValueError("rtol and atol must be non-negative")
     t0, x0, t1 = (np.array(a, dtype=np.float64).ravel()
                   for a in np.broadcast_arrays(t0, x0, t1))
     if isinstance(f, Expression):
@@ -199,10 +203,6 @@ def _integrate_lanes(f, t0, x0, t1, rtol: float, atol: float,
     lane = np.flatnonzero(start_ok & (t0 != t1))
     if lane.size == 0:
         return out
-    if fixed_step is not None and not (fixed_step > 0.0):
-        raise ValueError("fixed_step must be positive")
-    if not (rtol >= 0.0 and atol >= 0.0):
-        raise ValueError("rtol and atol must be non-negative")
     # a tolerance of -0.0 becomes +0, so the error scale is never -0
     atol += 0.0
     t, x, t1 = t0[lane], x0[lane], t1[lane]

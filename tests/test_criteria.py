@@ -426,18 +426,12 @@ def test_every_emitted_hypothesis_has_a_definition():
 # the integrals at 0+ (H1, H2 and the Osgood gate) fail one way
 
 def _one_panel_fallback(monkeypatch):
-    """Limit the adaptive integrals that redo rejected panels, and those of
-    reverify, to their first GK15 panel: the sweep redoes base panels with
-    the budget PANEL_BUDGET and segments with DEFAULT_BUDGET, both read at
-    call time, and reverify calls ``integrate``."""
-    real = quadrature.integrate
-
-    def one_panel(g, a, b, tol=1e-10, budget=None):
-        return real(g, a, b, tol=tol, budget=1)
-
+    """Limit the adaptive integrals that redo rejected panels to their first
+    GK15 panel: the sweep redoes base panels with the budget PANEL_BUDGET
+    and segments with DEFAULT_BUDGET, both read at call time, and reverify
+    re-runs the sweep."""
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1)
     monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 1)
-    monkeypatch.setattr(criteria, "integrate", one_panel)
 
 
 def _unvalidated(f="0", **gauges):

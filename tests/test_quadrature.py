@@ -113,11 +113,9 @@ def test_nonfinite_endpoint_raises(end, at_a):
         calls.append(w)
         return np.cos(w)
 
+    # the endpoints are checked before g is sampled
     with pytest.raises(ValueError, match=f"endpoint {name}"):
         integrate(g, a, b)
-    # a bad lane stops the batch before any lane samples g
-    with pytest.raises(ValueError, match=f"endpoint {name}"):
-        _integrate_lanes(g, [0.0, a], [1.0, b])
     assert calls == []
 
 
@@ -213,7 +211,7 @@ def test_sweep_matches_panel_loop():
     family, members = _power_family(powers)
     grid = np.geomspace(1e-6, 1.0, 40)
     tols = [1e-12, 1e-10, 1e-12, 1e-11]
-    sweeps = list(sweep_singular_left(family, grid, tols))
+    sweeps = sweep_singular_left(family, grid, tols)
     assert len(sweeps) == len(powers)
     for s, g, tol, p in zip(sweeps, members, tols, powers):
         base, values, converged = scalar_reference.sweep(g, grid, tol)
@@ -222,25 +220,22 @@ def test_sweep_matches_panel_loop():
         assert s.values.tobytes() == values.tobytes()
         np.testing.assert_allclose(s.values, grid ** (1 - p) / (1 - p),
                                    rtol=1e-9)
-    # members that end in every way, in one lockstep: the capped tail, the
-    # non-decreasing run, the sum threshold, a failed redo never reached,
-    # and last, as a raise ends the sweep, a failed redo that raises
-    members = [lambda w: w**-0.5, *DIVERGENT_CASES[:2], END_CASES[2][0],
-               END_CASES[0][0]]
+    # members that end in every way, in one lockstep: the capped tail, a
+    # failed redo that raises, the non-decreasing run, the sum threshold and
+    # a failed redo never reached
+    members = [lambda w: w**-0.5, END_CASES[0][0], *DIVERGENT_CASES[:2],
+               END_CASES[2][0]]
     grid = np.array([1.0, 1.5, 2.0])
     sweeps = sweep_singular_left(
         lambda x, idx: np.stack([members[i](x) for i in idx]), grid,
         [1e-12] * len(members))
-    for g in members:
+    for g, s in zip(members, sweeps):
         try:
             base, values, converged = scalar_reference.sweep(g, grid, 1e-12)
         except IntegrandError as exc:
-            assert g is members[-1]
-            with pytest.raises(IntegrandError) as got:
-                next(sweeps)
-            assert _lane_outcome(got.value) == _lane_outcome(exc)
+            assert g is members[1]
+            assert _lane_outcome(s) == _lane_outcome(exc)
             continue
-        s = next(sweeps)
         assert _bits(s.base) == _bits(base)
         if base.diverged:  # the loop integrated no segment
             assert not s.converged.any() and np.isnan(s.values[1:]).all()
@@ -266,23 +261,16 @@ def test_sweep_reports_in_member_order(order):
         return np.stack([members[i](x) for i in idx])
 
     grid = np.array([0.25, 0.5, 1.0])
-    sweeps = sweep_singular_left(family, grid, [1e-10, 1e-10])
-    # the panel-by-panel loop meets the members in this order: a divergence
-    # first ends the sweep before the later member's bad sample is reached
-    if order[0] == "div":
-        first = next(sweeps)
-        ref = scalar_reference.singular_left(members[0], 0.25, 1e-10)
-        assert first.base.diverged and ref.diverged
-        assert first.base.subdivisions == ref.subdivisions
-        assert not first.converged.any()
-        assert np.isnan(first.values[1:]).all()
-        with pytest.raises(IntegrandError):
-            next(sweeps)
-    else:
-        with pytest.raises(IntegrandError):
-            scalar_reference.sweep(members[0], grid, 1e-10)
-        with pytest.raises(IntegrandError):
-            next(sweeps)
+    # each member's result sits at its own index, whatever the other's is
+    got = dict(zip(order, sweep_singular_left(family, grid, [1e-10, 1e-10])))
+    ref = scalar_reference.singular_left(fns["div"], 0.25, 1e-10)
+    assert got["div"].base.diverged and ref.diverged
+    assert got["div"].base.subdivisions == ref.subdivisions
+    assert not got["div"].converged.any()
+    assert np.isnan(got["div"].values[1:]).all()
+    with pytest.raises(IntegrandError) as exc:
+        scalar_reference.sweep(fns["nan"], grid, 1e-10)
+    assert _lane_outcome(got["nan"]) == _lane_outcome(exc.value)
 
 
 def test_rejected_panel_past_the_stop_does_not_raise():
@@ -306,9 +294,9 @@ def _count_lanes(monkeypatch):
     calls = []
     lanes = quadrature._integrate_lanes
 
-    def counted(g, a, b, tol=1e-10, budget=DEFAULT_BUDGET):
+    def counted(g, a, b, tol, budget, firsts):
         calls.append(len(a))
-        return lanes(g, a, b, tol, budget)
+        return lanes(g, a, b, tol, budget, firsts)
 
     monkeypatch.setattr(quadrature, "_integrate_lanes", counted)
     monkeypatch.setattr(quadrature, "integrate", None)  # no one-lane redo
@@ -375,24 +363,54 @@ def test_plateau_converges_with_the_eager_bits(tol, lanes, monkeypatch):
 def test_sweep_redoes_only_rejected_panels(name, monkeypatch):
     # H2's eps members run in lockstep: a member's panels go to the lane
     # integrator only when one GK15 step rejects them, and a member with no
-    # rejected panel costs no lane call (tx has none, linear some)
+    # rejected panel costs no lane call (tx has none, linear some).  Each
+    # lane starts from the batch's first GK15 step on its panel, which has
+    # the bits of that step on the member alone
     calls = []
     lanes = quadrature._integrate_lanes
 
-    def counted(g, a, b, tol=1e-10, budget=DEFAULT_BUDGET):
-        calls.append((g, a, b, tol))
-        return lanes(g, a, b, tol, budget)
+    def counted(g, a, b, tol, budget, firsts):
+        firsts = list(firsts)
+        calls.append((g, a, b, tol, firsts))
+        return lanes(g, a, b, tol, budget, firsts)
 
     monkeypatch.setattr(quadrature, "_integrate_lanes", counted)
     raw = json.loads((CORPUS / f"{name}.json").read_text())
     p = criteria.reduce_problem(criteria.ProblemSpec.from_dict(raw))
     assert criteria._h2_hypothesis(p, criteria.CheckConfig()).passed
     assert (len(calls) == 0) == (name == "tx")
-    for g, a, b, tol in calls:
+    for g, a, b, tol, firsts in calls:
         assert len(a) > 0
-        for ai, bi, ti in zip(a, b, tol):
+        for ai, bi, ti, first in zip(a, b, tol, firsts):
             k, err = scalar_reference._gk15(g, ai, bi)
             assert not (err <= ti and abs(k) <= DIVERGENCE_SUM_THRESHOLD)
+            assert struct.pack("<dd", k, err) == struct.pack("<dd", *first)
+
+
+def test_no_rejected_panel_is_sampled_twice(monkeypatch):
+    # a lane starts from the first GK15 step that rejected its panel: during
+    # H2 on linear, no lane whose first value is finite asks _gk15_panels
+    # for its whole interval again
+    wholes, asks = set(), set()
+    lanes, panels = quadrature._integrate_lanes, quadrature._gk15_panels
+
+    def counted_lanes(g, a, b, tol, budget, firsts):
+        firsts = list(firsts)
+        wholes.update((ai, bi) for ai, bi, (k, _) in zip(a, b, firsts)
+                      if math.isfinite(k))
+        return lanes(g, a, b, tol, budget, firsts)
+
+    def counted_panels(g, lane_asks):
+        asks.update(panel for lane in lane_asks for panel in lane)
+        return panels(g, lane_asks)
+
+    monkeypatch.setattr(quadrature, "_integrate_lanes", counted_lanes)
+    monkeypatch.setattr(quadrature, "_gk15_panels", counted_panels)
+    raw = json.loads((CORPUS / "linear.json").read_text())
+    p = criteria.reduce_problem(criteria.ProblemSpec.from_dict(raw))
+    assert criteria._h2_hypothesis(p, criteria.CheckConfig()).passed
+    assert wholes and asks  # some panels were redone, by their halves
+    assert not wholes & asks
 
 
 # (integrand, a): converged on the first chunk, divergent, redone panels,
@@ -473,7 +491,7 @@ def test_sweep_rejects_bad_grid():
     family, _ = _power_family([0.5])
     for grid in ([0.0, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5]):
         with pytest.raises(ValueError):
-            next(sweep_singular_left(family, grid, [1e-10]))
+            sweep_singular_left(family, grid, [1e-10])
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +508,16 @@ def _lane_outcome(res):
     if isinstance(res, IntegrandError):
         return ("IntegrandError", str(res), struct.pack("<d", res.where))
     return _bits(res)
+
+
+def _lanes(g, a, b, tol, budget=DEFAULT_BUDGET):
+    """The lane integrator on the intervals a[i] < b[i], each lane from its
+    panel's GK15 step in one batched first pass, as its callers start it."""
+    k, err = quadrature._gk15_rule(lambda x: quadrature._sample(g, x),
+                                   np.array(a, dtype=float),
+                                   np.array(b, dtype=float))
+    return _integrate_lanes(g, a, b, tol, budget,
+                            zip(k.tolist(), err.tolist()))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -540,7 +568,9 @@ def _lane_interval(draw):
 def test_lanes_match_scalar_integrate(name, lanes, budget, own_tol):
     # loose tolerances end lanes on their first panel and tight ones split
     # them, in one batch; every lane has the bits of the one-interval loop
-    # at its tolerance (its own, or the first lane's for all)
+    # at its tolerance (its own, or the first lane's for all).  The lanes
+    # take the forward intervals of positive length; integrate takes each
+    # interval as drawn
     g = LANE_INTEGRANDS[name]
     intervals, tols = zip(*lanes)
     if not own_tol:
@@ -549,13 +579,19 @@ def test_lanes_match_scalar_integrate(name, lanes, budget, own_tol):
     # budget off those intervals, as each such lane takes 10^4 splits
     assume(not (name == "inv" and budget == DEFAULT_BUDGET
                 and any(min(a, b) <= 0.0 <= max(a, b) for a, b in intervals)))
-    a, b = zip(*intervals)
+    forward = [(min(a, b), max(a, b), tol)
+               for (a, b), tol in zip(intervals, tols) if a != b]
     with np.errstate(all="ignore"):
-        got = _integrate_lanes(g, a, b, tols if own_tol else tols[0], budget)
-        for (ai, bi), tol, res in zip(intervals, tols, got):
+        for (ai, bi), tol in zip(intervals, tols):
+            ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
+            assert _outcome(integrate, g, ai, bi, tol, budget) == ref
+        if not forward:
+            return
+        a, b, tols = zip(*forward)
+        for ai, bi, tol, res in zip(a, b, tols, _lanes(g, a, b, tols,
+                                                       budget)):
             ref = _outcome(scalar_reference.integrate, g, ai, bi, tol, budget)
             assert _lane_outcome(res) == ref
-            assert _outcome(integrate, g, ai, bi, tol, budget) == ref
 
 
 def test_exhausted_budget_sums_the_heap_only_near_tol(monkeypatch):
@@ -585,14 +621,14 @@ def test_exhausted_budget_sums_the_heap_only_near_tol(monkeypatch):
 
 def test_lanes_report_errors_per_lane():
     g = LANE_INTEGRANDS["hole"]
-    res = _integrate_lanes(g, [0.0, 0.0, 0.5], [1.0, 0.2, 1.0])
+    res = _lanes(g, [0.0, 0.0, 0.5], [1.0, 0.2, 1.0], [1e-10] * 3)
     assert isinstance(res[0], IntegrandError)
     assert res[0].where == pytest.approx(_HOLE, abs=0.02)
     assert res[1].converged and res[2].converged
     assert res[1].value == pytest.approx(math.sin(0.2), rel=1e-12)
     # an infinite sample: 1/w at the midpoint node of [-1, 1]
     with np.errstate(divide="ignore"):
-        (inf_lane,) = _integrate_lanes(LANE_INTEGRANDS["inv"], [-1.0], [1.0])
+        (inf_lane,) = _lanes(LANE_INTEGRANDS["inv"], [-1.0], [1.0], [1e-10])
         ref = _outcome(scalar_reference.integrate, LANE_INTEGRANDS["inv"],
                        -1.0, 1.0)
     assert _lane_outcome(inf_lane) == ref

@@ -335,6 +335,11 @@ def test_lanes_fixed_step():
                     fixed_step=0.05), want)
     with pytest.raises(ValueError):
         integrate_ivp(f_expr("x"), 0.0, 1.0, 1.0, fixed_step=0.0)
+    # the arguments are checked before a lane that does not move returns
+    for bad in [dict(fixed_step=0.0), dict(fixed_step=-1.0),
+                dict(rtol=-1.0), dict(atol=math.nan)]:
+        with pytest.raises(ValueError):
+            integrate_ivp(f_expr("x"), 0.5, 0.0, 0.5, **bad)
 
 
 def test_lanes_mixed_batch():

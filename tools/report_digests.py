@@ -4,10 +4,11 @@ Usage: python tools/report_digests.py OUT.json [--timings TIMES.json]
        python tools/report_digests.py --compare OLD.json NEW.json
 
 Runs ``odeuniq.cli.main`` in process, from whichever ``odeuniq`` is on
-PYTHONPATH, over the checked-in corpus and the seeded problems of
-``perfbench/inputs.py --seed 1, 2, 3``.  For each invocation it records
-the exit code (or the name of an escaping exception) and the sha256 of
-stdout, stderr and the ``--out`` file, and writes them to OUT.json.  Run
+PYTHONPATH, over the checked-in corpus, the seeded problems of
+``perfbench/inputs.py --seed 1, 2, 3`` and the fixed problems of ``EXTRA``,
+which take heavy panel redo or fail.  For each invocation it records the
+exit code (or the name of an escaping exception) and the sha256 of stdout,
+stderr and the ``--out`` file, and writes them to OUT.json.  Run
 it once with each version's ``src`` on PYTHONPATH and diff the two files:
 equal digests mean byte-identical reports.  All inputs and reports live
 in a temporary directory, addressed by paths relative to it, so that the
@@ -40,6 +41,16 @@ SEEDS = (1, 2, 3)
 GENERALIZED_C = ("1", "3.5", "4.841", "7", "10", "50")
 # tolerances at which the solver rejects many steps
 TIGHT = ["--rtol", "1e-10", "--atol", "1e-13"]
+# one directory of fixed problems: a slow tail whose H2 members redo base
+# panels down to the underflow of lambda, and the two corpus-suite inputs
+# that meet a known defect (perfbench/inputs.py's DEFECTS)
+EXTRA = {
+    "slow_tail": {"f": "0", "u": "t", "v": "t", "lambda": "t^1.99",
+                  "omega": "r"},
+    "defect_equivalence": {"f": "0", "u": "t", "omega": "r^1.5"},
+    "defect_reverify": {"f": "1.413*x/t", "u": "t^0.4667",
+                        "omega": "r^1.948"},
+}
 
 
 def _digest(data: bytes) -> str:
@@ -129,6 +140,12 @@ def main(argv=None) -> int:
             for f in raw.glob("*/*.json"):
                 shutil.copy(f, flat / f.name)
             dirs.append(flat.name)
+        extra = Path(tmp) / "extra"
+        extra.mkdir()
+        for name, spec in EXTRA.items():
+            spec = {"name": name, **spec, "T": 1.0, "x_bound": 1.0}
+            (extra / f"{name}.json").write_text(json.dumps(spec, indent=2))
+        dirs.append(extra.name)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
