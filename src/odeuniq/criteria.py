@@ -28,6 +28,7 @@ grid[j]}``, plus ``var + "0": grid[j-1]`` when j > 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -75,10 +76,26 @@ class ProblemValidationError(Exception):
 # ---------------------------------------------------------------------------
 # configuration and data model
 
+def _shared(grid):
+    """The grid method ``grid`` as one read-only array per (config,
+    argument), kept for the 256 most recent; the key holds the argument's
+    repr, as -0.0 == 0.0 but linspace(-0.0, 0.0) != linspace(0.0, -0.0)."""
+
+    @functools.lru_cache(maxsize=256)
+    def made(config, *arg, key):
+        out = grid(config, *arg)
+        out.flags.writeable = False
+        return out
+
+    return functools.wraps(grid)(
+        lambda config, *arg: made(config, *arg, key=tuple(map(repr, arg))))
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Fields: the grid settings the command line sets.  Class constants:
-    the fixed grid sizes and tolerances of the checks."""
+    the fixed grid sizes and tolerances of the checks.  The grids are
+    shared read-only arrays, one per config and argument in a process."""
     n_t: int = 200
     eps_min: float = 1e-6
     eps_max: float = 1e6
@@ -91,20 +108,29 @@ class CheckConfig:
     limit_tail = 10          # ... and non-increasing over this many tail steps
     quad_tol = 1e-11
 
+    @_shared
     def t_grid(self, T: float) -> np.ndarray:
         return np.geomspace(self.t_min_factor * T, T, self.n_t)
 
+    @_shared
     def x_grid(self, x_bound: float) -> np.ndarray:
         return np.linspace(-x_bound, x_bound, self.n_x)
 
+    @_shared
     def eps_grid(self) -> np.ndarray:
         return np.geomspace(self.eps_min, self.eps_max, self.n_eps)
 
+    @_shared
     def r_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_x)[1:]
 
+    @_shared
     def limit_ts(self, T: float) -> np.ndarray:
         return T * 2.0 ** -np.arange(1, self.n_limit + 1, dtype=np.float64)
+
+    @_shared
+    def _gauge_grid(self, T: float) -> np.ndarray:  # validate's sample grid
+        return np.geomspace(0.01 * T, T, 50)
 
 
 @dataclass
@@ -165,7 +191,7 @@ class ProblemSpec:
             t_bad = float(c.t_grid(self.T)[bad[0]])
             msgs.append(f"f(t, 0) != 0 at t={t_bad!r} (got {float(f0[bad[0]])!r})")
         # gauge sign conditions on a sample grid away from the underflow region
-        tg = np.geomspace(0.01 * self.T, self.T, 50)
+        tg = c._gauge_grid(self.T)
         for label, g in (("u", self.u), ("v", self.v), ("lambda", self.lam)):
             if g is None:
                 continue

@@ -8,7 +8,8 @@ An expression has one semantics: the numpy kernel that ``lambdify``
 compiles.  It never raises; a value is nan or inf exactly when some
 intermediate result is (a division by zero, a sqrt/log/power domain
 violation or an overflow).  ``evaluate`` is that kernel at one point and
-raises EvalDomainError where its value is not finite.
+raises EvalDomainError where its value is not finite.  Expressions whose
+kernel sources are equal share one function, compiled once per process.
 
 Functions: sqrt, abs, exp, log, sin, cos, sign (sign(0) = 0), pow(a, b),
 min(a, b) and max(a, b).
@@ -23,6 +24,7 @@ Grammar (conventional precedence, '^' right-associative):
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -575,7 +577,7 @@ class Expression:
         return self._compiled(tuple(varnames))
 
     def _compiled(self, key: tuple):
-        """lambdify's function for the signature ``key``, compiled once."""
+        """lambdify's function for the signature ``key``, found once."""
         cached = self._vector_cache.get(key)
         if cached is not None:
             return cached
@@ -584,21 +586,8 @@ class Expression:
             raise MissingBindingError(
                 f"expression uses {sorted(missing)} not in signature {list(key)}")
         args = ", ".join(key) if key else "_unused=0.0"
-        src = f"lambda {args}: asarray({_np_source(self.root)}, dtype='float64')"
-        raw = eval(src, dict(_NP_ENV))  # noqa: S307 - source generated from own AST
-
-        def fn(*arrays):
-            arrs = [np.asarray(a, dtype=np.float64) for a in arrays]
-            with np.errstate(all="ignore"):
-                out = raw(*arrs)
-            if any(a.shape != out.shape for a in arrs):
-                shape = np.broadcast_shapes(*[a.shape for a in arrs])
-                if out.shape != shape:  # expression ignored some variables
-                    out = np.broadcast_to(out, shape).copy()
-            return out
-
-        fn.kernel = raw
-        self._vector_cache[key] = fn
+        fn = self._vector_cache[key] = _compile(
+            f"lambda {args}: asarray({_np_source(self.root)}, dtype='float64')")
         return fn
 
     def _kernel(self, key: tuple):
@@ -607,6 +596,27 @@ class Expression:
         no errstate of its own, and its value has the broadcast shape of the
         variables the expression uses (0-d when it uses none)."""
         return self._compiled(key).kernel
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(src: str):
+    """The function of a generated kernel source, kept for the 256 most
+    recent.  Keyed by the source, not the tree: Num(0.0) == Num(-0.0), but
+    1/(t*0.0) is inf and 1/(t*-0.0) is -inf."""
+    raw = eval(src, dict(_NP_ENV))  # noqa: S307 - source generated from own AST
+
+    def fn(*arrays):
+        arrs = [np.asarray(a, dtype=np.float64) for a in arrays]
+        with np.errstate(all="ignore"):
+            out = raw(*arrs)
+        if any(a.shape != out.shape for a in arrs):
+            shape = np.broadcast_shapes(*[a.shape for a in arrs])
+            if out.shape != shape:  # expression ignored some variables
+                out = np.broadcast_to(out, shape).copy()
+        return out
+
+    fn.kernel = raw
+    return fn
 
 
 def parse(source: str, allowed_vars=None) -> Expression:

@@ -568,15 +568,16 @@ def _improper(family, lo: np.ndarray, hi: np.ndarray, tols):
 
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
-    """Integrate g over [a, +inf) with doubling panels [a_k, a_k + 2^k],
-    a_0 = a, and tail detection.  The panels stop before the first whose
+    """Integrate g over [a, +inf) with doubling panels [a_k, a_k + w*2^k],
+    a_0 = a, w = max(1, a), and tail detection; w keeps every panel wider
+    than an ulp of its left end.  The panels stop before the first whose
     right end overflows (panel 1023 for a = 0); a result that has not
     converged or diverged by then is unconverged.  This is the one-member
     case of the sweep's lockstep panels."""
     if not math.isfinite(a):
         raise ValueError(f"non-finite integration endpoint a={float(a)!r}")
     with np.errstate(over="ignore"):
-        ends = np.cumsum(np.r_[a, 2.0 ** np.arange(MAX_PANELS)])
+        ends = np.cumsum(np.r_[a, max(1.0, a) * 2.0 ** np.arange(MAX_PANELS)])
     ends = ends[np.isfinite(ends)]  # non-decreasing: a finite prefix
     (res,) = _improper(lambda x, _members: _sample(g, x)[None], ends[:-1],
                        ends[1:], np.array([float(tol)]))

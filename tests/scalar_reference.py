@@ -478,7 +478,7 @@ def to_infinity(g, a, tol, max_panels=1200, eager=False):
 
     def panels():
         lo = a
-        width = 1.0
+        width = max(1.0, a)
         for k in range(max_panels):
             hi = lo + width
             ptol = 0.5 * tol / ((k + 1) * (k + 2))

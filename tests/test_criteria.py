@@ -45,6 +45,45 @@ def problem(f, u=None, v=None, lam=None, omega=None, name=""):
 
 
 # ---------------------------------------------------------------------------
+# sample grids
+
+def _fresh_grids(c: CheckConfig, T: float, x_bound: float) -> dict:
+    """Each grid of ``c`` as the numpy call that made it before grids were
+    shared."""
+    return {
+        "t_grid": (c.t_grid(T), np.geomspace(c.t_min_factor * T, T, c.n_t)),
+        "x_grid": (c.x_grid(x_bound), np.linspace(-x_bound, x_bound, c.n_x)),
+        "eps_grid": (c.eps_grid(),
+                     np.geomspace(c.eps_min, c.eps_max, c.n_eps)),
+        "r_grid": (c.r_grid(), np.linspace(0.0, 1.0, c.n_x)[1:]),
+        "limit_ts": (c.limit_ts(T), T * 2.0 ** -np.arange(
+            1, c.n_limit + 1, dtype=np.float64)),
+        "gauge_grid": (c._gauge_grid(T), np.geomspace(0.01 * T, T, 50)),
+    }
+
+
+@pytest.mark.parametrize("c,T,x_bound", [
+    (CFG, 1.0, 1.0), (CheckConfig(n_t=50, eps_min=1e-3), 0.37, 2.5),
+    (CFG, 1.0, -0.0)])
+def test_grids_keep_the_numpy_bits_and_are_read_only(c, T, x_bound):
+    for name, (got, want) in _fresh_grids(c, T, x_bound).items():
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.5
+
+
+def test_grids_are_shared_per_config_and_argument():
+    assert CFG.t_grid(1.0) is CheckConfig().t_grid(1.0)
+    assert CFG.eps_grid() is CFG.eps_grid()
+    assert CheckConfig(n_t=50).t_grid(1.0).size == 50
+    assert CFG.t_grid(0.5) is not CFG.t_grid(1.0)
+    assert CFG.limit_ts(0.5)[0] == 0.25
+    # -0.0 == 0.0, but the two linspaces differ in their last zero's sign
+    assert CFG.x_grid(0.0).tobytes() != CFG.x_grid(-0.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # problem validation
 
 def test_validation_f_not_zero_at_origin():

@@ -1,5 +1,6 @@
 """Expression parsing, serialization, evaluation and differentiation."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from odeuniq.expr import (
     parse,
     substitute,
 )
-from odeuniq.expr import _NP_ENV, _np_source
+from odeuniq import cli, expr
+from odeuniq.expr import _NP_ENV, Bin, Num, Var, _np_source
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_parse_basic_arithmetic():
@@ -100,6 +104,47 @@ def test_lambdify_broadcasts_missing_variables():
     out = f(t, x)
     assert out.shape == (5, 3)
     assert np.all(out == np.broadcast_to(x, (5, 3)))
+
+
+def test_equal_sources_share_one_function():
+    pair = ("t", "x")
+    assert parse("t*x", {"t", "x"}).lambdify(pair) is \
+        parse("t*x", {"t", "x"}).lambdify(pair)
+    du = parse("t^3 - sin(t)", {"t"}).diff("t")  # a rebuilt tree
+    assert du.lambdify(("t",)) is \
+        parse(du.serialize(), {"t"}).lambdify(("t",))
+
+
+def test_signed_zero_sources_get_their_own_functions():
+    # the trees are equal and hash alike, their sources are not
+    pos, neg = (Expression(Bin("/", Num(1.0), Bin("*", Var("t"), Num(z))))
+                for z in (0.0, -0.0))
+    assert pos == neg and hash(pos) == hash(neg)
+    f, g = pos.lambdify(("t",)), neg.lambdify(("t",))
+    assert f is not g
+    assert (f(np.ones(1))[0], g(np.ones(1))[0]) == (math.inf, -math.inf)
+
+
+def test_second_suite_run_compiles_no_kernel(tmp_path, monkeypatch, capsys):
+    sources = []
+
+    def counted_eval(src, env):
+        sources.append(src)
+        return eval(src, env)  # noqa: S307 - the kernel's own source
+
+    def suite(out):
+        assert cli.main(["suite", "--corpus", str(CORPUS),
+                         "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    suite("first.json")
+    monkeypatch.setattr(expr, "eval", counted_eval, raising=False)
+    warm = suite("warm.json")
+    assert sources == []
+    expr._compile.cache_clear()
+    cold = suite("cold.json")
+    assert sources and len(sources) == len(set(sources))
+    assert warm == cold
 
 
 # '^' with a finite nonzero literal exponent is '**' on the finite_or_nan

@@ -90,6 +90,16 @@ def test_tail_divergence_flagged():
     assert res.diverged and not res.converged
 
 
+@pytest.mark.parametrize("tol,converged", [(1e-10, False), (1e3, True)])
+def test_tail_from_a_large_start(tol, converged):
+    # panels [a, a + 2^k] from a = 2^60 had zero length while 2^k was below
+    # half an ulp of a, so the integral ended "converged" at 0 after two;
+    # panels a*2^k wide reach 1e30/a, which rounding keeps above tol=1e-10
+    res = integrate_to_infinity(lambda s: 1e30 / s**2, 2.0**60, tol=tol)
+    assert (res.converged, res.diverged) == (converged, False)
+    assert res.value == pytest.approx(1e30 / 2.0**60, rel=1e-12)
+
+
 def test_orientation():
     a = integrate(lambda w: w, 0.0, 1.0, tol=1e-12).value
     b = integrate(lambda w: w, 1.0, 0.0, tol=1e-12).value
