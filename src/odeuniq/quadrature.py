@@ -8,37 +8,35 @@ singular endpoint (left) or doubling panels toward infinity (right), with
 geometric tail extrapolation for the convergence decision and an explicit,
 documented divergence heuristic.
 
-Every panel goes through one GK15 step (``_gk15``): samples taken under
-``np.errstate(all="ignore")`` and both rule sums reduced per row with
-``np.vecdot``, which gives the bits of the one-panel ``np.dot(W, y)``, so
-a panel in any batch has the bits ``integrate`` gives it alone.
+Every panel is sampled, scaled and judged in one GK15 step
+(``_gk15_rule``), whose ``np.vecdot`` gives each row the bits of the
+one-panel ``np.dot(W, y)``, so a panel in any batch has the bits
+``integrate`` gives it alone.  A panel fails when its Kronrod value or
+error estimate is not finite; ``_panel_error`` names it.
 
 Cumulative sweeps (``sweep_singular_left``) integrate a family of
 integrands from 0+ to every point of a grid, all members in lockstep.
-Per chunk of geometric base panels, one family call per block samples
-the members still running, and ``_improper`` ends each member's base
-integral by one end rule, which its docstring states; the grid segments
-of every member whose base did not diverge are one more batched step,
-``_segments``.  A panel that one GK15 step does not settle is redone as a
-lane of the member alone.  Each result has the values, errors and flags
-of the panel-by-panel loop, bit for bit, except the value of a divergent
-one, which no caller reads.  ``integrate_singular_left`` is the
-one-member case, and ``integrate_to_infinity`` runs its doubling panels
+Per chunk of geometric base panels, down to the last one above 2^-1022,
+one family call per block samples the members still running, and
+``_improper`` ends each member's base integral by one end rule; the grid
+segments of every member whose base did not diverge are one more batched
+step, ``_segments``.  A panel that one GK15 step does not settle is
+redone as a lane of the member alone.  Each result has the values, errors
+and flags of the panel-by-panel loop, bit for bit, except the value of a
+divergent one, which no caller reads.  ``integrate_singular_left`` is the
+one-member case; ``integrate_to_infinity`` runs its doubling panels
 through ``_improper`` too.  ``tests/scalar_reference.py`` keeps the
 panel-at-a-time loop (``_tail_driver``) as the oracle.
 
 The adaptive integrator runs independent integrals as lanes in lockstep,
 each lane from the first GK15 step that its caller took on the whole
-interval: the batched first pass of ``_improper`` and ``_segments``, whose
-rejected panels it redoes, or ``integrate``'s own, the one-lane case.
-The lanes run as coroutines, one integrand call per round for the next
-panels of all running lanes; a lane samples its whole interval again only
-when its first value is not finite (``_adapt``).  Every lane
-keeps the one-interval loop's heap, freeze rule, budget, termination test
-(the ``sum`` over the heap, which a running total with a rounding bound
-stands in for wherever the two cannot disagree) and left-ordered
-reduction, and reproduces it bit for bit; a non-finite sample ends its
-lane with the loop's ``IntegrandError``.
+interval, one integrand call per round for the next panels of all running
+lanes (``_adapt``).  Every lane keeps the one-interval loop's heap, freeze
+rule, budget, termination test (the ``sum`` over the heap, which a
+running total with a rounding bound stands in for wherever the two cannot
+disagree) and left-ordered reduction, and reproduces it bit for bit; a
+panel that fails ends its lane with the loop's ``IntegrandError``, so no
+non-finite pair enters a heap and every lane ends.
 
 Integrands are array functions: ``g(x)`` maps an array of points to an
 array of x's shape, or to a value that broadcasts to it.
@@ -72,9 +70,8 @@ DIVERGENCE_SUM_THRESHOLD = 1e12
 DIVERGENCE_PANEL_RUN = 60
 
 DEFAULT_BUDGET = 10_000
-# the improper-integral drivers stop after this many geometric panels and
-# integrate each panel they redo with at most this adaptive budget
-MAX_PANELS = 1200
+# the improper-integral drivers integrate each panel they redo with at most
+# this adaptive budget
 PANEL_BUDGET = 200
 # unit roundoff of a float64 sum: one addition errs by at most this times
 # the magnitude of its result
@@ -163,7 +160,7 @@ def integrate(g, a: float, b: float, tol: float = 1e-10,
                 f"non-finite integration endpoint {name}={float(end)!r}")
     if a == b:
         return QuadResult(0.0, 0.0, True, False, 0)
-    lo, hi = (a, b) if a < b else (b, a)
+    lo, hi = sorted((float(a), float(b)))  # numpy scalars warn on overflow
     k, err = _gk15_rule(lambda x: _sample(g, x), np.array([lo]),
                         np.array([hi]))
     (res,) = _integrate_lanes(g, (lo,), (hi,), (tol,), budget,
@@ -178,63 +175,55 @@ def _integrate_lanes(g, a, b, tol, budget: int, firsts) -> list:
     in lockstep, at the tolerances tol[i] (sequences of floats), each lane
     from the (value, error) pair firsts[i] that its caller's GK15 step gave
     the whole interval.  Returns, per lane, its QuadResult, or the
-    IntegrandError of its first non-finite sample."""
+    IntegrandError of its first panel that fails."""
     lanes = [_adapt(*lane, budget) for lane in zip(a, b, tol, firsts)]
     return _lockstep(lanes, lambda asks, _ids: _gk15_panels(g, asks))
 
 
-def _gk15(sample, mid: np.ndarray, half: np.ndarray):
-    """The GK15 step on the panels mid +- half (1-d arrays): nodes x of
-    shape (panels, 15), samples y = sample(x) of shape (...,) + x.shape and
-    the rule sums (dot(W_K, y), dot(W_G, y)) per panel, unscaled by half."""
-    x = mid[:, None] + half[:, None] * _NODES
-    with np.errstate(all="ignore"):
-        y = sample(x)
-        return x, y, np.vecdot(y[..., None, :], _W_PAIR)
-
-
 def _gk15_panels(g, asks: list) -> list:
-    """The GK15 rule on every panel the lanes ask for (``asks``, one tuple
-    of panels per lane), sampled in one call of g.  Returns, per lane, its
-    panels' (Kronrod value, error estimate) pairs, as ``_gk15_rule`` gives
-    them, or the IntegrandError of its first panel with a non-finite
-    sample, naming the first such node."""
-    mids, halves = [], []
+    """The GK15 step on every panel the lanes ask for (``asks``, one tuple
+    of panels per lane), as one ``_gk15_rule`` call.  Returns, per lane,
+    its panels' (Kronrod value, error estimate) pairs, or the
+    ``_panel_error`` of its first panel whose value or error is not
+    finite."""
+    lo, hi = np.array([pair for panels in asks for pair in panels]).T
+    k, err = _gk15_rule(lambda x: _sample(g, x), lo, hi)
+    ok = np.isfinite(err).tolist()  # err = |k - ...| is finite only if k is
+    pairs = list(zip(k.tolist(), err.tolist()))
+    replies, p = [], 0
     for panels in asks:
-        for a, b in panels:
-            mids.append(0.5 * (a + b))
-            halves.append(0.5 * (b - a))
-    x, y, dots = _gk15(lambda x: _sample(g, x), np.array(mids),
-                       np.array(halves))
-    dots = dots.tolist()
-    replies = []
-    p = 0
-    for panels in asks:
-        pairs = []
-        for q in range(p, p + len(panels)):
-            dk, dg = dots[q]
-            # Kronrod weights are positive: a finite dk means finite samples
-            if not math.isfinite(dk) and not np.isfinite(y[q]).all():
-                where = float(x[q][~np.isfinite(y[q])][0])
-                pairs = IntegrandError(
-                    f"non-finite integrand sample at x={where!r}", where=where)
-                break
-            k = halves[q] * dk
-            pairs.append((k, abs(k - halves[q] * dg)))
-        replies.append(pairs)
-        p += len(panels)
+        q = p + len(panels)
+        replies.append(pairs[p:q] if all(ok[p:q]) else
+                       _panel_error(g, *panels[ok.index(False, p, q) - p]))
+        p = q
     return replies
+
+
+def _panel_error(g, a: float, b: float) -> IntegrandError:
+    """The IntegrandError of the failed panel [a, b], sampled again: its
+    first non-finite node or, every sample finite, its overflowing sum."""
+    a, b = float(a), float(b)
+    with np.errstate(all="ignore"):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+        bad = ~np.isfinite(_sample(g, x))
+    if not bad.any():
+        return IntegrandError(f"panel sum overflows on [{a!r}, {b!r}]", where=a)
+    where = float(x[bad][0])
+    return IntegrandError(f"non-finite integrand sample at x={where!r}",
+                          where=where)
 
 
 def _adapt(a: float, b: float, tol: float, first, budget: int):
     """``integrate``'s adaptive loop on one lane a < b whose whole-interval
     GK15 step gave the (value, error) pair ``first``, as a coroutine: it
     yields the panels it splits into, receives their (value, error) pairs
-    and returns the QuadResult.  A non-finite first value asks for the
-    whole interval once more, so that ``_gk15_panels`` names its first
-    non-finite node (or gives the pair again, all samples finite)."""
+    and returns the QuadResult.  A non-finite first pair asks for the whole
+    interval once more, and ``_gk15_panels`` answers with its error.
+
+    The loop ends: every pair in the heap is finite, the budget bounds the
+    splits, and each freeze moves a distinct item to key 0.0."""
     val, err = first
-    if not math.isfinite(val):
+    if not (math.isfinite(val) and math.isfinite(err)):
         ((val, err),) = yield ((a, b),)
     # heap of (-err, insertion counter, a, b, val, err); counter keeps the
     # ordering deterministic when error estimates tie
@@ -286,11 +275,11 @@ def integrate_singular_left(g, b: float, tol: float = 1e-10) -> QuadResult:
 
     Uses geometric panels [b*2^-(k+1), b*2^-k]; converges when the
     geometric tail bound drops below tol, diverges when partial sums
-    exceed the divergence threshold or contributions stop decreasing.
-    This is the one-member, one-point case of ``sweep_singular_left``.
+    exceed the divergence threshold or contributions stop decreasing, and
+    is unconverged at the last panel above 2^-1022 otherwise.  This is the
+    one-member, one-point case of ``sweep_singular_left``, whose ValueError
+    b below 2^-1020 (fewer than two panels) raises.
     """
-    if not (b > 0.0):
-        raise ValueError(f"integrate_singular_left requires b > 0, got {b!r}")
     (res,) = sweep_singular_left(lambda x, _members: _sample(g, x)[None],
                                  [b], [tol])
     if isinstance(res, IntegrandError):
@@ -327,7 +316,8 @@ def sweep_singular_left(family, grid, tols) -> list:
     ``members`` at the points ``x`` (an array) and returns an array of
     shape ``(len(members),) + x.shape``.  Member i has the tolerance
     ``tols[i]`` for the base integral over (0, grid[0]] and for each
-    segment of ``grid``, which is strictly increasing with grid[0] > 0.
+    segment of ``grid``, which is strictly increasing with
+    grid[0] >= 2^-1020.
     A rejected panel of member i is redone on ``family(x, [i])[0]``.
 
     Returns per member of ``tols``, in order, its ``Sweep`` or its
@@ -335,13 +325,15 @@ def sweep_singular_left(family, grid, tols) -> list:
     panel-by-panel loop.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    if not (grid.ndim == 1 and grid.size and grid[0] > 0.0
+    if not (grid.ndim == 1 and grid.size and grid[0] >= 2.0 ** -1020
             and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("sweep grid must be strictly increasing with grid[0] > 0")
+        raise ValueError(
+            "sweep grid must be strictly increasing with grid[0] >= 2^-1020")
     tols = np.asarray(tols, dtype=np.float64)
     # base panel k is [edges[k+1], edges[k]], halved one step at a time
-    edges = np.multiply.accumulate(
-        np.concatenate((grid[:1], np.full(MAX_PANELS, 0.5))))
+    # while it stays normal: grid[0] = m*2^e (frexp) keeps k < e + 1021
+    edges = np.multiply.accumulate(np.concatenate(
+        (grid[:1], np.full(math.frexp(grid[0])[1] + 1021, 0.5))))
     bases = _improper(family, edges[1:], edges[:-1], tols)
     values = np.full((tols.size, grid.size), math.nan)
     converged = np.zeros(values.shape, dtype=bool)
@@ -382,12 +374,15 @@ def _alone(family, i: int):
 
 
 def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
-    """GK15 values k = half*dot(W_K, y) and error estimates
-    |k - half*dot(W_G, y)| of the panels [lo, hi], shaped as ``sample``'s
-    output less its node axis; a non-finite sample makes them non-finite."""
-    half = 0.5 * (hi - lo)
-    _, _, dots = _gk15(sample, 0.5 * (lo + hi), half)
+    """The GK15 step on the panels [lo, hi] (1-d arrays), the one place a
+    panel is sampled: Kronrod values k = half*dot(W_K, y) and error
+    estimates |k - half*dot(W_G, y)| of the samples y = sample(nodes),
+    shaped as y less its node axis.  A panel fails when either is not
+    finite."""
     with np.errstate(all="ignore"):
+        half = 0.5 * (hi - lo)
+        y = sample(0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
+        dots = np.vecdot(y[..., None, :], _W_PAIR)
         k = half * dots[..., 0]
         return k, np.abs(k - half * dots[..., 1])
 
@@ -395,7 +390,7 @@ def _gk15_rule(sample, lo: np.ndarray, hi: np.ndarray):
 def _settles(k, err, tol):
     """Where one GK15 step (values k, error estimates err) settles a panel
     as ``integrate`` would: error within tol and no divergence flag.  Both
-    fail on non-finite samples."""
+    fail on a panel that fails."""
     return (err <= tol) & (np.abs(k) <= DIVERGENCE_SUM_THRESHOLD)
 
 
@@ -445,15 +440,16 @@ def _improper(family, lo: np.ndarray, hi: np.ndarray, tols):
 
     A member ends at the first panel that has an end, one ``ends`` mask
     over its row.  The ends, in the order they are read at one panel:
-    - a failed redo: the IntegrandError of the panel, as the loop raises
-      before it tests the panel;
+    - a failed redo: the IntegrandError of a panel that fails, as the loop
+      raises before it tests the panel;
     - the loop's four tests: the partial sum passes
       DIVERGENCE_SUM_THRESHOLD, or the run of non-decreasing contributions
       reaches DIVERGENCE_PANEL_RUN (diverged); the geometric tail from the
       last two contributions, its ratio capped at 0.95, fits within
       tols[i] with the error sum; the contribution is zero, past the first
       panel, and the error sum fits within tols[i] (converged);
-    - the last panel, once the panels run out (unconverged).
+    - the last panel, once the panels run out (unconverged): the last one
+      above 2^-1022, or with a finite right end.
 
     The two divergence tests read the values alone, the two convergence
     tests the values and the error sum.  They read each member's row from
@@ -569,15 +565,17 @@ def _improper(family, lo: np.ndarray, hi: np.ndarray, tols):
 
 def integrate_to_infinity(g, a: float, tol: float = 1e-10) -> QuadResult:
     """Integrate g over [a, +inf) with doubling panels [a_k, a_k + w*2^k],
-    a_0 = a, w = max(1, a), and tail detection; w keeps every panel wider
-    than an ulp of its left end.  The panels stop before the first whose
-    right end overflows (panel 1023 for a = 0); a result that has not
-    converged or diverged by then is unconverged.  This is the one-member
-    case of the sweep's lockstep panels."""
-    if not math.isfinite(a):
-        raise ValueError(f"non-finite integration endpoint a={float(a)!r}")
+    a_0 = a, k < 1024, and tail detection; w = max(1, a, -a*2^-52), an ulp
+    of a at least, keeps every panel wider than an ulp of its left end.
+    The panels stop before the first whose right end overflows (panel 1023
+    for a = 0; an a with none is a ValueError), unconverged if not ended by
+    then; a panel that fails raises.  One member of the sweep's panels."""
+    a = float(a)  # numpy scalars warn on overflow
+    w = max(1.0, a, -a * 2.0 ** -52)
+    if not math.isfinite(a + w):  # a non-finite a too
+        raise ValueError(f"endpoint a={a!r} has no finite first panel")
     with np.errstate(over="ignore"):
-        ends = np.cumsum(np.r_[a, max(1.0, a) * 2.0 ** np.arange(MAX_PANELS)])
+        ends = np.cumsum(np.r_[a, w * 2.0 ** np.arange(1024)])
     ends = ends[np.isfinite(ends)]  # non-decreasing: a finite prefix
     (res,) = _improper(lambda x, _members: _sample(g, x)[None], ends[:-1],
                        ends[1:], np.array([float(tol)]))

@@ -69,7 +69,9 @@ def _eval_vectorized(g, x: np.ndarray) -> np.ndarray:
 
 
 def _gk15(g, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel: (kronrod value, error estimate)."""
+    """One Gauss-Kronrod 7/15 panel: (kronrod value, error estimate).  A
+    non-finite value or error raises, naming the first non-finite sample,
+    or the panel when every sample is finite and a rule sum overflows."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _NODES
@@ -79,9 +81,12 @@ def _gk15(g, a: float, b: float) -> tuple[float, float]:
         where = float(x[bad][0])
         raise IntegrandError(
             f"non-finite integrand sample at x={where!r}", where=where)
-    k = half * float(np.dot(_W_KRONROD, y))
-    gq = half * float(np.dot(_W_GAUSS, y))
-    return k, abs(k - gq)
+    with np.errstate(over="ignore"):
+        k = half * float(np.dot(_W_KRONROD, y))
+        err = abs(k - half * float(np.dot(_W_GAUSS, y)))
+    if not (math.isfinite(k) and math.isfinite(err)):
+        raise IntegrandError(f"panel sum overflows on [{a!r}, {b!r}]", where=a)
+    return k, err
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-10,
@@ -455,18 +460,21 @@ def _panel(g, a: float, b: float, tol: float, budget: int):
     return k, tol, redo
 
 
-def singular_left(g, b, tol, budget=10_000, max_panels=1200, eager=False):
+def singular_left(g, b, tol, budget=10_000, eager=False):
     """int_0+^b g, one adaptive ``integrate`` call per geometric panel
     that one GK15 step does not settle and the tests need (every such
-    panel, if ``eager``)."""
+    panel, if ``eager``); the panels stop at the last one whose lower edge
+    is a normal float."""
 
     def panels():
         hi = b
-        for k in range(max_panels):
+        k = 0
+        while hi * 0.5 >= np.finfo(np.float64).tiny:
             lo = hi * 0.5
             ptol = 0.5 * tol / ((k + 1) * (k + 2))
             yield _panel(g, lo, hi, max(ptol, 1e-300), min(budget, 200))
             hi = lo
+            k += 1
 
     return _tail_driver(panels(), tol, eager)
 
@@ -478,7 +486,7 @@ def to_infinity(g, a, tol, max_panels=1200, eager=False):
 
     def panels():
         lo = a
-        width = max(1.0, a)
+        width = max(1.0, a, -a * 2.0**-52)
         for k in range(max_panels):
             hi = lo + width
             ptol = 0.5 * tol / ((k + 1) * (k + 2))

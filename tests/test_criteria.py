@@ -524,10 +524,11 @@ INTEGRAL_FAILURES = [
                  dict(u="t", omega="r + 0*sqrt(abs(r - 0.3) - 0.001)"), False,
                  "domain_error", math.nan, "r", lambda w: 0.299 < w["r"] < 0.301,
                  id="gate-domain_error"),
-    # omega(s)/s overflows at a subnormal s, where omega itself is finite
-    pytest.param("osgood_integral", dict(u="t", omega="-1/log(r)"), False,
-                 "domain_error", math.nan, "r", lambda w: 0.0 < w["r"] < 1e-300,
-                 id="gate-domain_error-subnormal"),
+    # int_0+ 1/(s log(2/s)) diverges too slowly for the tail tests: the base
+    # panels reach the last one above 2^-1022 unclassified and end there
+    pytest.param("osgood_integral", dict(u="t", omega="-1/log(r/2)"), False,
+                 "divergent", math.nan, "r", lambda w: w["r"] == CFG.r_grid()[0],
+                 id="gate-unconverged-floor"),
     # omega(s)/s = 1/s is not integrable at 0+
     pytest.param("osgood_integral", dict(u="t", omega="1"), False,
                  "divergent", -math.inf, "r", lambda w: w["r"] == CFG.r_grid()[0],

@@ -179,9 +179,12 @@ END_CASES = [
     # the same at panel 67 of 1/(w + 1e-8), whose accepted values converge
     # at panel 66: the failed redo is never reached
     (lambda w: np.where(w < 2.0**-67.5, np.inf, 1.0 / (w + 1e-8)), 1.0),
-    # the panels run out, unconverged, at MAX_PANELS (from b = 2^996 they
-    # stay normal floats)
+    # the last base panel, [2^-1022, 2^-1021], samples 3*2^1022 at every
+    # node: each sample is finite and the rule sum overflows, which raises
     (_octave_staircase, 2.0**996),
+    # a sixteenth of it: the panels run out, unconverged, at the last base
+    # panel above 2^-1022, panel 2018 from b = 2^996
+    (lambda w: _octave_staircase(w) / 16.0, 2.0**996),
 ]
 
 
@@ -487,14 +490,17 @@ def test_to_infinity_stops_where_the_panels_overflow():
     assert res.value == pytest.approx(512 - 2 * 511, rel=1e-12)
 
 
-def test_slow_tail_raises_without_warning():
-    # x^-0.97 overflows near x = 1.3e-318, where the geometric panels reach;
-    # the sweep reports the non-finite sample, and no RuntimeWarning leaks
+def test_slow_tail_ends_unconverged_at_the_floor_without_warning():
+    # the geometric panels of x^-0.97 stop at the last one above 2^-1022,
+    # panel 1022 from b = 1, before the samples overflow near x = 1.3e-318;
+    # the tail is not yet classified there, so the result is unconverged,
+    # and no RuntimeWarning leaks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrandError) as exc:
-            integrate_singular_left(lambda x: x**-0.97, 1.0)
-    assert 0.0 < exc.value.where < 1e-317
+        res = integrate_singular_left(lambda x: x**-0.97, 1.0)
+    assert (res.converged, res.diverged, res.subdivisions) == \
+        (False, False, 1022)
+    assert res.value == pytest.approx(1.0 / 0.03, rel=1e-6)
 
 
 def test_sweep_rejects_bad_grid():

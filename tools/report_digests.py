@@ -42,11 +42,15 @@ GENERALIZED_C = ("1", "3.5", "4.841", "7", "10", "50")
 # tolerances at which the solver rejects many steps
 TIGHT = ["--rtol", "1e-10", "--atol", "1e-13"]
 # one directory of fixed problems: a slow tail whose H2 members redo base
-# panels down to the underflow of lambda, and the two corpus-suite inputs
-# that meet a known defect (perfbench/inputs.py's DEFECTS)
+# panels down to the underflow of lambda, a near-critical tail whose base
+# panels run out unclassified at the last one above 2^-1022, and the two
+# corpus-suite inputs that meet a known defect (perfbench/inputs.py's
+# DEFECTS)
 EXTRA = {
     "slow_tail": {"f": "0", "u": "t", "v": "t", "lambda": "t^1.99",
                   "omega": "r"},
+    "near_critical": {"f": "0", "u": "t", "v": "t", "lambda": "t^0.99",
+                      "omega": "r"},
     "defect_equivalence": {"f": "0", "u": "t", "omega": "r^1.5"},
     "defect_reverify": {"f": "1.413*x/t", "u": "t^0.4667",
                         "omega": "r^1.948"},
