@@ -13,8 +13,8 @@ to absorb quadrature noise at equality cases.
 
 Each hypothesis is defined once, in ``HYPOTHESES``, from the problem's
 expressions.  The checkers evaluate a definition on their grids and
-``reverify`` evaluates the same definition at a failing witness, so every
-hypothesis of every criterion can be re-checked.
+``reverify`` re-runs the checker's rule on a failing witness's points, so
+every hypothesis of every criterion can be re-checked.
 
 The three integrals at 0+ (H1, H2 and the Osgood gate of the comparison
 function) run through one sweep on the grid of their definition, which
@@ -370,15 +370,12 @@ def _uniform_limit_hypothesis(name, ratio_fn, ts, xs, threshold,
 # ---------------------------------------------------------------------------
 # hypothesis definitions: HYPOTHESES maps each hypothesis name to a builder
 # of its definition from the problem's Expressions.  The checkers evaluate a
-# definition on their grids; reverify evaluates the same one at a witness.
+# definition on their grids; reverify re-runs them on a witness's points.
 
 class _Pair(NamedTuple):
     """|f(t, x1) - f(t, x2)| <= coeff(t)*|x1 - x2|."""
     f: Callable
     coeff: Callable
-
-    def at(self, w):
-        return self.f(w["t"], w["x"]), self.coeff(w["t"])
 
 
 class _Bound(NamedTuple):
@@ -386,16 +383,10 @@ class _Bound(NamedTuple):
     lhs: Callable
     rhs: Callable
 
-    def at(self, w):
-        return self.lhs(w["t"], w["x"]), self.rhs(w["t"], w["x"])
-
 
 class _Limit(NamedTuple):
     """ratio(t, x) -> 0 as t -> 0+, uniformly in x."""
     ratio: Callable
-
-    def at(self, w):
-        return (self.ratio(w["t"], w["x"]),)
 
 
 class _Integral(NamedTuple):
@@ -429,8 +420,7 @@ class _Gate(NamedTuple):
         return self.omega(r)  # omega(0+) = 0 as a limit that ignores x
 
     def at(self, w):
-        r = w["r"] if "r" in w else w["t"]
-        return self.omega(r), self.integrand(r, None)
+        return self.omega(w["r"]), self.integrand(w["r"], None)
 
 
 def _quad_tol(c: CheckConfig, _eps) -> float:
@@ -520,16 +510,27 @@ HYPOTHESES = {
 }
 
 
-def _sweep(name: str, p: ProblemSpec, c: CheckConfig, notes="") -> Hypothesis:
+def _points(w: dict, *keys) -> np.ndarray:
+    """The values of w's keys among ``keys``, in that order."""
+    return np.array([w[k] for k in keys if k in w])
+
+
+def _sweep(name: str, p: ProblemSpec, c: CheckConfig, notes="",
+           w: dict | None = None) -> Hypothesis:
     """Evaluate the definition of a pair, bound or limit hypothesis on the
-    sample grids; a non-finite sample fails it with a domain_error."""
+    sample grids, or on the points of a witness w: its t and its x, or x1
+    and x2; a limit's t_prev and t, with the x grid.  A non-finite sample
+    fails it with a domain_error."""
     d = HYPOTHESES[name](p)
     xg = c.x_grid(p.x_bound)
     with np.errstate(all="ignore"):
         if isinstance(d, _Limit):
-            return _uniform_limit_hypothesis(name, d.ratio, c.limit_ts(p.T), xg,
+            ts = c.limit_ts(p.T) if w is None else _points(w, "t_prev", "t")
+            return _uniform_limit_hypothesis(name, d.ratio, ts, xg,
                                              c.limit_threshold, c.limit_tail)
         tg = c.t_grid(p.T)
+        if w is not None:
+            tg, xg = _points(w, "t"), _points(w, "x", "x1", "x2")
         T, X = tg[:, None], xg[None, :]
         if isinstance(d, _Pair):
             return _pairwise_bound_hypothesis(name, d.f(T, X), d.coeff(tg), tg,
@@ -628,16 +629,20 @@ def _osgood_hypothesis(d: _Gate, c: CheckConfig) -> Hypothesis:
                       float(margins[j]), witness)
 
 
+def _omega_vanishes(d: _Gate, c: CheckConfig, ts) -> Hypothesis:
+    """omega(0+) -> 0 along ts, a limit whose witness has no x."""
+    h = _uniform_limit_hypothesis("omega_vanishes_at_0", d.ratio, ts,
+                                  np.zeros(1), c.limit_threshold, c.limit_tail)
+    h.witness.pop("x", None)
+    return h
+
+
 def check_comparison_fn(omega: Expression, c: CheckConfig | None = None) -> CriterionReport:
     """Comparison-function gate: omega continuous and increasing, omega(0+) = 0,
     and the Osgood-type integral inequality int_0^r omega(s)/s ds <= r."""
     c = c or CheckConfig()
     d = _gate(omega)
-    # omega(0+) -> 0 along a dyadic sequence
-    hyp_zero = _uniform_limit_hypothesis(
-        "omega_vanishes_at_0", d.ratio, c.limit_ts(1.0),
-        np.array([0.0]), c.limit_threshold, c.limit_tail)
-    hyp_zero.witness.pop("x", None)  # the ratio does not depend on x
+    hyp_zero = _omega_vanishes(d, c, c.limit_ts(1.0))
     # strict increase across consecutive grid points
     rg = d.grid(c)
     vals = d.omega(rg)
@@ -821,13 +826,15 @@ def equivalence_suite(p: ProblemSpec, c: CheckConfig | None = None,
 # witness re-verification
 
 def reverify(p: ProblemSpec, c: CheckConfig, report: CriterionReport) -> bool:
-    """Re-evaluate every failing hypothesis's witness with the hypothesis's
-    definition in HYPOTHESES; returns True when each reproduces a violation
-    > tol.  A domain_error witness reproduces when any value of the
-    definition is non-finite at its point.  An integral witness reproduces
-    through the checker's own sweep, for its one member, on the
-    hypothesis's grid up to its point.  Raises KeyError on a hypothesis
-    without a definition."""
+    """Re-check every failing hypothesis's witness with its definition in
+    HYPOTHESES; True when each reproduces bit for bit through the checker's
+    own rule on the witness's own points: a pair, bound or limit (omega's
+    vanishing too) fails there with the same witness, field for field, an
+    integral's sweep of its one member (its eps) up to its point with the
+    same failure or margin.  Off every grid, an integral's domain_error (at
+    a quadrature node) reproduces where a value of the definition is not
+    finite, an increase_pair where omega does not increase.  Raises
+    KeyError on a hypothesis without a definition."""
     with np.errstate(all="ignore"):
         return all(_reverify_one(p, c, h) for h in report.hypotheses
                    if not h.passed)
@@ -836,34 +843,20 @@ def reverify(p: ProblemSpec, c: CheckConfig, report: CriterionReport) -> bool:
 def _reverify_one(p: ProblemSpec, c: CheckConfig, h: Hypothesis) -> bool:
     d = HYPOTHESES[h.name](p)
     w = h.witness
-    kind = w["kind"]
-    if kind == "domain_error":
+    if isinstance(d, (_Pair, _Bound, _Limit)):
+        got = _sweep(h.name, p, c, w=w)
+    elif isinstance(d, _Gate) and "t" in w:  # omega_vanishes_at_0
+        got = _omega_vanishes(d, c, _points(w, "t_prev", "t"))
+    elif w["kind"] == "domain_error":
         return not np.all(np.isfinite(d.at(w)))
-    if kind == "pair_ineq":
-        t, x1, x2 = w["t"], w["x1"], w["x2"]
-        return abs(d.f(t, x1) - d.f(t, x2)) > d.coeff(t) * abs(x1 - x2) + c.tol
-    if kind == "grid_ineq":
-        lhs, rhs = d.at(w)
-        return lhs > rhs + c.tol
-    if kind in ("limit_final", "limit_increase"):
-        xs = c.x_grid(p.x_bound)[None, :]
-
-        def sup(t):
-            return np.max(np.abs(d.ratio(np.array([[t]]), xs)))
-
-        if kind == "limit_final":
-            return not (sup(w["t"]) < w["threshold"])
-        return sup(w["t"]) > sup(w["t_prev"])
-    if kind == "increase_pair":
+    elif w["kind"] == "increase_pair":
         return not (d.omega(w["r2"]) > d.omega(w["r1"]))
-    # quad_ineq, quad_ineq_eps and divergent: the checker's sweep of the
-    # witness's one member (its eps) up to the witness point, which gives
-    # the same failure or the same margin, bit for bit
-    var = "r" if isinstance(d, _Gate) else "t"
-    grid = d.grid(c)
-    grid = grid[grid <= w[var]]
-    eps = np.array([w["eps"]]) if "eps" in w else None
-    got = _integral_sweep(h.name, d, grid, c, var, eps)
-    if isinstance(got, Hypothesis):
-        return got.witness == w
-    return not _margins(d, grid, got)[1][-1, 0] >= -c.tol
+    else:  # quad_ineq, quad_ineq_eps and divergent
+        var = "r" if isinstance(d, _Gate) else "t"
+        grid = d.grid(c)
+        grid = grid[grid <= w[var]]
+        eps = np.array([w["eps"]]) if "eps" in w else None
+        got = _integral_sweep(h.name, d, grid, c, var, eps)
+        if not isinstance(got, Hypothesis):
+            return not _margins(d, grid, got)[1][-1, 0] >= -c.tol
+    return not got.passed and got.witness == w

@@ -103,12 +103,15 @@ class _HermiteSpline:
             if not np.isfinite(a).all():
                 raise ValueError(f"`{name}` must contain only finite values.")
         dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (d[:-1] + d[1:] - 2 * slope) / dx
-        # per interval k: x_k and the coefficients of 1, s, s^2, s^3 with
-        # s = q - x_k; the constant carries PPoly's leading +0.0
-        self._coef = np.stack([x[:-1], 0.0 + y[:-1], d[:-1],
-                               (slope - d[:-1]) / dx - t, t / dx])
+        if np.any(dx <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        with np.errstate(all="ignore"):  # the caller judges an overflow
+            slope = np.diff(y) / dx
+            t = (d[:-1] + d[1:] - 2 * slope) / dx
+            # per interval k: x_k and the coefficients of 1, s, s^2, s^3
+            # with s = q - x_k; the constant carries PPoly's leading +0.0
+            self._coef = np.stack([x[:-1], 0.0 + y[:-1], d[:-1],
+                                   (slope - d[:-1]) / dx - t, t / dx])
         # interval k holds x[k] <= q < x[k+1]; the count of interior knots
         # <= q is k, and 0 or n-2 outside the table
         self._inner = x[1:-1]
@@ -137,18 +140,22 @@ class Reparametrization:
         if not (np.all(np.diff(self.t_table) > 0)
                 and np.all(np.diff(self.tau_table) < 0)):
             raise ReparamError("reparametrization table is not strictly monotone")
-        dt = np.gradient(self.t_table)  # fallback slopes if lambda unknown
         if self.lam is not None:
             lam_vals = self.lam.lambdify(("t",))(self.t_table)
             tau_slopes = -1.0 / lam_vals
             t_slopes = -lam_vals
-        else:
-            tau_slopes = np.gradient(self.tau_table) / dt
+        else:  # finite-difference slopes when lambda is unknown
+            tau_slopes = np.gradient(self.tau_table) / np.gradient(self.t_table)
             t_slopes = 1.0 / tau_slopes
         self._tau_spline = _HermiteSpline(self.t_table, self.tau_table,
                                           tau_slopes)
         self._t_spline = _HermiteSpline(self.tau_table[::-1],
                                         self.t_table[::-1], t_slopes[::-1])
+        for var, spline in (("t", self._tau_spline), ("tau", self._t_spline)):
+            bad = spline._coef[0][~np.isfinite(spline._coef).all(axis=0)]
+            if bad.size:
+                raise ReparamError(f"a spline coefficient overflows on the "
+                                   f"segment from {var}={float(bad[0])!r}")
 
     @property
     def tau_horizon(self) -> float:
@@ -254,6 +261,9 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
     tau_plus is the limit of tau(t) as t -> 0+: finite when int_0+ 1/lambda
     converges, +inf otherwise.
     """
+    if not T >= 2.0**-1020:
+        raise ReparamError(f"T={T!r} is below 2^-1020: int_0+^T 1/lambda "
+                           f"has fewer than two base panels above 2^-1022")
     if t_min is None:
         t_min = T * 1e-8
     t_nodes = np.geomspace(t_min, T, _TAU_NODES)
@@ -285,8 +295,8 @@ def build_tau(lam: Expression, T: float, tau_minus: float = 0.0,
     elif full.diverged:
         tau_plus = math.inf
     else:
-        raise ReparamError("could not classify int_0+ 1/lambda "
-                           "(quadrature budget exhausted)")
+        raise ReparamError("could not classify int_0+ 1/lambda: the base "
+                           "panels ran out at the last one above 2^-1022")
     return Reparametrization(T=T, tau_minus=tau_minus, tau_plus=tau_plus,
                              t_table=t_nodes, tau_table=taus, lam=lam)
 

@@ -31,12 +31,14 @@ from it in the last bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import Expression
+from .reparam import _HermiteSpline
 
 __all__ = [
     "Trajectory",
@@ -93,29 +95,23 @@ class Trajectory:
     def x_end(self) -> float:
         return float(self.x[-1])
 
+    @functools.cached_property
+    def _spline(self):
+        """``at``'s spline through the distinct t, a repeated t (after a
+        step below half an ulp) at its first sample; x for one t."""
+        ts, first = np.unique(self.t, return_index=True)
+        if ts.size == 1:
+            return lambda _q: self.x[0]
+        return _HermiteSpline(ts, self.x[first], self.xdot[first])
+
     def at(self, t_query: float) -> float:
-        """Cubic Hermite interpolation between accepted steps."""
-        ts = self.t
-        ascending = ts[0] <= ts[-1]
-        s = ts if ascending else ts[::-1]
-        lo, hi = s[0], s[-1]
+        """The cubic Hermite interpolant through the accepted steps (t, x)
+        with slopes xdot, evaluated by the tau map's evaluator
+        ``reparam._HermiteSpline``."""
+        lo, hi = sorted((self.t[0], self.t[-1]))
         if not (lo - 1e-12 <= t_query <= hi + 1e-12):
             raise ValueError(f"t={t_query!r} outside trajectory range")
-        k = int(np.clip(np.searchsorted(s, t_query) - 1, 0, len(s) - 2))
-        if not ascending:
-            k = len(ts) - 2 - k
-        t0, t1 = float(ts[k]), float(ts[k + 1])
-        h = t1 - t0
-        if h == 0.0:
-            return float(self.x[k])
-        u = (t_query - t0) / h
-        x0, x1 = float(self.x[k]), float(self.x[k + 1])
-        d0, d1 = float(self.xdot[k]) * h, float(self.xdot[k + 1]) * h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return h00 * x0 + h10 * d0 + h01 * x1 + h11 * d1
+        return float(self._spline(t_query))
 
 
 def _stage_columns():

@@ -194,6 +194,9 @@ def _split(knots, a: float, b: float) -> list:
 
 def build_tau(lam, T, tau_minus=0.0, n_nodes=400, t_min=None):
     """tau(t) table with one adaptive integral per segment, from T down."""
+    if not T >= 2.0**-1020:
+        raise ReparamError(f"T={T!r} is below 2^-1020: int_0+^T 1/lambda "
+                           f"has fewer than two base panels above 2^-1022")
     if t_min is None:
         t_min = T * 1e-8
     t_nodes = np.geomspace(t_min, T, n_nodes)
@@ -224,8 +227,8 @@ def build_tau(lam, T, tau_minus=0.0, n_nodes=400, t_min=None):
     elif full.diverged:
         tau_plus = math.inf
     else:
-        raise ReparamError("could not classify int_0+ 1/lambda "
-                           "(quadrature budget exhausted)")
+        raise ReparamError("could not classify int_0+ 1/lambda: the base "
+                           "panels ran out at the last one above 2^-1022")
     return Reparametrization(T=T, tau_minus=tau_minus, tau_plus=tau_plus,
                              t_table=t_nodes, tau_table=taus, lam=lam)
 

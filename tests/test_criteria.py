@@ -417,6 +417,37 @@ def test_all_failure_witnesses_reverify(spec):
     assert reverify(pt, CFG, check_theorem_main(pt, CFG))
 
 
+# a failing pair, bound and limit witness and the field that a move by one
+# ulp breaks: reverify compares the re-run's witness field for field
+MOVED_WITNESSES = [
+    ({"f": "1.413*x/t"}, check_nagumo, "lipschitz_1_over_t", "lhs"),
+    ({"f": "1.413*x/t"}, check_nagumo, "lipschitz_1_over_t", "rhs"),
+    ({"f": "1.413*x/t", "u": "t^0.4667", "omega": "r"}, check_constantin,
+     "bound_f_le_uprime_over_u_omega", "lhs"),
+    ({"f": "1.413*x/t", "u": "t^0.4667", "omega": "r"}, check_constantin,
+     "bound_f_le_uprime_over_u_omega", "rhs"),
+    ({"f": "1.413*x/t"}, check_nagumo, "uniform_limit_f", "sup"),
+    ({"f": "1.413*x/t"}, check_nagumo, "uniform_limit_f", "sup_prev"),
+    ({"f": "-sqrt(abs(x))"}, check_nagumo, "uniform_limit_f", "sup"),
+    # omega(2^-40) = 2^-0.4: the gate's first failure, omega_vanishes_at_0
+    ({"f": "0", "u": "t", "omega": "r^0.01"}, check_constantin,
+     "comparison_function", "sup"),
+]
+
+
+@pytest.mark.parametrize("spec,check,name,key", MOVED_WITNESSES, ids=[
+    "pair-lhs", "pair-rhs", "bound-lhs", "bound-rhs", "limit_increase-sup",
+    "limit_increase-sup_prev", "limit_final-sup", "gate_limit-sup"])
+def test_witness_moved_by_one_ulp_does_not_reverify(spec, check, name, key):
+    p = ProblemSpec.from_dict(spec)
+    h = check(p, CFG).hypothesis(name)
+    assert not h.passed
+    assert reverify(p, CFG, CriterionReport("recorded", [h]))
+    moved = replace(h, witness={
+        **h.witness, key: math.nextafter(h.witness[key], math.inf)})
+    assert not reverify(p, CFG, CriterionReport("moved", [moved]))
+
+
 def test_omega_domain_witness_reverifies():
     # omega is nan on (0, 2^-30): omega_vanishes_at_0 fails with a
     # domain_error witness at an r value, which reverify evaluates omega at

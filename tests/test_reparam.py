@@ -13,6 +13,7 @@ import scalar_reference
 from odeuniq.criteria import ProblemSpec, reduce_to_constantin
 from odeuniq.expr import parse
 from odeuniq.rootfind import bisect
+from odeuniq.solver import Trajectory, integrate_ivp
 from odeuniq import reparam
 from odeuniq.quadrature import IntegrandError, integrate
 from odeuniq.reparam import (
@@ -654,6 +655,38 @@ def test_hermite_spline_rejects_what_scipy_rejects():
         args[i] = [0.0, math.inf]
         with pytest.raises(ValueError, match=f"`{name}` must contain only"):
             _HermiteSpline(*args)
+    for x in ([0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="`x` must be strictly increasing"):
+            _HermiteSpline(x, [0.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, 2.0), (2.0, 0.1)],
+                         ids=["ascending", "descending"])
+def test_trajectory_at_matches_scipy_bits(scipy_spline, t0, t1):
+    # Trajectory.at is the Hermite interpolant on the accepted steps
+    traj = integrate_ivp(parse("t*x + sin(x)", {"t", "x"}), t0, 0.7, t1,
+                         rtol=1e-6, atol=1e-9)
+    order = np.argsort(traj.t)
+    ref = scipy_spline(traj.t[order], traj.x[order], traj.xdot[order])
+    lo, hi = sorted((t0, t1))
+    for q in np.r_[traj.t, np.linspace(lo, hi, 97)].tolist():
+        assert _same(traj.at(q), float(ref(q)))
+
+
+def test_trajectory_at_one_sample_and_repeated_t():
+    one = Trajectory(np.array([0.5]), np.array([0.25]), np.array([1.0]),
+                     np.zeros(1), "completed")
+    assert one.at(0.5) == 0.25
+    with pytest.raises(ValueError, match="outside trajectory range"):
+        one.at(0.6)
+    # a repeated t (a step below half an ulp) keeps its first sample
+    twice = Trajectory(np.array([0.0, 1.0, 1.0, 2.0]),
+                       np.array([0.0, 1.0, 1.5, 2.0]), np.ones(4),
+                       np.zeros(4), "completed")
+    once = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
+                      np.ones(3), np.zeros(3), "completed")
+    for q in (0.5, 1.0, 1.5):
+        assert _same(twice.at(q), once.at(q))
 
 
 # tau_of_t at three off-node t and the unrefined t_of_tau at three tau, as
